@@ -21,7 +21,7 @@ from .calibration import (
     ece,
     kl_to_true,
 )
-from .fieldgen import Dataset, FieldConfig, Sample, generate_dataset
+from .fieldgen import Dataset, FieldConfig, generate_dataset
 from .model import ModelParams, forward, init_params
 from .numerics import Rng
 from .pipeline import TrainConfig, evaluate_arm, run_experiment, split_kfold
@@ -33,7 +33,6 @@ __all__ = [
     "MetricsReport",
     "ModelParams",
     "Rng",
-    "Sample",
     "TrainConfig",
     "bce_loss",
     "brier_score",

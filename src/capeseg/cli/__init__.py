@@ -40,6 +40,14 @@ class UsageError(ValueError):
     pass
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _prepare_outdir(outdir: str, names: list[str], force: bool) -> Path:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -70,7 +78,7 @@ def cmd_generate(args) -> int:
     dataset = generate_dataset(field_cfg, cfg["n_samples"])
     dataset_path = out / "dataset.bin"
     storage.write_dataset(dataset_path, dataset)
-    rate = float(np.mean([s.outcomes.mean() for s in dataset.samples]))
+    rate = float(dataset.outcomes.mean(axis=(1, 2)).mean())
     print(f"wrote {dataset_path} ({len(dataset)} samples, event rate {rate:.4f})")
     storage.write_manifest(out, "generate", cfg, cfg["seed"], [dataset_path])
     return EXIT_OK
@@ -116,14 +124,11 @@ def cmd_evaluate(args) -> int:
     dataset = storage.read_dataset(args.dataset)
     n_bins = args.bins if args.bins is not None else 20
 
-    outs = np.concatenate([s.outcomes.ravel() for s in dataset.samples])
-    true_p = None
-    if dataset.has_true_p:
-        true_p = np.concatenate([s.true_p.ravel() for s in dataset.samples])
     if args.oracle:
-        if true_p is None:
+        if not dataset.has_true_p:
             raise FormatError("--oracle requires a dataset with true probabilities")
-        report = evaluate_predictions(true_p, outs, true_p, n_bins)
+        true_p = dataset.true_p.ravel()
+        report = evaluate_predictions(true_p, dataset.outcomes.ravel(), true_p, n_bins)
     else:
         if not args.checkpoint:
             raise UsageError("evaluate needs --checkpoint (or --oracle)")
@@ -258,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="event-rate x dataset-size experiment grid")
     common(p_sweep)
-    p_sweep.add_argument("--threads", type=int, default=1, help="parallel cells (default 1)")
+    p_sweep.add_argument(
+        "--threads", type=positive_int, default=1, help="parallel cells, >= 1 (default 1)"
+    )
     p_sweep.add_argument("--bins", type=int, default=None, help="override bin count")
     p_sweep.add_argument(
         "--lambda", dest="cal_weight", type=float, default=None,

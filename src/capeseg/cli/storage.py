@@ -1,11 +1,11 @@
 """Bit-exact persistence: dataset and checkpoint binaries, CSV reports,
 and the run manifest.
 
-Datasets use a little-endian header (magic "CAPESEG1") followed by raw
-sample blocks: float32 inputs, uint8 outcomes, float32 true probabilities
-when flagged. Checkpoints are named parameter blocks with shape headers,
-stored as float64 so reloaded models evaluate exactly like the trained
-ones. Floats in CSVs are written with repr, which round-trips.
+Datasets use a little-endian header (magic "CAPESEG1") followed by one
+record per sample: float32 inputs, uint8 outcomes, float32 true
+probabilities when flagged. Checkpoints are named parameter blocks with
+shape headers, stored as float64 so reloaded models evaluate exactly like
+the trained ones. Floats in CSVs are written with repr, which round-trips.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .. import __version__
 from ..calibration import BinTable, MetricsReport
-from ..fieldgen import Dataset, Sample
-from ..model import ModelParams
+from ..fieldgen import Dataset
+from ..model import ModelParams, block_shapes
 from ..pipeline import EpochRecord
 
 DATASET_MAGIC = b"CAPESEG1"
@@ -55,31 +55,40 @@ def fmt(value) -> str:
 # --- dataset container ---
 
 
+def _record_dtype(c: int, h: int, w: int, has_true_p: bool) -> np.dtype:
+    """Layout of one sample on disk, without padding."""
+    fields = [("inputs", "<f4", (c, h, w)), ("outcomes", "u1", (h, w))]
+    if has_true_p:
+        fields.append(("true_p", "<f4", (h, w)))
+    return np.dtype(fields)
+
+
 def write_dataset(path, dataset: Dataset) -> None:
-    if not dataset.samples:
+    if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
+    if not np.isin(dataset.outcomes, (0.0, 1.0)).all():
+        raise ValueError("dataset outcomes are not strictly binary")
     c, h, w = dataset.shape
     flags = FLAG_TRUE_P if dataset.has_true_p else 0
-    blob = bytearray()
-    blob += _HEADER.pack(
-        DATASET_MAGIC, DATASET_VERSION, len(dataset.samples), c, h, w, flags
-    )
-    for i, s in enumerate(dataset.samples):
-        if s.inputs.shape != (c, h, w):
-            raise ValueError(f"sample {i} shape {s.inputs.shape} differs from {(c, h, w)}")
-        outcomes = s.outcomes
-        if not np.isin(outcomes, (0.0, 1.0)).all():
-            raise ValueError(f"sample {i} outcomes are not strictly binary")
-        blob += s.inputs.astype("<f4").tobytes()
-        blob += outcomes.astype(np.uint8).tobytes()
-        if flags & FLAG_TRUE_P:
-            if s.true_p is None:
-                raise ValueError(f"sample {i} is missing true_p but the dataset is flagged")
-            blob += s.true_p.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    records = np.empty(len(dataset), _record_dtype(c, h, w, dataset.has_true_p))
+    records["inputs"] = dataset.inputs
+    records["outcomes"] = dataset.outcomes
+    if dataset.has_true_p:
+        records["true_p"] = dataset.true_p
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(dataset), c, h, w, flags))
+        fh.write(records.data)
+
+
+def _reject_bad_samples(path, what: str, ok: np.ndarray) -> None:
+    """FormatError naming the first sample with any False in `ok` (N x ...)."""
+    bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: sample {bad[0]} has {what}")
 
 
 def read_dataset(path) -> Dataset:
+    """Load a dataset, rejecting corrupt or out-of-range values with FormatError."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
@@ -88,53 +97,41 @@ def read_dataset(path) -> Dataset:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
     if version != DATASET_VERSION:
         raise FormatError(f"{path}: unsupported dataset version {version}")
+    if 0 in (n_samples, c, h, w):
+        raise FormatError(f"{path}: empty dataset ({n_samples} samples of {c}x{h}x{w})")
     has_p = bool(flags & FLAG_TRUE_P)
-    per_sample = 4 * c * h * w + h * w + (4 * h * w if has_p else 0)
-    expected = _HEADER.size + n_samples * per_sample
+    try:
+        dtype = _record_dtype(c, h, w, has_p)
+    except ValueError as exc:  # a sample too large for one numpy record
+        raise FormatError(f"{path}: implausible sample shape {c}x{h}x{w}: {exc}") from exc
+    expected = _HEADER.size + n_samples * dtype.itemsize
     if len(data) != expected:
         raise FormatError(
             f"{path}: expected {expected} bytes for {n_samples} samples, found {len(data)}"
         )
-    samples = []
-    offset = _HEADER.size
-    for i in range(n_samples):
-        inputs = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=offset)
-        offset += 4 * c * h * w
-        raw_out = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=offset)
-        offset += h * w
-        if not np.isin(raw_out, (0, 1)).all():
-            raise FormatError(f"{path}: sample {i} has non-binary outcome bytes")
-        true_p = None
-        if has_p:
-            true_p = np.frombuffer(data, dtype="<f4", count=h * w, offset=offset)
-            offset += 4 * h * w
-            true_p = true_p.astype(np.float64).reshape(h, w)
-        samples.append(
-            Sample(
-                inputs=inputs.astype(np.float64).reshape(c, h, w),
-                outcomes=raw_out.astype(np.float64).reshape(h, w),
-                true_p=true_p,
-            )
-        )
-    return Dataset(samples=samples, config=None, format_version=version)
+    records = np.frombuffer(data, dtype, count=n_samples, offset=_HEADER.size)
+    _reject_bad_samples(path, "non-binary outcome bytes", records["outcomes"] <= 1)
+    _reject_bad_samples(path, "non-finite inputs", np.isfinite(records["inputs"]))
+    true_p = None
+    if has_p:
+        raw_p = records["true_p"]
+        _reject_bad_samples(path, "true_p outside [0, 1]", (raw_p >= 0.0) & (raw_p <= 1.0))
+        true_p = raw_p.astype(np.float64)
+    return Dataset(
+        inputs=records["inputs"].astype(np.float64),
+        outcomes=records["outcomes"].astype(np.float64),
+        true_p=true_p,
+    )
 
 
 # --- checkpoint container ---
 
-_BLOCK_ORDER = ["conv1_w", "conv1_b", "conv2_w", "conv2_b"]
-
 
 def write_checkpoint(path, params: ModelParams) -> None:
-    blocks = {
-        "conv1_w": params.conv1_w,
-        "conv1_b": params.conv1_b,
-        "conv2_w": params.conv2_w,
-        "conv2_b": params.conv2_b,
-    }
     blob = bytearray()
-    blob += struct.pack("<8sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(_BLOCK_ORDER))
-    for name in _BLOCK_ORDER:
-        arr = np.ascontiguousarray(blocks[name], dtype="<f8")
+    blob += struct.pack("<8sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(params.blocks))
+    for name, block in params.blocks.items():
+        arr = np.ascontiguousarray(block, dtype="<f8")
         encoded = name.encode("ascii")
         blob += struct.pack("<H", len(encoded)) + encoded
         blob += struct.pack("<I", arr.ndim)
@@ -144,6 +141,9 @@ def write_checkpoint(path, params: ModelParams) -> None:
 
 
 def read_checkpoint(path) -> ModelParams:
+    """Load parameters, rejecting corrupt, non-finite or mutually inconsistent
+    blocks with FormatError. The block shapes must be the layout that
+    `block_shapes` derives from conv1_w's filter and channel counts."""
     data = Path(path).read_bytes()
     head = struct.Struct("<8sII")
     if len(data) < head.size:
@@ -168,20 +168,30 @@ def read_checkpoint(path) -> ModelParams:
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
-            blocks[name] = arr.astype(np.float64).reshape(shape)
+            blocks[name] = arr.reshape(shape)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint block: {exc}") from exc
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
-    missing = [n for n in _BLOCK_ORDER if n not in blocks]
-    if missing:
-        raise FormatError(f"{path}: missing parameter blocks: {', '.join(missing)}")
-    return ModelParams(
-        conv1_w=blocks["conv1_w"],
-        conv1_b=blocks["conv1_b"],
-        conv2_w=blocks["conv2_w"],
-        conv2_b=blocks["conv2_b"],
-    )
+    conv1_w = blocks.get("conv1_w")
+    if conv1_w is None or conv1_w.ndim != 4 or 0 in conv1_w.shape:
+        raise FormatError(f"{path}: missing or malformed conv1_w block")
+    f, c = conv1_w.shape[:2]
+    layout = block_shapes(c, f)
+    unknown = sorted(set(blocks) - set(layout))
+    if unknown:
+        raise FormatError(f"{path}: unknown parameter blocks: {', '.join(unknown)}")
+    for name, shape in layout.items():
+        if name not in blocks:
+            raise FormatError(f"{path}: missing parameter block {name}")
+        if blocks[name].shape != shape:
+            raise FormatError(
+                f"{path}: block {name} has shape {blocks[name].shape}, expected {shape} "
+                f"for {c} input channels and {f} filters"
+            )
+        if not np.isfinite(blocks[name]).all():
+            raise FormatError(f"{path}: non-finite values in block {name}")
+    return ModelParams(c, f, np.concatenate([blocks[name].ravel() for name in layout]))
 
 
 # --- manifest ---

@@ -12,13 +12,13 @@ are informative about the latent probability without revealing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import sigmoid
-from .numerics import Rng, as_f64
+from .numerics import Rng
 
 P_CLAMP = 1e-6  # keeps logits finite and KL terms non-degenerate
 OFFSET_LO, OFFSET_HI = -20.0, 20.0
@@ -55,29 +55,23 @@ class FieldConfig:
 
 
 @dataclass
-class Sample:
-    inputs: np.ndarray  # C x H x W
-    outcomes: np.ndarray  # H x W, values in {0.0, 1.0}
-    true_p: Optional[np.ndarray]  # H x W in (0, 1), None when withheld
-
-
-@dataclass
 class Dataset:
-    samples: list[Sample] = field(default_factory=list)
-    config: Optional[FieldConfig] = None
-    format_version: int = 1
+    """N samples as stacked float64 arrays."""
+
+    inputs: np.ndarray  # N x C x H x W
+    outcomes: np.ndarray  # N x H x W, values in {0.0, 1.0}
+    true_p: Optional[np.ndarray] = None  # N x H x W in (0, 1), None when withheld
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.inputs.shape[0]
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        s = self.samples[0]
-        return s.inputs.shape
+        return self.inputs.shape[1:]
 
     @property
     def has_true_p(self) -> bool:
-        return bool(self.samples) and self.samples[0].true_p is not None
+        return self.true_p is not None
 
 
 def _gaussian_kernel(length_scale: float) -> np.ndarray:
@@ -159,17 +153,19 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     raise ValueError(f"offset bisection failed to reach tolerance {OFFSET_TOL}")
 
 
-def make_sample(config: FieldConfig, rng: Rng, offset: float) -> Sample:
-    """One sample: Bernoulli outcomes from the latent map, noisy inputs, stored true_p.
+def make_sample(
+    config: FieldConfig, rng: Rng, offset: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sample as (inputs C x H x W, binary outcomes H x W, true_p H x W).
 
-    Draw order within the stream is fixed: field noise, outcome uniforms,
-    then per-channel input noise.
+    Outcomes are Bernoulli draws from the latent map and inputs are the
+    field plus noise. Draw order within the stream is fixed: field noise,
+    outcome uniforms, then per-channel input noise.
     """
     g, p = gen_latent_field(config, rng, offset)
     outcomes = (rng.uniform(p.shape) < p).astype(np.float64)
     noise = rng.normal((config.channels,) + p.shape)
-    inputs = g[None, :, :] + config.obs_noise * noise
-    return Sample(inputs=as_f64(inputs), outcomes=outcomes, true_p=p)
+    return g[None, :, :] + config.obs_noise * noise, outcomes, p
 
 
 def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:
@@ -183,8 +179,14 @@ def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     root = Rng(config.seed)
     offset = calibrate_offset(config, root.child(_STREAM_CALIBRATE))
-    samples = [
-        make_sample(config, root.child(_STREAM_SAMPLE, i), offset)
-        for i in range(n_samples)
-    ]
-    return Dataset(samples=samples, config=config)
+    c, h, w = config.channels, config.height, config.width
+    ds = Dataset(
+        inputs=np.empty((n_samples, c, h, w)),
+        outcomes=np.empty((n_samples, h, w)),
+        true_p=np.empty((n_samples, h, w)),
+    )
+    for i in range(n_samples):
+        ds.inputs[i], ds.outcomes[i], ds.true_p[i] = make_sample(
+            config, root.child(_STREAM_SAMPLE, i), offset
+        )
+    return ds

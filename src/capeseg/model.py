@@ -1,13 +1,16 @@
 """Small convolutional probability estimator: conv3x3 -> relu -> conv3x3 -> sigmoid.
 
 Maps a CxHxW input to an HxW map of event probabilities, preserving
-spatial size. Parameters pack into a single flat float64 vector so the
-optimizer and gradient checker can treat the model as one function.
+spatial size. All parameters live in one flat float64 vector, so the
+optimizer and gradient checker can treat the model as one function; the
+named blocks are reshaped views into it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,65 +27,39 @@ KERNEL_SIZE = 3
 PROB_CLAMP = 1e-12  # float sigmoid rounds to exactly 0/1 past |logit| ~ 37
 
 
-@dataclass
+def block_shapes(in_channels: int, hidden_channels: int) -> dict[str, tuple[int, ...]]:
+    """Parameter blocks in flat-vector (and checkpoint) order, with their shapes."""
+    c, f, k = in_channels, hidden_channels, KERNEL_SIZE
+    return {"conv1_w": (f, c, k, k), "conv1_b": (f,), "conv2_w": (1, f, k, k), "conv2_b": (1,)}
+
+
 class ModelParams:
-    conv1_w: np.ndarray  # F x C x 3 x 3
-    conv1_b: np.ndarray  # F
-    conv2_w: np.ndarray  # 1 x F x 3 x 3
-    conv2_b: np.ndarray  # 1
+    """All parameters in one flat float64 vector.
 
-    @property
-    def in_channels(self) -> int:
-        return self.conv1_w.shape[1]
+    `blocks` maps each name of `block_shapes` to a reshaped view into
+    `flat`, and each block is also an attribute (`conv1_w` F x C x 3 x 3,
+    `conv1_b` F, `conv2_w` 1 x F x 3 x 3, `conv2_b` 1), so writing a block
+    writes the vector. Without `flat` the parameters start at zero; a
+    contiguous float64 `flat` is used in place, not copied.
+    """
 
-    @property
-    def hidden_channels(self) -> int:
-        return self.conv1_w.shape[0]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            conv1_w=self.conv1_w.copy(),
-            conv1_b=self.conv1_b.copy(),
-            conv2_w=self.conv2_w.copy(),
-            conv2_b=self.conv2_b.copy(),
-        )
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.conv1_w.ravel(),
-                self.conv1_b.ravel(),
-                self.conv2_w.ravel(),
-                self.conv2_b.ravel(),
-            ]
-        )
-
-    def block_slices(self) -> dict[str, slice]:
-        sizes = [
-            ("conv1_w", self.conv1_w.size),
-            ("conv1_b", self.conv1_b.size),
-            ("conv2_w", self.conv2_w.size),
-            ("conv2_b", self.conv2_b.size),
-        ]
-        slices = {}
+    def __init__(
+        self, in_channels: int, hidden_channels: int, flat: Optional[np.ndarray] = None
+    ):
+        shapes = block_shapes(in_channels, hidden_channels)
+        size = sum(math.prod(s) for s in shapes.values())
+        self.in_channels = in_channels
+        self.hidden_channels = hidden_channels
+        self.flat = np.zeros(size) if flat is None else as_f64(flat)
+        if self.flat.shape != (size,):
+            raise ValueError(f"expected {size} values, got shape {self.flat.shape}")
+        self.blocks: dict[str, np.ndarray] = {}
         offset = 0
-        for name, size in sizes:
-            slices[name] = slice(offset, offset + size)
-            offset += size
-        return slices
-
-    def unpack(self, flat: np.ndarray) -> "ModelParams":
-        """New params with this layout and values taken from a flat vector."""
-        flat = as_f64(flat).ravel()
-        if flat.size != self.pack().size:
-            raise ValueError(f"expected {self.pack().size} values, got {flat.size}")
-        s = self.block_slices()
-        return ModelParams(
-            conv1_w=flat[s["conv1_w"]].reshape(self.conv1_w.shape).copy(),
-            conv1_b=flat[s["conv1_b"]].reshape(self.conv1_b.shape).copy(),
-            conv2_w=flat[s["conv2_w"]].reshape(self.conv2_w.shape).copy(),
-            conv2_b=flat[s["conv2_b"]].reshape(self.conv2_b.shape).copy(),
-        )
+        for name, shape in shapes.items():
+            end = offset + math.prod(shape)
+            self.blocks[name] = self.flat[offset:end].reshape(shape)
+            setattr(self, name, self.blocks[name])
+            offset = end
 
 
 @dataclass
@@ -99,14 +76,10 @@ def init_params(in_channels: int, hidden_channels: int, rng: Rng) -> ModelParams
     if in_channels < 1 or hidden_channels < 1:
         raise ValueError("channel counts must be >= 1")
     c, f, k = in_channels, hidden_channels, KERNEL_SIZE
-    std1 = np.sqrt(2.0 / (c * k * k))
-    std2 = np.sqrt(2.0 / (f * k * k))
-    return ModelParams(
-        conv1_w=std1 * rng.normal((f, c, k, k)),
-        conv1_b=np.zeros(f),
-        conv2_w=std2 * rng.normal((1, f, k, k)),
-        conv2_b=np.zeros(1),
-    )
+    params = ModelParams(c, f)
+    params.conv1_w[...] = np.sqrt(2.0 / (c * k * k)) * rng.normal((f, c, k, k))
+    params.conv2_w[...] = np.sqrt(2.0 / (f * k * k)) * rng.normal((1, f, k, k))
+    return params
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -135,19 +108,20 @@ def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 
 def backward(params: ModelParams, cache: ForwardCache, dloss_dprobs: np.ndarray) -> ModelParams:
-    """Chain-rule gradients for all parameter blocks, shaped like ModelParams."""
+    """Chain-rule gradients for all parameter blocks, in one flat vector like `params`."""
     dloss_dprobs = as_f64(dloss_dprobs)
     if dloss_dprobs.shape != cache.probs.shape:
         raise ValueError(
             f"gradient shape {dloss_dprobs.shape} does not match output {cache.probs.shape}"
         )
     dlogits = dloss_dprobs * cache.probs * (1.0 - cache.probs)
-    dact1, dconv2_w, dconv2_b = conv2d_backward(cache.conv2, dlogits[None, :, :])
-    dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
-    _, dconv1_w, dconv1_b = conv2d_backward(cache.conv1, dpre1)
-    return ModelParams(
-        conv1_w=dconv1_w, conv1_b=dconv1_b, conv2_w=dconv2_w, conv2_b=dconv2_b
+    grads = ModelParams(params.in_channels, params.hidden_channels)
+    dact1, grads.conv2_w[...], grads.conv2_b[...] = conv2d_backward(
+        cache.conv2, dlogits[None, :, :]
     )
+    dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
+    _, grads.conv1_w[...], grads.conv1_b[...] = conv2d_backward(cache.conv1, dpre1)
+    return grads
 
 
 def predict(params: ModelParams, inp: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Dense float64 numerics: same-padded 2-D convolution with an analytic
-backward pass, Adam, seedable random streams, and a finite-difference
-gradient checker.
+backward pass, Adam, and seedable random streams.
 
 All public operations take and return C-contiguous float64 numpy arrays
 and reject non-finite values. Reductions use numpy's fixed sequential
@@ -182,29 +181,3 @@ def adam_step(
     )
     return new_params, new_state
 
-
-def finite_diff_check(loss_fn, params: np.ndarray, h: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn maps a flat parameter vector to (scalar loss, flat gradient);
-    only the loss value is used for the numeric side. The relative error
-    at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    params = as_f64(params).ravel()
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
-    _, analytic = loss_fn(params)
-    analytic = as_f64(analytic).ravel()
-    if analytic.shape != params.shape:
-        raise ValueError("gradient shape does not match parameter shape")
-    worst = 0.0
-    for i in range(params.size):
-        probe = params.copy()
-        probe[i] = params[i] + h
-        up, _ = loss_fn(probe)
-        probe[i] = params[i] - h
-        down, _ = loss_fn(probe)
-        numeric = (up - down) / (2.0 * h)
-        denom = max(1e-8, abs(analytic[i]) + abs(numeric))
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst

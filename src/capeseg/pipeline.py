@@ -146,25 +146,23 @@ def kfold_rotation(
     return train_idx, val_idx, test_idx
 
 
-def _split_outcomes(dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    return np.concatenate([dataset.samples[i].outcomes.ravel() for i in idx])
-
-
-def _split_true_p(dataset: Dataset, idx: np.ndarray) -> Optional[np.ndarray]:
-    if not dataset.has_true_p:
-        return None
-    return np.concatenate([dataset.samples[i].true_p.ravel() for i in idx])
+def _split_targets(
+    dataset: Dataset, idx: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Flat outcomes and true probabilities (None when withheld) of the samples in idx."""
+    true_p = dataset.true_p[idx].ravel() if dataset.has_true_p else None
+    return dataset.outcomes[idx].ravel(), true_p
 
 
 def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    return np.concatenate([predict(params, dataset.samples[i].inputs).ravel() for i in idx])
+    return np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in idx])
 
 
-def _check_block_gradients(template: ModelParams, flat_grads: np.ndarray) -> None:
-    if np.isfinite(flat_grads).all():
+def _check_block_gradients(grads: ModelParams) -> None:
+    if np.isfinite(grads.flat).all():
         return
-    for name, sl in template.block_slices().items():
-        if not np.isfinite(flat_grads[sl]).all():
+    for name, block in grads.blocks.items():
+        if not np.isfinite(block).all():
             raise NumericError(f"non-finite gradient in parameter block {name}")
 
 
@@ -172,22 +170,20 @@ def _val_metrics(
     params: ModelParams, dataset: Dataset, val_idx: np.ndarray
 ) -> tuple[float, float, Optional[float]]:
     preds = _predict_split(params, dataset, val_idx)
-    outs = _split_outcomes(dataset, val_idx)
-    true_p = _split_true_p(dataset, val_idx)
+    outs, true_p = _split_targets(dataset, val_idx)
     val_loss, _ = bce_loss(preds, outs)
     kl = kl_to_true(preds, true_p) if true_p is not None else None
     return val_loss, brier_score(preds, outs), kl
 
 
 def _run_epoch(
-    flat: np.ndarray,
-    template: ModelParams,
+    params: ModelParams,
     adam: AdamState,
     dataset: Dataset,
     order: np.ndarray,
     batch_size: int,
     sample_loss: Callable[[int, np.ndarray], tuple[float, np.ndarray]],
-) -> tuple[np.ndarray, AdamState, float]:
+) -> tuple[ModelParams, AdamState, float]:
     """One pass of minibatch Adam; returns (params, state, mean train loss).
 
     sample_loss(sample_index, flat_probs) must return a mean-over-pixels
@@ -195,26 +191,24 @@ def _run_epoch(
     order so results do not depend on scheduling.
     """
     epoch_loss = 0.0
-    params = template.unpack(flat)
+    c, f = params.in_channels, params.hidden_channels
     for start in range(0, len(order), batch_size):
         batch = order[start : start + batch_size]
         scale = 1.0 / len(batch)
         batch_loss = 0.0
-        grads = np.zeros_like(flat)
+        grads = ModelParams(c, f)
         for si in batch:
-            sample = dataset.samples[si]
-            probs, cache = forward(params, sample.inputs)
+            probs, cache = forward(params, dataset.inputs[si])
             loss, grad = sample_loss(int(si), probs.ravel())
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss on sample {int(si)}")
             batch_loss += scale * loss
-            g = backward(params, cache, grad.reshape(probs.shape) * scale)
-            grads += g.pack()
-        _check_block_gradients(params, grads)
-        flat, adam = adam_step(flat, grads, adam, label="model parameters")
-        params = template.unpack(flat)
+            grads.flat += backward(params, cache, grad.reshape(probs.shape) * scale).flat
+        _check_block_gradients(grads)
+        flat, adam = adam_step(params.flat, grads.flat, adam, label="model parameters")
+        params = ModelParams(c, f, flat)
         epoch_loss += batch_loss * (len(batch) / len(order))
-    return flat, adam, epoch_loss
+    return params, adam, epoch_loss
 
 
 def train_warmup(
@@ -229,37 +223,36 @@ def train_warmup(
     rng = Rng(config.seed)
     channels = dataset.shape[0]
     params = init_params(channels, config.hidden_channels, rng.child(_STREAM_INIT))
-    flat = params.pack()
-    adam = AdamState.init(flat.size, lr=config.lr)
+    adam = AdamState.init(params.flat.size, lr=config.lr)
     shuffle_rng = rng.child(_STREAM_WARMUP_BATCHES)
     stopper = EarlyStopper(patience=config.patience, min_delta=config.min_delta)
 
     train_idx = np.asarray(train_idx)
-    best_flat = flat.copy()
+    best = params
     records: list[EpochRecord] = []
     stop_epoch = 0
 
     def loss_on(si: int, probs: np.ndarray):
-        return bce_loss(probs, dataset.samples[si].outcomes.ravel())
+        return bce_loss(probs, dataset.outcomes[si].ravel())
 
     for epoch in range(1, config.max_epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        flat, adam, train_loss = _run_epoch(
-            flat, params, adam, dataset, order, config.batch_size, loss_on
+        params, adam, train_loss = _run_epoch(
+            params, adam, dataset, order, config.batch_size, loss_on
         )
-        val_loss, val_brier, val_kl = _val_metrics(params.unpack(flat), dataset, val_idx)
+        val_loss, val_brier, val_kl = _val_metrics(params, dataset, val_idx)
         records.append(
             EpochRecord(epoch, WARMUP_PHASE, train_loss, val_loss, val_brier, val_kl)
         )
         improved, stop = stopper.update(epoch, val_loss)
         if improved:
-            best_flat = flat.copy()
+            best = params
         stop_epoch = epoch
         if stop:
             break
 
     return WarmupResult(
-        best_params=params.unpack(best_flat),
+        best_params=best,
         best_val_loss=stopper.best,
         best_epoch=stopper.best_epoch,
         stop_epoch=stop_epoch,
@@ -284,11 +277,9 @@ def _continue_training(
 ) -> tuple[ModelParams, list[EpochRecord]]:
     rng = Rng(config.seed)
     shuffle_rng = rng.child(_STREAM_CONTINUE_BATCHES)
-    params = start_params.copy()
-    flat = params.pack()
-    adam = AdamState.init(flat.size, lr=config.lr)
+    params = start_params
+    adam = AdamState.init(params.flat.size, lr=config.lr)
     train_idx = np.asarray(train_idx)
-    pixels = dataset.shape[1] * dataset.shape[2]
     records: list[EpochRecord] = []
 
     for e in range(1, _continuation_epochs(config, start_epoch) + 1):
@@ -296,33 +287,26 @@ def _continue_training(
             # Refresh empirical targets over the full training set with the
             # current model, then freeze them for this epoch's updates.
             train_preds = _predict_split(params, dataset, train_idx)
-            train_outs = _split_outcomes(dataset, train_idx)
+            train_outs = dataset.outcomes[train_idx].ravel()
             assignment = bin_assignment(train_preds, config.bins)
             table = build_bins(train_preds, train_outs, config.bins)
             targets_flat = assign_p_emp(assignment, table)
-            targets = {
-                int(si): targets_flat[j * pixels : (j + 1) * pixels]
-                for j, si in enumerate(train_idx)
-            }
+            targets = dict(zip(train_idx.tolist(), targets_flat.reshape(len(train_idx), -1)))
 
             def loss_on(si: int, probs: np.ndarray):
                 return combined_loss(
-                    probs,
-                    dataset.samples[si].outcomes.ravel(),
-                    targets[si],
-                    config.cal_weight,
+                    probs, dataset.outcomes[si].ravel(), targets[si], config.cal_weight
                 )
 
         else:
 
             def loss_on(si: int, probs: np.ndarray):
-                return bce_loss(probs, dataset.samples[si].outcomes.ravel())
+                return bce_loss(probs, dataset.outcomes[si].ravel())
 
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        flat, adam, train_loss = _run_epoch(
-            flat, params, adam, dataset, order, config.batch_size, loss_on
+        params, adam, train_loss = _run_epoch(
+            params, adam, dataset, order, config.batch_size, loss_on
         )
-        params = params.unpack(flat)
         val_loss, val_brier, val_kl = _val_metrics(params, dataset, val_idx)
         records.append(
             EpochRecord(start_epoch + e, CAPE_PHASE, train_loss, val_loss, val_brier, val_kl)
@@ -369,9 +353,9 @@ def evaluate_arm(
     params: ModelParams, dataset: Dataset, test_idx: np.ndarray, n_bins: int
 ) -> MetricsReport:
     """Metrics over all test pixels with a bin table built fresh on them."""
-    preds = _predict_split(params, dataset, np.asarray(test_idx))
-    outs = _split_outcomes(dataset, np.asarray(test_idx))
-    true_p = _split_true_p(dataset, np.asarray(test_idx))
+    test_idx = np.asarray(test_idx)
+    preds = _predict_split(params, dataset, test_idx)
+    outs, true_p = _split_targets(dataset, test_idx)
     return evaluate_predictions(preds, outs, true_p, n_bins)
 
 

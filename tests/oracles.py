@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from capeseg.model import forward, init_params
-from capeseg.numerics import Rng
+from capeseg.model import ModelParams, forward, init_params
+from capeseg.numerics import Rng, as_f64
 
 
 def conv2d_reference(inp, kernels, bias):
@@ -49,6 +49,33 @@ def build_bins_bruteforce(predictions, outcomes, n_bins):
     return counts, prob_pred, prob_true, edges
 
 
+def finite_diff_check(loss_fn, params: np.ndarray, h: float = 1e-4) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn maps a flat parameter vector to (scalar loss, flat gradient);
+    only the loss value is used for the numeric side. The relative error
+    at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    params = as_f64(params).ravel()
+    if h <= 0:
+        raise ValueError("finite-difference step h must be positive")
+    _, analytic = loss_fn(params)
+    analytic = as_f64(analytic).ravel()
+    if analytic.shape != params.shape:
+        raise ValueError("gradient shape does not match parameter shape")
+    worst = 0.0
+    for i in range(params.size):
+        probe = params.copy()
+        probe[i] = params[i] + h
+        up, _ = loss_fn(probe)
+        probe[i] = params[i] - h
+        down, _ = loss_fn(probe)
+        numeric = (up - down) / (2.0 * h)
+        denom = max(1e-8, abs(analytic[i]) + abs(numeric))
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
+    return worst
+
+
 def params_with_relu_margin(seed, channels=3, hidden=4, shape=(4, 4), margin=1e-3):
     """Random params/input resampled until no pre-activation sits near the
     relu kink, which keeps central differences valid."""
@@ -67,10 +94,10 @@ def model_loss_fn(template, inp, loss, target):
     from capeseg.model import backward
 
     def fn(flat):
-        p = template.unpack(flat)
+        p = ModelParams(template.in_channels, template.hidden_channels, flat)
         probs, cache = forward(p, inp)
         value, grad = loss(probs.ravel(), target)
         g = backward(p, cache, grad.reshape(probs.shape))
-        return value, g.pack()
+        return value, g.flat
 
     return fn

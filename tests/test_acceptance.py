@@ -11,7 +11,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from oracles import build_bins_bruteforce, model_loss_fn, params_with_relu_margin
+from oracles import (
+    build_bins_bruteforce,
+    finite_diff_check,
+    model_loss_fn,
+    params_with_relu_margin,
+)
 
 from capeseg.calibration import (
     bce_loss,
@@ -24,7 +29,7 @@ from capeseg.calibration import (
 )
 from capeseg.cli import main
 from capeseg.fieldgen import FieldConfig, generate_dataset
-from capeseg.numerics import Rng, derive_seed, finite_diff_check
+from capeseg.numerics import Rng, derive_seed
 from capeseg.pipeline import (
     TrainConfig,
     evaluate_arm,
@@ -65,12 +70,12 @@ def test_criterion_1_gradient_suite():
         n_pix = inp.shape[1] * inp.shape[2]
         outcomes = (Rng(case).uniform(n_pix) < 0.35).astype(float)
         err_d = finite_diff_check(
-            model_loss_fn(params, inp, bce_loss, outcomes), params.pack(), h=1e-4
+            model_loss_fn(params, inp, bce_loss, outcomes), params.flat, h=1e-4
         )
         assert err_d < 1e-5, f"case {case}: outcome-loss gradient error {err_d}"
         targets = Rng(10_000 + case).uniform(n_pix)
         err_c = finite_diff_check(
-            model_loss_fn(params, inp, calibration_loss, targets), params.pack(), h=1e-4
+            model_loss_fn(params, inp, calibration_loss, targets), params.flat, h=1e-4
         )
         assert err_c < 1e-5, f"case {case}: calibration-loss gradient error {err_c}"
     assert time.monotonic() - start < 30.0
@@ -110,8 +115,8 @@ def test_criterion_4_oracle_calibration():
     start = time.monotonic()
     cfg = FieldConfig(height=32, width=32, target_rate=0.14, seed=4001)
     ds = generate_dataset(cfg, 1000)  # 1000 * 32 * 32 = 1.024e6 pixels
-    outs = np.concatenate([s.outcomes.ravel() for s in ds.samples])
-    true_p = np.concatenate([s.true_p.ravel() for s in ds.samples])
+    outs = ds.outcomes.ravel()
+    true_p = ds.true_p.ravel()
     assert true_p.size >= 1_000_000
     report = evaluate_predictions(true_p, outs, true_p, 20)
     assert report.ece < 0.01, f"oracle ECE {report.ece}"
@@ -124,7 +129,7 @@ def test_criterion_5_generator_fidelity():
     for rho in (0.011, 0.032, 0.07, 0.14, 0.30, 0.46):
         cfg = FieldConfig(height=32, width=32, target_rate=rho, seed=int(rho * 1e4))
         ds = generate_dataset(cfg, 1000)  # >= 1e6 pixels
-        rate = float(np.mean([s.outcomes.mean() for s in ds.samples]))
+        rate = float(ds.outcomes.mean())
         assert abs(rate - rho) <= 0.005, f"rate {rate:.5f} vs target {rho}"
 
 
@@ -185,7 +190,7 @@ def test_criterion_7_protocol_reduction():
     bce_params, bce_records = train_bce_continue(
         warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
     )
-    assert np.array_equal(cape_params.pack(), bce_params.pack())
+    assert np.array_equal(cape_params.flat, bce_params.flat)
     assert [r.train_loss for r in cape_records] == [r.train_loss for r in bce_records]
     assert [r.val_loss for r in cape_records] == [r.val_loss for r in bce_records]
 

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,29 @@ from capeseg.pipeline import (
     train_bce_continue,
     train_warmup,
 )
+
+
+def poke_dataset(src, dst, field, value):
+    """Copy a dataset file with one float32 of sample 0's inputs or true_p replaced."""
+    ds = storage.read_dataset(src)
+    c, h, w = ds.shape
+    offset = storage._HEADER.size + (0 if field == "inputs" else 4 * c * h * w + h * w)
+    data = bytearray(src.read_bytes())
+    data[offset : offset + 4] = np.float32(value).tobytes()
+    dst.write_bytes(bytes(data))
+    return dst
+
+
+def write_mismatched_checkpoint(path):
+    """Checkpoint whose conv2 fan-in (6) disagrees with conv1's 4 filters."""
+    blocks = {
+        "conv1_w": np.zeros((4, 3, 3, 3)),
+        "conv1_b": np.zeros(4),
+        "conv2_w": np.zeros((1, 6, 3, 3)),
+        "conv2_b": np.zeros(1),
+    }
+    storage.write_checkpoint(path, SimpleNamespace(blocks=blocks))
+    return path
 
 
 def write_config(path, **kv):
@@ -95,10 +119,9 @@ class TestDatasetRoundTrip:
         storage.write_dataset(path, ds)
         back = storage.read_dataset(path)
         assert len(back) == 3
-        for orig, loaded in zip(ds.samples, back.samples):
-            assert np.array_equal(orig.outcomes, loaded.outcomes)
-            assert np.array_equal(loaded.inputs, orig.inputs.astype(np.float32).astype(np.float64))
-            assert np.array_equal(loaded.true_p, orig.true_p.astype(np.float32).astype(np.float64))
+        assert np.array_equal(ds.outcomes, back.outcomes)
+        assert np.array_equal(back.inputs, ds.inputs.astype(np.float32).astype(np.float64))
+        assert np.array_equal(back.true_p, ds.true_p.astype(np.float32).astype(np.float64))
 
     def test_header_echoes_shape(self, tmp_path):
         cfg = FieldConfig(height=8, width=10, channels=2, length_scale=1.0, target_rate=0.3, seed=5)
@@ -136,6 +159,35 @@ class TestDatasetRoundTrip:
         with pytest.raises(storage.FormatError, match="version"):
             storage.read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("inputs", np.nan, "non-finite inputs"),
+            ("inputs", -np.inf, "non-finite inputs"),
+            ("true_p", np.nan, r"true_p outside \[0, 1\]"),
+            ("true_p", 1.5, r"true_p outside \[0, 1\]"),
+            ("true_p", -0.25, r"true_p outside \[0, 1\]"),
+        ],
+    )
+    def test_bad_values_rejected(self, tmp_path, field, value, match):
+        cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
+        path = tmp_path / "d.bin"
+        storage.write_dataset(path, generate_dataset(cfg, 2))
+        poke_dataset(path, path, field, value)
+        with pytest.raises(storage.FormatError, match=f"sample 0 has {match}"):
+            storage.read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "counts,match", [((0, 3, 8, 8), "empty"), ((1, 3, 70000, 70000), "implausible")]
+    )
+    def test_bad_header_counts_rejected(self, tmp_path, counts, match):
+        path = tmp_path / "d.bin"
+        path.write_bytes(
+            storage._HEADER.pack(storage.DATASET_MAGIC, storage.DATASET_VERSION, *counts, 0)
+        )
+        with pytest.raises(storage.FormatError, match=match):
+            storage.read_dataset(path)
+
 
 class TestCheckpointRoundTrip:
     def test_exact_roundtrip(self, tmp_path):
@@ -143,13 +195,33 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "m.ckpt"
         storage.write_checkpoint(path, params)
         back = storage.read_checkpoint(path)
-        assert np.array_equal(back.pack(), params.pack())
+        assert np.array_equal(back.flat, params.flat)
         assert back.conv1_w.shape == params.conv1_w.shape
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"WRONG!!!" + b"\x00" * 16)
         with pytest.raises(storage.FormatError, match="magic"):
+            storage.read_checkpoint(path)
+
+    def test_inconsistent_block_shapes_rejected(self, tmp_path):
+        path = write_mismatched_checkpoint(tmp_path / "m.ckpt")
+        with pytest.raises(storage.FormatError, match="conv2_w has shape"):
+            storage.read_checkpoint(path)
+
+    def test_unknown_block_rejected(self, tmp_path):
+        blocks = {**init_params(3, 4, Rng(2)).blocks, "conv3_w": np.zeros(5)}
+        path = tmp_path / "m.ckpt"
+        storage.write_checkpoint(path, SimpleNamespace(blocks=blocks))
+        with pytest.raises(storage.FormatError, match="unknown parameter blocks: conv3_w"):
+            storage.read_checkpoint(path)
+
+    def test_non_finite_block_rejected(self, tmp_path):
+        params = init_params(3, 4, Rng(2))
+        params.conv1_b[1] = np.nan
+        path = tmp_path / "m.ckpt"
+        storage.write_checkpoint(path, params)
+        with pytest.raises(storage.FormatError, match="non-finite values in block conv1_b"):
             storage.read_checkpoint(path)
 
 
@@ -436,3 +508,32 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "t.cfg", **TRAIN_SMALL)
         assert main(["train", "--config", cfg, "--dataset", str(tmp_path / "no.bin"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_nan_dataset_input_is_format_error(self, dataset_dir, tmp_path, capsys):
+        bad = poke_dataset(dataset_dir / "dataset.bin", tmp_path / "nan.bin", "inputs", np.nan)
+        cfg = write_config(tmp_path / "t.cfg", **TRAIN_SMALL)
+        assert main(["train", "--config", cfg, "--dataset", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite inputs" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "bce_arm.ckpt").exists()
+
+    @pytest.mark.parametrize("defect", ["mismatched shapes", "nan bias"])
+    def test_bad_checkpoint_is_format_error(self, dataset_dir, tmp_path, defect):
+        ckpt = tmp_path / "m.ckpt"
+        if defect == "mismatched shapes":
+            write_mismatched_checkpoint(ckpt)
+        else:
+            params = init_params(3, 4, Rng(8))
+            params.conv2_b[0] = np.nan
+            storage.write_checkpoint(ckpt, params)
+        assert main([
+            "evaluate", "--checkpoint", str(ckpt), "--dataset",
+            str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),
+        ]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        cfg = write_config(tmp_path / "sweep.cfg", **SWEEP_SMALL)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 1
+        assert not out.exists()

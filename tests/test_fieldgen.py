@@ -76,7 +76,7 @@ class TestCalibrateOffset:
         # ~1e6 pixels so binomial + field-to-field noise stays inside the band
         cfg = FieldConfig(height=64, width=64, target_rate=rho, seed=int(rho * 1000))
         ds = generate_dataset(cfg, 250)
-        rate = float(np.mean([s.outcomes.mean() for s in ds.samples]))
+        rate = float(ds.outcomes.mean())
         assert lo <= rate <= hi
 
 
@@ -85,35 +85,35 @@ class TestMakeSample:
         cfg = FieldConfig(obs_noise=0.0, target_rate=0.3, seed=5)
         rng = Rng(5)
         g_expected = gen_smooth_field(cfg, Rng(5))
-        sample = make_sample(cfg, rng, offset=-1.0)
+        inputs, _, _ = make_sample(cfg, rng, offset=-1.0)
         for c in range(cfg.channels):
-            assert np.array_equal(sample.inputs[c], g_expected)
+            assert np.array_equal(inputs[c], g_expected)
 
     def test_outcome_mean_matches_latent_probability(self):
         cfg = FieldConfig(height=64, width=64, target_rate=0.3, seed=6)
         samples = [make_sample(cfg, Rng(6).child(1, i), offset=-0.9) for i in range(250)]
-        p_mean = np.mean([s.true_p.mean() for s in samples])
-        y_mean = np.mean([s.outcomes.mean() for s in samples])
+        p_mean = np.mean([true_p.mean() for _, _, true_p in samples])
+        y_mean = np.mean([outcomes.mean() for _, outcomes, _ in samples])
         n_pix = 250 * 64 * 64  # ~1e6: binomial 3-sigma bound
         assert abs(y_mean - p_mean) <= 3.0 * np.sqrt(p_mean * (1 - p_mean) / n_pix)
 
     def test_degenerate_probability_forces_ones(self):
         cfg = FieldConfig(gain=1e-9, target_rate=0.5, seed=7)
-        sample = make_sample(cfg, Rng(7), offset=30.0)  # p clamps to 1 - 1e-6
-        assert sample.true_p.max() == 1.0 - 1e-6
-        assert sample.outcomes.min() == 1.0
+        _, outcomes, true_p = make_sample(cfg, Rng(7), offset=30.0)  # p clamps to 1 - 1e-6
+        assert true_p.max() == 1.0 - 1e-6
+        assert outcomes.min() == 1.0
 
     def test_outcomes_strictly_binary(self):
         cfg = FieldConfig(target_rate=0.2, seed=8)
-        sample = make_sample(cfg, Rng(8), offset=-2.0)
-        assert set(np.unique(sample.outcomes)) <= {0.0, 1.0}
+        _, outcomes, _ = make_sample(cfg, Rng(8), offset=-2.0)
+        assert set(np.unique(outcomes)) <= {0.0, 1.0}
 
     def test_residuals_spatially_independent(self):
         cfg = FieldConfig(height=64, width=64, target_rate=0.3, seed=9)
         residual_corr = []
         for i in range(250):
-            s = make_sample(cfg, Rng(9).child(1, i), offset=-0.9)
-            residual_corr.append(lag1_autocorr(s.outcomes - s.true_p))
+            _, outcomes, true_p = make_sample(cfg, Rng(9).child(1, i), offset=-0.9)
+            residual_corr.append(lag1_autocorr(outcomes - true_p))
         assert abs(np.mean(residual_corr)) < 0.02
 
 
@@ -122,17 +122,16 @@ class TestGenerateDataset:
         cfg = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=10)
         a = generate_dataset(cfg, 5)
         b = generate_dataset(cfg, 5)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.inputs, sb.inputs)
-            assert np.array_equal(sa.outcomes, sb.outcomes)
-            assert np.array_equal(sa.true_p, sb.true_p)
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a.true_p, b.true_p)
 
     def test_different_seeds_differ(self):
         cfg_a = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=1)
         cfg_b = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=2)
         a = generate_dataset(cfg_a, 2)
         b = generate_dataset(cfg_b, 2)
-        assert not np.array_equal(a.samples[0].inputs, b.samples[0].inputs)
+        assert not np.array_equal(a.inputs[0], b.inputs[0])
 
     def test_zero_samples_rejected(self):
         cfg = FieldConfig(target_rate=0.2)
@@ -153,9 +152,9 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg, 4)
         assert ds.shape == (3, 16, 16)
         assert ds.has_true_p
-        for s in ds.samples:
-            assert s.inputs.shape == (3, 16, 16)
-            assert 0.0 < s.true_p.min() <= s.true_p.max() < 1.0
+        assert ds.inputs.shape == (4, 3, 16, 16)
+        assert ds.outcomes.shape == ds.true_p.shape == (4, 16, 16)
+        assert 0.0 < ds.true_p.min() <= ds.true_p.max() < 1.0
 
 
 class TestFieldConfigValidation:

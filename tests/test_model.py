@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from oracles import conv2d_reference, model_loss_fn, params_with_relu_margin
+from oracles import conv2d_reference, finite_diff_check, model_loss_fn, params_with_relu_margin
 
 from capeseg.calibration import bce_loss, calibration_loss
 from capeseg.model import ModelParams, backward, forward, init_params, predict
-from capeseg.numerics import Rng, finite_diff_check
+from capeseg.numerics import Rng
 
 
 def forward_reference(params, inp):
@@ -29,7 +29,7 @@ class TestInit:
     def test_same_seed_identical(self):
         a = init_params(3, 8, Rng(11))
         b = init_params(3, 8, Rng(11))
-        assert np.array_equal(a.pack(), b.pack())
+        assert np.array_equal(a.flat, b.flat)
 
     def test_rejects_bad_channels(self):
         with pytest.raises(ValueError):
@@ -38,22 +38,13 @@ class TestInit:
 
 class TestForward:
     def test_zero_params_give_half(self):
-        params = ModelParams(
-            conv1_w=np.zeros((4, 3, 3, 3)),
-            conv1_b=np.zeros(4),
-            conv2_w=np.zeros((1, 4, 3, 3)),
-            conv2_b=np.zeros(1),
-        )
+        params = ModelParams(3, 4)  # all zeros
         probs, _ = forward(params, Rng(1).normal((3, 5, 5)))
         assert np.allclose(probs, 0.5)
 
     def test_saturated_bias(self):
-        params = ModelParams(
-            conv1_w=np.zeros((2, 1, 3, 3)),
-            conv1_b=np.zeros(2),
-            conv2_w=np.zeros((1, 2, 3, 3)),
-            conv2_b=np.array([20.0]),
-        )
+        params = ModelParams(1, 2)
+        params.conv2_b[0] = 20.0
         probs, _ = forward(params, np.zeros((1, 4, 4)))
         assert np.max(np.abs(probs - 1.0)) < 1e-8
 
@@ -94,13 +85,13 @@ class TestBackward:
         params = init_params(3, 4, rng)
         probs, cache = forward(params, rng.normal((3, 4, 4)))
         grads = backward(params, cache, np.zeros_like(probs))
-        assert not grads.pack().any()
+        assert not grads.flat.any()
 
     @pytest.mark.parametrize("case", range(5))
     def test_gradient_check_bce(self, case):
         params, inp = params_with_relu_margin(100 + case)
         y = (Rng(case).uniform(inp.shape[1:]) < 0.4).astype(float).ravel()
-        err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.pack())
+        err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.flat)
         assert err < 1e-5
 
     @pytest.mark.parametrize("case", range(5))
@@ -108,7 +99,7 @@ class TestBackward:
         params, inp = params_with_relu_margin(200 + case)
         targets = Rng(case).uniform(inp.shape[1] * inp.shape[2])
         err = finite_diff_check(
-            model_loss_fn(params, inp, calibration_loss, targets), params.pack()
+            model_loss_fn(params, inp, calibration_loss, targets), params.flat
         )
         assert err < 1e-5
 
@@ -116,26 +107,25 @@ class TestBackward:
         # Explicit margin variant: every pre-activation at least 1e-3 from 0.
         params, inp = params_with_relu_margin(777, margin=1e-3)
         y = (Rng(777).uniform(inp.shape[1:]) < 0.3).astype(float).ravel()
-        err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.pack())
+        err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.flat)
         assert err < 1e-5
 
 
-class TestPacking:
-    def test_pack_unpack_roundtrip(self):
+class TestFlatVector:
+    def test_flat_vector_roundtrip(self):
         params = init_params(3, 8, Rng(2))
-        again = params.unpack(params.pack())
-        assert np.array_equal(again.pack(), params.pack())
+        again = ModelParams(3, 8, params.flat.copy())
+        assert np.array_equal(again.flat, params.flat)
         assert again.conv1_w.shape == params.conv1_w.shape
 
-    def test_block_slices_cover_vector(self):
+    def test_blocks_are_views_covering_vector(self):
         params = init_params(2, 4, Rng(3))
-        slices = params.block_slices()
-        flat = params.pack()
-        covered = sum(s.stop - s.start for s in slices.values())
-        assert covered == flat.size
-        assert np.array_equal(flat[slices["conv2_b"]], params.conv2_b)
+        covered = sum(block.size for block in params.blocks.values())
+        assert covered == params.flat.size
+        assert np.array_equal(params.flat[-1:], params.conv2_b)
+        params.conv2_b[0] = 5.0
+        assert params.flat[-1] == 5.0
 
-    def test_unpack_wrong_size_rejected(self):
-        params = init_params(2, 4, Rng(3))
+    def test_wrong_size_vector_rejected(self):
         with pytest.raises(ValueError):
-            params.unpack(np.zeros(3))
+            ModelParams(2, 4, np.zeros(3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import finite_diff_check
 
 from capeseg.numerics import (
     AdamState,
@@ -9,7 +10,6 @@ from capeseg.numerics import (
     conv2d_backward,
     conv2d_forward,
     derive_seed,
-    finite_diff_check,
 )
 
 

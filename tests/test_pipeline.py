@@ -125,7 +125,7 @@ class TestTrainWarmup:
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
         a = train_warmup(small_dataset, train_idx, val_idx, small_config())
         b = train_warmup(small_dataset, train_idx, val_idx, small_config())
-        assert np.array_equal(a.best_params.pack(), b.best_params.pack())
+        assert np.array_equal(a.best_params.flat, b.best_params.flat)
         assert [r.val_loss for r in a.records] == [r.val_loss for r in b.records]
 
     def test_patience_bounds_epochs_after_best(self, small_dataset):
@@ -162,7 +162,7 @@ class TestTrainCape:
         bce_params, bce_records = train_bce_continue(
             warm.best_params, small_dataset, train_idx, val_idx, cfg, warm.stop_epoch
         )
-        assert np.array_equal(cape_params.pack(), bce_params.pack())
+        assert np.array_equal(cape_params.flat, bce_params.flat)
         assert [r.train_loss for r in cape_records] == [r.train_loss for r in bce_records]
         assert [r.val_loss for r in cape_records] == [r.val_loss for r in bce_records]
 
@@ -213,7 +213,7 @@ class TestEvaluateArm:
     def test_constant_half_predictor_ece(self):
         cfg = FieldConfig(height=32, width=32, target_rate=0.07, seed=77)
         ds = generate_dataset(cfg, 200)
-        outs = np.concatenate([s.outcomes.ravel() for s in ds.samples])
+        outs = ds.outcomes.ravel()
         preds = np.full_like(outs, 0.5)
         report = evaluate_predictions(preds, outs, None, 20)
         assert abs(report.ece - 0.43) < 0.01
@@ -222,8 +222,8 @@ class TestEvaluateArm:
     def test_oracle_injection_calibrated(self):
         cfg = FieldConfig(height=32, width=32, target_rate=0.14, seed=78)
         ds = generate_dataset(cfg, 400)  # ~4e5 pixels keeps this test quick
-        outs = np.concatenate([s.outcomes.ravel() for s in ds.samples])
-        true_p = np.concatenate([s.true_p.ravel() for s in ds.samples])
+        outs = ds.outcomes.ravel()
+        true_p = ds.true_p.ravel()
         report = evaluate_predictions(true_p, outs, true_p, 20)
         assert report.ece < 0.01
         assert report.kl_true == 0.0
@@ -242,15 +242,15 @@ class TestFoldIsolation:
             cape_params, _ = train_cape(
                 warm.best_params, ds, train_idx, val_idx, cfg, warm.stop_epoch
             )
-            return warm.best_params.pack(), cape_params.pack()
+            return warm.best_params.flat, cape_params.flat
 
         baseline_warm, baseline_cape = full_run(small_dataset)
         mangled = copy.deepcopy(small_dataset)
         scramble = Rng(1234)
         for i in test_idx:
-            mangled.samples[i].inputs[:] = scramble.normal(mangled.samples[i].inputs.shape)
-            mangled.samples[i].outcomes[:] = (
-                scramble.uniform(mangled.samples[i].outcomes.shape) < 0.5
+            mangled.inputs[i] = scramble.normal(mangled.inputs[i].shape)
+            mangled.outcomes[i] = (
+                scramble.uniform(mangled.outcomes[i].shape) < 0.5
             ).astype(float)
         mangled_warm, mangled_cape = full_run(mangled)
         assert np.array_equal(baseline_warm, mangled_warm)
