@@ -16,7 +16,6 @@ from .calibration import (
     bce_loss,
     brier_score,
     build_bins,
-    calibration_loss,
     combined_loss,
     ece,
     kl_to_true,
@@ -37,7 +36,6 @@ __all__ = [
     "bce_loss",
     "brier_score",
     "build_bins",
-    "calibration_loss",
     "combined_loss",
     "ece",
     "evaluate_arm",

@@ -1,25 +1,21 @@
 """Quantile binning, calibration metrics (ECE, Brier, Bernoulli KL) and the
-cross-entropy loss pair used for calibration-aware training.
+soft-target cross-entropy used for calibration-aware training.
 
-Binning is rank-based: predictions are sorted (ties broken by position)
-and split into B contiguous runs of near-equal size, so every bin is
-non-empty whenever N >= B. Losses are means over pixels; gradients are
-returned alongside the loss value.
+Binning is rank-based: predictions are sorted once (ties broken by
+position) and split into B contiguous runs of near-equal size, so every
+bin is non-empty whenever N >= B. The loss is a mean over pixels taken
+on logits, and its logit gradient is returned alongside the loss value.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .numerics import as_f64, require_finite
+from .numerics import as_f64, require_finite, sigmoid
 
-log = logging.getLogger(__name__)
-
-LOSS_EPS = 1e-7  # clamp for log() in losses
 KL_EPS = 1e-6  # clamp for predicted probabilities in the KL metric
 
 
@@ -78,30 +74,35 @@ def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
     return assignment
 
 
-def build_bins(predictions: np.ndarray, outcomes: np.ndarray, n_bins: int) -> BinTable:
-    """Quantile BinTable over flat predictions in (0,1) and binary outcomes."""
+def build_bins(
+    predictions: np.ndarray, outcomes: np.ndarray, assignment: np.ndarray
+) -> BinTable:
+    """Quantile BinTable over flat predictions in (0,1) and binary outcomes.
+
+    `assignment` is `bin_assignment(predictions, B)`. Its bins are
+    contiguous runs of ranks, so the maximum of bin b is the order
+    statistic that closes it, and no second sort is needed.
+    """
     predictions = as_f64(predictions).ravel()
     outcomes = as_f64(outcomes).ravel()
-    if predictions.size != outcomes.size:
+    assignment = np.asarray(assignment).ravel()
+    if not predictions.size == outcomes.size == assignment.size:
         raise ValueError(
-            f"predictions ({predictions.size}) and outcomes ({outcomes.size}) differ in length"
+            f"predictions ({predictions.size}), outcomes ({outcomes.size}) and "
+            f"bin assignment ({assignment.size}) differ in length"
         )
     require_finite("predictions", predictions)
     if predictions.size and (predictions.min() <= 0.0 or predictions.max() >= 1.0):
         raise ValueError("predictions must lie strictly inside (0, 1)")
 
-    n = predictions.size
-    assignment = bin_assignment(predictions, n_bins)
-    counts = np.bincount(assignment, minlength=n_bins)
-    prob_pred = np.bincount(assignment, weights=predictions, minlength=n_bins) / counts
-    prob_true = np.bincount(assignment, weights=outcomes, minlength=n_bins) / counts
+    counts = np.bincount(assignment)
+    n_bins = counts.size
+    prob_pred = np.bincount(assignment, weights=predictions) / counts
+    prob_true = np.bincount(assignment, weights=outcomes) / counts
 
-    sorted_preds = np.sort(predictions, kind="stable")
-    closing = (np.arange(1, n_bins) * n + n_bins - 1) // n_bins  # ceil(b*N/B), 1-indexed rank
-    edges = np.empty(n_bins + 1)
-    edges[0] = 0.0
+    edges = np.zeros(n_bins + 1)
+    np.maximum.at(edges[1:], assignment, predictions)
     edges[-1] = 1.0
-    edges[1:-1] = sorted_preds[closing - 1]
     return BinTable(edges=edges, counts=counts, prob_pred=prob_pred, prob_true=prob_true)
 
 
@@ -155,57 +156,37 @@ def kl_to_true(
     return float(np.mean(terms))
 
 
-def _cross_entropy(predictions: np.ndarray, targets: np.ndarray, what: str):
-    predictions = as_f64(predictions).ravel()
+def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy of sigmoid(logits) against targets in [0,1].
+
+    Computed as log(1 + e^z) - t*z, which stays finite and exact at any
+    logit, so the returned gradient (sigmoid(z) - t) / n is the gradient
+    of the returned loss.
+    """
+    logits = as_f64(logits).ravel()
     targets = as_f64(targets).ravel()
-    if predictions.size != targets.size:
-        raise ValueError(f"predictions and {what} differ in length")
-    n = predictions.size
-    clamped = np.clip(predictions, LOSS_EPS, 1.0 - LOSS_EPS)
-    n_clamped = int(np.count_nonzero(clamped != predictions))
-    if n_clamped:
-        log.debug("%d/%d predictions clamped to [%g, 1-%g] in %s loss",
-                  n_clamped, n, LOSS_EPS, LOSS_EPS, what)
-    loss = -float(
-        np.mean(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped))
-    )
-    grad = (clamped - targets) / (n * clamped * (1.0 - clamped))
-    return loss, grad
-
-
-def bce_loss(predictions: np.ndarray, outcomes: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy against observed outcomes, with its gradient."""
-    return _cross_entropy(predictions, outcomes, "outcome")
-
-
-def calibration_loss(
-    predictions: np.ndarray, p_emp_targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy against frozen empirical-probability targets in [0,1]."""
-    return _cross_entropy(predictions, p_emp_targets, "calibration-target")
+    if logits.size != targets.size:
+        raise ValueError("logits and targets differ in length")
+    n = logits.size
+    loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
+    return loss, (sigmoid(logits) - targets) / n
 
 
 def combined_loss(
-    predictions: np.ndarray,
+    logits: np.ndarray,
     outcomes: np.ndarray,
     p_emp_targets: np.ndarray,
     cal_weight: float,
 ) -> tuple[float, np.ndarray]:
-    """(1-w) * outcome cross-entropy + w * calibration cross-entropy.
+    """(1-w) * BCE(outcomes) + w * BCE(p_emp), as one BCE against the mixed target.
 
-    The endpoints reduce exactly (bit for bit) to the single losses.
+    The mixed target is exactly the outcomes at w=0 and exactly p_emp at
+    w=1, so both endpoints reduce bit for bit to the single loss.
     """
     if not 0.0 <= cal_weight <= 1.0:
         raise ValueError(f"calibration weight must be in [0, 1], got {cal_weight}")
-    if cal_weight == 0.0:
-        return bce_loss(predictions, outcomes)
-    if cal_weight == 1.0:
-        return calibration_loss(predictions, p_emp_targets)
-    loss_d, grad_d = bce_loss(predictions, outcomes)
-    loss_c, grad_c = calibration_loss(predictions, p_emp_targets)
-    loss = (1.0 - cal_weight) * loss_d + cal_weight * loss_c
-    grad = (1.0 - cal_weight) * grad_d + cal_weight * grad_c
-    return loss, grad
+    targets = (1.0 - cal_weight) * as_f64(outcomes) + cal_weight * as_f64(p_emp_targets)
+    return bce_loss(logits, targets)
 
 
 def evaluate_predictions(
@@ -217,7 +198,7 @@ def evaluate_predictions(
     """Full metrics for a flat prediction set, building a fresh BinTable."""
     predictions = as_f64(predictions).ravel()
     outcomes = as_f64(outcomes).ravel()
-    table = build_bins(predictions, outcomes, n_bins)
+    table = build_bins(predictions, outcomes, bin_assignment(predictions, n_bins))
     kl = kl_to_true(predictions, true_p) if true_p is not None else None
     return MetricsReport(
         ece=ece(table),

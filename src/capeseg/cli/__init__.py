@@ -18,6 +18,7 @@ from ..calibration import evaluate_predictions
 from ..fieldgen import generate_dataset
 from ..numerics import NumericError
 from ..pipeline import (
+    check_bins,
     evaluate_arm,
     kfold_rotation,
     run_experiment,
@@ -91,6 +92,7 @@ def cmd_train(args) -> int:
     outputs = ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv", "manifest.json"]
     out = _prepare_outdir(args.out, outputs, args.force)
     dataset = storage.read_dataset(args.dataset)
+    check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
     folds = split_kfold(len(dataset), train_cfg.folds, train_cfg.seed)
     train_idx, val_idx, test_idx = kfold_rotation(folds, 0)
@@ -304,7 +306,3 @@ def main(argv=None) -> int:
         # kernel larger than the field, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import sigmoid
-from .numerics import Rng
+from .numerics import Rng, sigmoid
 
 P_CLAMP = 1e-6  # keeps logits finite and KL terms non-degenerate
 OFFSET_LO, OFFSET_HI = -20.0, 20.0

@@ -1,9 +1,10 @@
 """Small convolutional probability estimator: conv3x3 -> relu -> conv3x3 -> sigmoid.
 
-Maps a CxHxW input to an HxW map of event probabilities, preserving
-spatial size. All parameters live in one flat float64 vector, so the
-optimizer and gradient checker can treat the model as one function; the
-named blocks are reshaped views into it.
+Maps a CxHxW input to an HxW map of event logits, preserving spatial
+size; `probabilities` turns logits into emitted probabilities. All
+parameters live in one flat float64 vector, so the optimizer and
+gradient checker can treat the model as one function; the named blocks
+are reshaped views into it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .numerics import (
     conv2d_backward,
     conv2d_forward,
     require_finite,
+    sigmoid,
 )
 
 KERNEL_SIZE = 3
-PROB_CLAMP = 1e-12  # float sigmoid rounds to exactly 0/1 past |logit| ~ 37
+PROB_CLAMP = 1e-12  # emitted probabilities only; sigmoid rounds to 0/1 past |logit| ~ 37
 
 
 def block_shapes(in_channels: int, hidden_channels: int) -> dict[str, tuple[int, ...]]:
@@ -65,8 +67,6 @@ class ModelParams:
 @dataclass
 class ForwardCache:
     pre1: np.ndarray  # F x H x W, before relu
-    act1: np.ndarray  # F x H x W, after relu
-    probs: np.ndarray  # H x W
     conv1: Conv2dCache
     conv2: Conv2dCache
 
@@ -82,18 +82,13 @@ def init_params(in_channels: int, hidden_channels: int, rng: Rng) -> ModelParams
     return params
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def probabilities(logits: np.ndarray) -> np.ndarray:
+    """Emitted probabilities: sigmoid kept strictly inside (0,1), as binning needs."""
+    return np.clip(sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Predicted probability map (HxW, strictly inside (0,1)) plus backward cache."""
+    """Logit map (HxW) plus backward cache."""
     inp = as_f64(inp)
     require_finite("model input", inp)
     if inp.ndim != 3 or inp.shape[0] != params.in_channels:
@@ -101,23 +96,15 @@ def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCa
             f"expected input with {params.in_channels} channels, got shape {inp.shape}"
         )
     pre1, c1 = conv2d_forward(inp, params.conv1_w, params.conv1_b)
-    act1 = np.maximum(pre1, 0.0)
-    logits, c2 = conv2d_forward(act1, params.conv2_w, params.conv2_b)
-    probs = np.clip(sigmoid(logits[0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return probs, ForwardCache(pre1=pre1, act1=act1, probs=probs, conv1=c1, conv2=c2)
+    logits, c2 = conv2d_forward(np.maximum(pre1, 0.0), params.conv2_w, params.conv2_b)
+    return logits[0], ForwardCache(pre1=pre1, conv1=c1, conv2=c2)
 
 
-def backward(params: ModelParams, cache: ForwardCache, dloss_dprobs: np.ndarray) -> ModelParams:
-    """Chain-rule gradients for all parameter blocks, in one flat vector like `params`."""
-    dloss_dprobs = as_f64(dloss_dprobs)
-    if dloss_dprobs.shape != cache.probs.shape:
-        raise ValueError(
-            f"gradient shape {dloss_dprobs.shape} does not match output {cache.probs.shape}"
-        )
-    dlogits = dloss_dprobs * cache.probs * (1.0 - cache.probs)
+def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> ModelParams:
+    """Gradients of all parameter blocks from the logit gradient, flat like `params`."""
     grads = ModelParams(params.in_channels, params.hidden_channels)
     dact1, grads.conv2_w[...], grads.conv2_b[...] = conv2d_backward(
-        cache.conv2, dlogits[None, :, :]
+        cache.conv2, as_f64(dlogits)[None]
     )
     dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
     _, grads.conv1_w[...], grads.conv1_b[...] = conv2d_backward(cache.conv1, dpre1)
@@ -125,6 +112,6 @@ def backward(params: ModelParams, cache: ForwardCache, dloss_dprobs: np.ndarray)
 
 
 def predict(params: ModelParams, inp: np.ndarray) -> np.ndarray:
-    """Forward pass without keeping the cache."""
-    probs, _ = forward(params, inp)
-    return probs
+    """Logit map of a forward pass, without keeping the cache."""
+    logits, _ = forward(params, inp)
+    return logits

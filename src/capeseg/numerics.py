@@ -1,5 +1,5 @@
-"""Dense float64 numerics: same-padded 2-D convolution with an analytic
-backward pass, Adam, and seedable random streams.
+"""Dense float64 numerics: the logistic sigmoid, same-padded 2-D convolution
+with an analytic backward pass, Adam, and seedable random streams.
 
 All public operations take and return C-contiguous float64 numpy arrays
 and reject non-finite values. Reductions use numpy's fixed sequential
@@ -25,6 +25,16 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name}")
     return arr
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    # Branch on sign to avoid overflow in exp for large |x|.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 class Rng:

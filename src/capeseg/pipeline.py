@@ -2,12 +2,12 @@
 
 Phase one trains on binary cross-entropy with early stopping and keeps
 the checkpoint with the best validation loss. Phase two resumes from
-that checkpoint and trains on a weighted sum of the cross-entropy loss
-and a calibration loss whose per-pixel targets are quantile-binned
-empirical frequencies, refreshed once per epoch over the full training
-set and frozen in between. Experiments compare the frozen warm-up
-checkpoint ("bce" arm) against the continued model ("cape" arm) on held
-out test folds.
+that checkpoint and trains on one cross-entropy, taken on logits,
+against a mixed target: the outcomes weighted with 1 - lambda plus
+quantile-binned empirical frequencies weighted with lambda, refreshed
+once per epoch over the full training set and frozen in between.
+Experiments compare the frozen warm-up checkpoint ("bce" arm) against
+the continued model ("cape" arm) on held out test folds.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .calibration import (
     kl_to_true,
 )
 from .fieldgen import Dataset, FieldConfig, generate_dataset
-from .model import ModelParams, backward, forward, init_params, predict
+from .model import ModelParams, backward, forward, init_params, predict, probabilities
 from .numerics import AdamState, NumericError, Rng, adam_step, derive_seed
 
 # Sub-stream keys under the training seed.
@@ -122,6 +122,21 @@ class WarmupResult:
     records: list[EpochRecord]
 
 
+def check_bins(config: TrainConfig, n_samples: int, pixels_per_sample: int) -> None:
+    """Reject, before any training, a bin count the smallest fold cannot fill.
+
+    Every evaluation bins one test fold and every refresh bins a larger
+    training split, so the smallest of the k folds bounds the bin count.
+    Fewer samples than folds is left to `split_kfold`.
+    """
+    smallest = n_samples // config.folds * pixels_per_sample
+    if n_samples >= config.folds and config.bins > smallest:
+        raise ValueError(
+            f"bins ({config.bins}) exceed the {smallest} pixels of the smallest fold "
+            f"({n_samples} samples in {config.folds} folds); lower the bin count"
+        )
+
+
 def split_kfold(n_samples: int, k: int, seed: int) -> list[np.ndarray]:
     """Random partition into k folds whose sizes differ by at most one."""
     if k < 3:
@@ -155,23 +170,17 @@ def _split_targets(
 
 
 def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
+    """Flat logits of the samples in idx."""
     return np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in idx])
-
-
-def _check_block_gradients(grads: ModelParams) -> None:
-    if np.isfinite(grads.flat).all():
-        return
-    for name, block in grads.blocks.items():
-        if not np.isfinite(block).all():
-            raise NumericError(f"non-finite gradient in parameter block {name}")
 
 
 def _val_metrics(
     params: ModelParams, dataset: Dataset, val_idx: np.ndarray
 ) -> tuple[float, float, Optional[float]]:
-    preds = _predict_split(params, dataset, val_idx)
+    logits = _predict_split(params, dataset, val_idx)
     outs, true_p = _split_targets(dataset, val_idx)
-    val_loss, _ = bce_loss(preds, outs)
+    val_loss, _ = bce_loss(logits, outs)
+    preds = probabilities(logits)
     kl = kl_to_true(preds, true_p) if true_p is not None else None
     return val_loss, brier_score(preds, outs), kl
 
@@ -186,9 +195,9 @@ def _run_epoch(
 ) -> tuple[ModelParams, AdamState, float]:
     """One pass of minibatch Adam; returns (params, state, mean train loss).
 
-    sample_loss(sample_index, flat_probs) must return a mean-over-pixels
-    loss and its per-pixel gradient. Gradients are summed in fixed sample
-    order so results do not depend on scheduling.
+    sample_loss(sample_index, flat_logits) must return a mean-over-pixels
+    loss and its per-pixel logit gradient. Gradients are summed in fixed
+    sample order so results do not depend on scheduling.
     """
     epoch_loss = 0.0
     c, f = params.in_channels, params.hidden_channels
@@ -198,13 +207,12 @@ def _run_epoch(
         batch_loss = 0.0
         grads = ModelParams(c, f)
         for si in batch:
-            probs, cache = forward(params, dataset.inputs[si])
-            loss, grad = sample_loss(int(si), probs.ravel())
+            logits, cache = forward(params, dataset.inputs[si])
+            loss, grad = sample_loss(int(si), logits.ravel())
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss on sample {int(si)}")
             batch_loss += scale * loss
-            grads.flat += backward(params, cache, grad.reshape(probs.shape) * scale).flat
-        _check_block_gradients(grads)
+            grads.flat += backward(params, cache, grad.reshape(logits.shape) * scale).flat
         flat, adam = adam_step(params.flat, grads.flat, adam, label="model parameters")
         params = ModelParams(c, f, flat)
         epoch_loss += batch_loss * (len(batch) / len(order))
@@ -232,8 +240,8 @@ def train_warmup(
     records: list[EpochRecord] = []
     stop_epoch = 0
 
-    def loss_on(si: int, probs: np.ndarray):
-        return bce_loss(probs, dataset.outcomes[si].ravel())
+    def loss_on(si: int, logits: np.ndarray):
+        return bce_loss(logits, dataset.outcomes[si].ravel())
 
     for epoch in range(1, config.max_epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
@@ -286,22 +294,22 @@ def _continue_training(
         if with_calibration:
             # Refresh empirical targets over the full training set with the
             # current model, then freeze them for this epoch's updates.
-            train_preds = _predict_split(params, dataset, train_idx)
+            train_preds = probabilities(_predict_split(params, dataset, train_idx))
             train_outs = dataset.outcomes[train_idx].ravel()
             assignment = bin_assignment(train_preds, config.bins)
-            table = build_bins(train_preds, train_outs, config.bins)
+            table = build_bins(train_preds, train_outs, assignment)
             targets_flat = assign_p_emp(assignment, table)
             targets = dict(zip(train_idx.tolist(), targets_flat.reshape(len(train_idx), -1)))
 
-            def loss_on(si: int, probs: np.ndarray):
+            def loss_on(si: int, logits: np.ndarray):
                 return combined_loss(
-                    probs, dataset.outcomes[si].ravel(), targets[si], config.cal_weight
+                    logits, dataset.outcomes[si].ravel(), targets[si], config.cal_weight
                 )
 
         else:
 
-            def loss_on(si: int, probs: np.ndarray):
-                return bce_loss(probs, dataset.outcomes[si].ravel())
+            def loss_on(si: int, logits: np.ndarray):
+                return bce_loss(logits, dataset.outcomes[si].ravel())
 
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         params, adam, train_loss = _run_epoch(
@@ -354,7 +362,7 @@ def evaluate_arm(
 ) -> MetricsReport:
     """Metrics over all test pixels with a bin table built fresh on them."""
     test_idx = np.asarray(test_idx)
-    preds = _predict_split(params, dataset, test_idx)
+    preds = probabilities(_predict_split(params, dataset, test_idx))
     outs, true_p = _split_targets(dataset, test_idx)
     return evaluate_predictions(preds, outs, true_p, n_bins)
 
@@ -492,8 +500,11 @@ def run_experiment(
     Every cell derives its data, split and training seeds from the master
     seed and its grid position, so cells are independent and the sweep is
     deterministic regardless of worker count. Failed cells are recorded
-    and do not abort the sweep.
+    and do not abort the sweep. A bin count that some cell's smallest fold
+    cannot fill is rejected before any cell starts.
     """
+    for n in sizes:
+        check_bins(train_config, n, field_base.height * field_base.width)
     grid = [(rho, n) for rho in rates for n in sizes]
     tasks = [
         (field_base, rho, n, train_config, ci) for ci, (rho, n) in enumerate(grid)

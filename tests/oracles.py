@@ -95,9 +95,9 @@ def model_loss_fn(template, inp, loss, target):
 
     def fn(flat):
         p = ModelParams(template.in_channels, template.hidden_channels, flat)
-        probs, cache = forward(p, inp)
-        value, grad = loss(probs.ravel(), target)
-        g = backward(p, cache, grad.reshape(probs.shape))
+        logits, cache = forward(p, inp)
+        value, grad = loss(logits.ravel(), target)
+        g = backward(p, cache, grad.reshape(logits.shape))
         return value, g.flat
 
     return fn

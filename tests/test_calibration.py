@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import build_bins_bruteforce
 
 from capeseg.calibration import (
@@ -10,7 +12,6 @@ from capeseg.calibration import (
     bin_assignment,
     brier_score,
     build_bins,
-    calibration_loss,
     combined_loss,
     ece,
     evaluate_predictions,
@@ -21,7 +22,8 @@ from capeseg.numerics import Rng
 
 class TestBuildBins:
     def test_worked_example(self):
-        table = build_bins([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1], 2)
+        preds = [0.1, 0.2, 0.3, 0.4]
+        table = build_bins(preds, [0, 0, 1, 1], bin_assignment(preds, 2))
         assert table.counts.tolist() == [2, 2]
         assert np.allclose(table.prob_pred, [0.15, 0.35])
         assert np.allclose(table.prob_true, [0.0, 1.0])
@@ -31,7 +33,7 @@ class TestBuildBins:
     def test_all_identical_predictions(self):
         preds = np.full(10, 0.3)
         outs = np.array([1, 0, 0, 0, 1, 0, 0, 0, 0, 1.0])
-        table = build_bins(preds, outs, 3)
+        table = build_bins(preds, outs, bin_assignment(preds, 3))
         assert table.counts.tolist() == [4, 3, 3]  # near-equal despite total ties
         assert np.allclose(table.prob_pred, 0.3)
 
@@ -46,7 +48,7 @@ class TestBuildBins:
                 preds = np.round(preds * 4) / 4 + 0.1
                 preds = np.clip(preds, 0.05, 0.95)
             outs = (rng.uniform(n) < 0.4).astype(float)
-            table = build_bins(preds, outs, n_bins)
+            table = build_bins(preds, outs, bin_assignment(preds, n_bins))
             counts, prob_pred, prob_true, edges = build_bins_bruteforce(
                 preds.tolist(), outs.tolist(), n_bins
             )
@@ -59,7 +61,7 @@ class TestBuildBins:
         rng = Rng(5)
         preds = 0.01 + 0.98 * rng.uniform(997)
         outs = (rng.uniform(997) < 0.3).astype(float)
-        table = build_bins(preds, outs, 13)
+        table = build_bins(preds, outs, bin_assignment(preds, 13))
         assert table.counts.sum() == 997
         mean_pred = float(table.counts @ table.prob_pred) / 997
         mean_out = float(table.counts @ table.prob_true) / 997
@@ -68,35 +70,35 @@ class TestBuildBins:
 
     def test_near_equal_occupancy_without_ties(self):
         preds = Rng(3).uniform(103) * 0.9 + 0.05
-        table = build_bins(preds, np.zeros(103), 20)
+        table = build_bins(preds, np.zeros(103), bin_assignment(preds, 20))
         assert table.counts.max() - table.counts.min() <= 1
 
     def test_too_few_predictions_rejected(self):
         with pytest.raises(ValueError, match="lower the bin count"):
-            build_bins([0.5, 0.6], [0, 1], 3)
+            build_bins([0.5, 0.6], [0, 1], bin_assignment([0.5, 0.6], 3))
 
     def test_out_of_range_predictions_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
-            build_bins([0.0, 0.5], [0, 1], 1)
+            build_bins([0.0, 0.5], [0, 1], bin_assignment([0.0, 0.5], 1))
 
 
 class TestAssignPEmp:
     def test_single_bin_gives_global_rate(self):
         preds = np.array([0.2, 0.4, 0.6, 0.8])
         outs = np.array([0, 1, 1, 1.0])
-        table = build_bins(preds, outs, 1)
+        table = build_bins(preds, outs, bin_assignment(preds, 1))
         targets = assign_p_emp(bin_assignment(preds, 1), table)
         assert np.allclose(targets, 0.75)
 
     def test_worked_example_targets(self):
         preds = np.array([0.1, 0.2, 0.3, 0.4])
-        table = build_bins(preds, [0, 0, 1, 1], 2)
+        table = build_bins(preds, [0, 0, 1, 1], bin_assignment(preds, 2))
         targets = assign_p_emp(bin_assignment(preds, 2), table)
         assert targets.tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_targets_are_frozen_copies(self):
         preds = np.array([0.1, 0.2, 0.3, 0.4])
-        table = build_bins(preds, [0, 0, 1, 1], 2)
+        table = build_bins(preds, [0, 0, 1, 1], bin_assignment(preds, 2))
         targets = assign_p_emp(bin_assignment(preds, 2), table)
         targets[0] = 0.9
         assert table.prob_true[0] == 0.0
@@ -108,7 +110,7 @@ class TestAssignPEmp:
         n, n_bins = 100_000, 50
         preds = 0.05 + 0.9 * rng.uniform(n)
         outs = (rng.uniform(n) < preds).astype(float)
-        table = build_bins(preds, outs, n_bins)
+        table = build_bins(preds, outs, bin_assignment(preds, n_bins))
         targets = assign_p_emp(bin_assignment(preds, n_bins), table)
         bound = 2.0 / math.sqrt(n / n_bins)
         frac_within = np.mean(np.abs(targets - preds) <= bound)
@@ -119,13 +121,14 @@ class TestMetrics:
     def test_ece_zero_when_calibrated(self):
         preds = np.array([0.2, 0.2, 0.8, 0.8])
         outs = np.array([0, 0, 1, 1.0])
-        table = build_bins(preds, outs, 2)
+        table = build_bins(preds, outs, bin_assignment(preds, 2))
         # prob_true = [0, 1] vs prob_pred = [0.2, 0.8] -> nonzero; use exact match
         table.prob_true = table.prob_pred.copy()
         assert ece(table) == 0.0
 
     def test_ece_worked_example(self):
-        table = build_bins([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1], 2)
+        preds = [0.1, 0.2, 0.3, 0.4]
+        table = build_bins(preds, [0, 0, 1, 1], bin_assignment(preds, 2))
         assert np.isclose(ece(table), 0.40)
 
     def test_ece_permutation_invariant(self):
@@ -133,8 +136,8 @@ class TestMetrics:
         preds = 0.01 + 0.98 * rng.uniform(500)
         outs = (rng.uniform(500) < 0.3).astype(float)
         perm = rng.permutation(500)
-        a = ece(build_bins(preds, outs, 10))
-        b = ece(build_bins(preds[perm], outs[perm], 10))
+        a = ece(build_bins(preds, outs, bin_assignment(preds, 10)))
+        b = ece(build_bins(preds[perm], outs[perm], bin_assignment(preds[perm], 10)))
         assert np.isclose(a, b, rtol=0, atol=1e-15)
 
     def test_oracle_predictor_small_ece(self):
@@ -185,93 +188,169 @@ class TestMetrics:
             kl_to_true([0.5], None)
 
 
+def logit(p):
+    p = np.asarray(p, dtype=float)
+    return np.log(p / (1.0 - p))
+
+
 class TestLosses:
     def test_bce_half_is_ln2(self):
         for outs in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
-            loss, _ = bce_loss(np.full(3, 0.5), outs)
+            loss, _ = bce_loss(np.zeros(3), outs)
             assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_bce_perfect_prediction_near_zero(self):
-        loss, _ = bce_loss([1e-7, 1 - 1e-7], [0, 1])
+        loss, _ = bce_loss([-16.0, 16.0], [0, 1])  # p = 1.1e-7 and 1 - 1.1e-7
         assert loss < 1e-6
 
     def test_bce_gradient_matches_finite_differences(self):
         rng = Rng(8)
-        preds = 0.05 + 0.9 * rng.uniform(24)
+        logits = logit(0.05 + 0.9 * rng.uniform(24))
         outs = (rng.uniform(24) < 0.4).astype(float)
-        _, grad = bce_loss(preds, outs)
+        _, grad = bce_loss(logits, outs)
         h = 1e-7
-        for i in range(preds.size):
-            up = preds.copy()
+        for i in range(logits.size):
+            up = logits.copy()
             up[i] += h
-            down = preds.copy()
+            down = logits.copy()
             down[i] -= h
             numeric = (bce_loss(up, outs)[0] - bce_loss(down, outs)[0]) / (2 * h)
             assert abs(grad[i] - numeric) / (abs(grad[i]) + abs(numeric)) < 1e-6
 
     def test_calibration_loss_with_binary_targets_equals_bce(self):
+        # With p_emp equal to the outcomes the mixed target is the outcomes.
         rng = Rng(9)
-        preds = 0.05 + 0.9 * rng.uniform(50)
+        logits = logit(0.05 + 0.9 * rng.uniform(50))
         outs = (rng.uniform(50) < 0.5).astype(float)
-        ld, gd = bce_loss(preds, outs)
-        lc, gc = calibration_loss(preds, outs)
-        assert abs(ld - lc) < 1e-12
-        assert np.max(np.abs(gd - gc)) < 1e-12
+        ld, gd = bce_loss(logits, outs)
+        for w in (0.0, 0.3, 1.0):
+            lc, gc = combined_loss(logits, outs, outs, w)
+            assert abs(ld - lc) < 1e-12
+            assert np.max(np.abs(gd - gc)) < 1e-12
 
     def test_calibration_loss_minimized_at_targets(self):
         targets = np.array([0.2, 0.5, 0.7])
-        at_target, grad = calibration_loss(targets, targets)
+        at_target, grad = bce_loss(logit(targets), targets)
         entropy = -np.mean(targets * np.log(targets) + (1 - targets) * np.log(1 - targets))
         assert at_target == pytest.approx(entropy, abs=1e-12)
         assert np.max(np.abs(grad)) < 1e-12
-        nudged, _ = calibration_loss(targets + 0.05, targets)
+        nudged, _ = bce_loss(logit(targets + 0.05), targets)
         assert nudged > at_target
 
     def test_calibration_gradient_matches_finite_differences(self):
         rng = Rng(10)
-        preds = 0.05 + 0.9 * rng.uniform(16)
+        logits = logit(0.05 + 0.9 * rng.uniform(16))
         targets = rng.uniform(16)
-        _, grad = calibration_loss(preds, targets)
+        _, grad = bce_loss(logits, targets)
         h = 1e-7
-        for i in range(preds.size):
-            up = preds.copy()
+        for i in range(logits.size):
+            up = logits.copy()
             up[i] += h
-            down = preds.copy()
+            down = logits.copy()
             down[i] -= h
-            numeric = (
-                calibration_loss(up, targets)[0] - calibration_loss(down, targets)[0]
-            ) / (2 * h)
+            numeric = (bce_loss(up, targets)[0] - bce_loss(down, targets)[0]) / (2 * h)
             assert abs(grad[i] - numeric) / (abs(grad[i]) + abs(numeric)) < 1e-6
+
+    def test_gradient_is_exact_far_past_probability_rounding(self):
+        # At |z| = 40 the probability rounds to 0 or 1; the loss and its
+        # gradient still follow the logit exactly.
+        loss, grad = bce_loss([-40.0, 40.0], [1.0, 0.0])
+        assert loss == pytest.approx(40.0, rel=1e-15)
+        assert grad.tolist() == [-0.5, 0.5]
 
 
 class TestCombinedLoss:
     def setup_method(self):
         rng = Rng(13)
-        self.preds = 0.05 + 0.9 * rng.uniform(40)
+        self.logits = logit(0.05 + 0.9 * rng.uniform(40))
         self.outs = (rng.uniform(40) < 0.5).astype(float)
         self.targets = rng.uniform(40)
 
     def test_weight_zero_is_bce_bitwise(self):
-        a = combined_loss(self.preds, self.outs, self.targets, 0.0)
-        b = bce_loss(self.preds, self.outs)
+        a = combined_loss(self.logits, self.outs, self.targets, 0.0)
+        b = bce_loss(self.logits, self.outs)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
     def test_weight_one_is_calibration_bitwise(self):
-        a = combined_loss(self.preds, self.outs, self.targets, 1.0)
-        b = calibration_loss(self.preds, self.targets)
+        a = combined_loss(self.logits, self.outs, self.targets, 1.0)
+        b = bce_loss(self.logits, self.targets)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
     def test_half_weight_on_worked_example(self):
-        preds = np.array([0.1, 0.2, 0.3, 0.4])
+        logits = logit([0.1, 0.2, 0.3, 0.4])
         outs = np.array([0, 0, 1, 1.0])
         targets = np.array([0, 0, 1, 1.0])
-        ld, _ = bce_loss(preds, outs)
-        lc, _ = calibration_loss(preds, targets)
-        both, _ = combined_loss(preds, outs, targets, 0.5)
+        ld, _ = bce_loss(logits, outs)
+        lc, _ = bce_loss(logits, targets)
+        both, _ = combined_loss(logits, outs, targets, 0.5)
         assert both == pytest.approx(0.5 * (ld + lc), abs=1e-15)
+        soft = np.array([0.1, 0.3, 0.6, 0.9])
+        lc, gc = bce_loss(logits, soft)
+        both, grad = combined_loss(logits, outs, soft, 0.5)
+        assert both == pytest.approx(0.5 * (ld + lc), abs=1e-12)
+        assert np.allclose(grad, 0.5 * (bce_loss(logits, outs)[1] + gc), rtol=0, atol=1e-15)
 
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
-            combined_loss(self.preds, self.outs, self.targets, 1.5)
+            combined_loss(self.logits, self.outs, self.targets, 1.5)
+
+
+# Bounded and derandomized: the same examples on every run, no example database.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+LOGITS = st.floats(-1e3, 1e3, allow_nan=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+def logits_and_targets(min_size=1):
+    return st.integers(min_size, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(LOGITS, min_size=n, max_size=n), st.lists(UNIT, min_size=n, max_size=n)
+        )
+    )
+
+
+class TestLossProperties:
+    @PROPERTY
+    @given(logits_and_targets())
+    def test_gradient_is_sigmoid_minus_target_over_n(self, case):
+        z, t = np.array(case[0]), np.array(case[1])
+        _, grad = bce_loss(z, t)
+        reference = (0.5 * (1.0 + np.tanh(0.5 * z)) - t) / z.size
+        assert np.allclose(grad, reference, rtol=0, atol=1e-15)
+
+    @PROPERTY
+    @given(logits_and_targets())
+    def test_loss_finite_and_nonnegative_up_to_large_logits(self, case):
+        loss, grad = bce_loss(np.array(case[0]), np.array(case[1]))
+        assert math.isfinite(loss) and loss >= 0.0
+        assert np.isfinite(grad).all()
+
+    @PROPERTY
+    @given(logits_and_targets(), st.data())
+    def test_endpoint_weights_are_bce_bitwise(self, case, data):
+        z, p_emp = np.array(case[0]), np.array(case[1])
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=z.size,
+                                        max_size=z.size)))
+        for w, plain in ((0.0, y), (1.0, p_emp)):
+            loss, grad = combined_loss(z, y, p_emp, w)
+            ref_loss, ref_grad = bce_loss(z, plain)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+
+class TestBinningProperties:
+    @PROPERTY
+    @given(st.lists(st.sampled_from([0.05, 0.3, 0.31, 0.7, 0.95]), min_size=1, max_size=120),
+           st.data())
+    def test_single_sort_matches_bruteforce_with_heavy_ties(self, preds, data):
+        n = len(preds)
+        n_bins = data.draw(st.integers(1, n))
+        outs = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        table = build_bins(preds, outs, bin_assignment(preds, n_bins))
+        counts, prob_pred, prob_true, edges = build_bins_bruteforce(preds, outs, n_bins)
+        assert table.counts.tolist() == counts
+        assert np.max(np.abs(table.prob_pred - prob_pred)) < 1e-12
+        assert np.max(np.abs(table.prob_true - prob_true)) < 1e-12
+        assert table.edges.tolist() == edges

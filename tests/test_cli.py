@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import capeseg
+from capeseg import pipeline
 from capeseg.cli import main
 from capeseg.cli import configfile, storage, svg
 from capeseg.fieldgen import FieldConfig, generate_dataset
@@ -458,9 +464,10 @@ class TestPlot:
 
     def test_reliability_diagram_points(self, tmp_path):
         # reliability rows from the 4-element worked example
-        from capeseg.calibration import build_bins
+        from capeseg.calibration import bin_assignment, build_bins
 
-        table = build_bins([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1], 2)
+        preds = [0.1, 0.2, 0.3, 0.4]
+        table = build_bins(preds, [0, 0, 1, 1], bin_assignment(preds, 2))
         rel = tmp_path / "reliability.csv"
         storage.write_reliability_csv(rel, table)
         out = tmp_path / "plots"
@@ -537,3 +544,51 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 1
         assert not out.exists()
+
+    def test_too_many_bins_fails_before_training(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        # 24 samples in 3 folds: the smallest fold holds 8 * 16 * 16 = 2048 pixels.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(pipeline, "_run_epoch", no_training)
+        cfg = write_config(tmp_path / "t.cfg", **{**TRAIN_SMALL, "bins": 2049})
+        assert main(["train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "smallest fold" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "epochs.csv").exists()
+
+    def test_too_many_bins_for_smallest_sweep_size_fails_before_any_cell(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The 18-sample cell's smallest fold holds 6 * 16 * 16 = 1536 pixels;
+        # the 60-sample cell could fill 1537 bins but must not start either.
+        def no_cell(task):
+            raise AssertionError("a sweep cell started")
+
+        monkeypatch.setattr(pipeline, "_run_cell", no_cell)
+        cfg = write_config(
+            tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "sizes": "60,18", "bins": 1537}
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "smallest fold" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [(["--help"], 0, "usage: capeseg"), (["frobnicate"], 1, "invalid choice")],
+    )
+    def test_python_dash_m_capeseg(self, argv, code, text):
+        src = str(Path(capeseg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        run = subprocess.run(
+            [sys.executable, "-m", "capeseg", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == code
+        assert text in run.stdout + run.stderr

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from oracles import conv2d_reference, finite_diff_check, model_loss_fn, params_with_relu_margin
 
-from capeseg.calibration import bce_loss, calibration_loss
-from capeseg.model import ModelParams, backward, forward, init_params, predict
+from capeseg.calibration import bce_loss
+from capeseg.model import ModelParams, backward, forward, init_params, predict, probabilities
 from capeseg.numerics import Rng
 
 
@@ -39,27 +39,28 @@ class TestInit:
 class TestForward:
     def test_zero_params_give_half(self):
         params = ModelParams(3, 4)  # all zeros
-        probs, _ = forward(params, Rng(1).normal((3, 5, 5)))
-        assert np.allclose(probs, 0.5)
+        logits, _ = forward(params, Rng(1).normal((3, 5, 5)))
+        assert not logits.any()
+        assert np.allclose(probabilities(logits), 0.5)
 
     def test_saturated_bias(self):
         params = ModelParams(1, 2)
         params.conv2_b[0] = 20.0
-        probs, _ = forward(params, np.zeros((1, 4, 4)))
-        assert np.max(np.abs(probs - 1.0)) < 1e-8
+        logits, _ = forward(params, np.zeros((1, 4, 4)))
+        assert np.max(np.abs(probabilities(logits) - 1.0)) < 1e-8
 
     def test_matches_reference_implementation(self):
         rng = Rng(21)
         params = init_params(2, 3, rng)
         inp = rng.normal((2, 5, 5))
-        probs, _ = forward(params, inp)
-        assert np.max(np.abs(probs - forward_reference(params, inp))) < 1e-12
+        logits, _ = forward(params, inp)
+        assert np.max(np.abs(probabilities(logits) - forward_reference(params, inp))) < 1e-12
 
     def test_output_strictly_inside_unit_interval(self):
         rng = Rng(33)
         params = init_params(3, 8, rng)
         params.conv2_b[0] = 50.0  # push toward saturation
-        probs, _ = forward(params, 10.0 * rng.normal((3, 8, 8)))
+        probs = probabilities(forward(params, 10.0 * rng.normal((3, 8, 8)))[0])
         assert probs.min() > 0.0
         assert probs.max() < 1.0
 
@@ -83,8 +84,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = Rng(5)
         params = init_params(3, 4, rng)
-        probs, cache = forward(params, rng.normal((3, 4, 4)))
-        grads = backward(params, cache, np.zeros_like(probs))
+        logits, cache = forward(params, rng.normal((3, 4, 4)))
+        grads = backward(params, cache, np.zeros_like(logits))
         assert not grads.flat.any()
 
     @pytest.mark.parametrize("case", range(5))
@@ -98,9 +99,21 @@ class TestBackward:
     def test_gradient_check_calibration_targets(self, case):
         params, inp = params_with_relu_margin(200 + case)
         targets = Rng(case).uniform(inp.shape[1] * inp.shape[2])
-        err = finite_diff_check(
-            model_loss_fn(params, inp, calibration_loss, targets), params.flat
-        )
+        err = finite_diff_check(model_loss_fn(params, inp, bce_loss, targets), params.flat)
+        assert err < 1e-5
+
+    def test_gradient_check_beyond_old_probability_clamp(self):
+        # Logits near -20 put every probability near 2e-9, far below the
+        # 1e-7 floor the probability-space loss was once clamped at: there
+        # the computed loss went flat while the gradient did not.
+        params, inp = params_with_relu_margin(900)
+        params.conv2_w[...] *= 0.1
+        params.conv2_b[0] = -20.0
+        logits, _ = forward(params, inp)
+        assert probabilities(logits).max() < 1e-7
+        y = (Rng(900).uniform(inp.shape[1:]) < 0.4).astype(float).ravel()
+        assert 0 < y.sum() < y.size
+        err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.flat)
         assert err < 1e-5
 
     def test_gradient_check_away_from_kink_margin(self):

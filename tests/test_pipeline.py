@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from capeseg.calibration import (
     assign_p_emp,
+    bce_loss,
     bin_assignment,
     build_bins,
-    calibration_loss,
     evaluate_predictions,
 )
 from capeseg.fieldgen import FieldConfig, generate_dataset
@@ -14,6 +16,7 @@ from capeseg.numerics import Rng
 from capeseg.pipeline import (
     EarlyStopper,
     TrainConfig,
+    check_bins,
     evaluate_arm,
     kfold_rotation,
     run_experiment,
@@ -187,12 +190,12 @@ class TestTrainCape:
         gaps = []
         for _ in range(60):
             preds = np.full_like(outcomes, sigmoid(np.array([theta]))[0])
-            table = build_bins(preds, outcomes, 1)
-            targets = assign_p_emp(bin_assignment(preds, 1), table)
+            assignment = bin_assignment(preds, 1)
+            table = build_bins(preds, outcomes, assignment)
+            targets = assign_p_emp(assignment, table)
             assert np.allclose(targets, rate)
-            _, grad = calibration_loss(preds, targets)
-            # chain rule through the shared logit
-            dtheta = float(np.sum(grad * preds * (1.0 - preds)))
+            _, grad = bce_loss(np.full_like(outcomes, theta), targets)
+            dtheta = float(np.sum(grad))  # every pixel shares the one logit
             gaps.append(abs(preds[0] - rate))
             theta -= 25.0 * dtheta
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -325,3 +328,10 @@ class TestTrainConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_bins_must_fit_the_smallest_fold(self):
+        cfg = TrainConfig(folds=3, bins=2048)
+        check_bins(cfg, 25, 256)  # folds of 9, 8 and 8 samples: 2048 pixels at least
+        with pytest.raises(ValueError, match="smallest fold"):
+            check_bins(replace(cfg, bins=2049), 25, 256)
+        check_bins(replace(cfg, bins=2049), 2, 256)  # fewer samples than folds: split_kfold says
