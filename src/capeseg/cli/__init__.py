@@ -1,8 +1,9 @@
 """Command-line entry points: generate, train, evaluate, sweep, plot.
 
-Every command reads a flat key=value config (where one applies), writes
-its artifacts into --out, and finishes with a manifest listing each
-output file and its digest. Exit codes: 0 success, 1 usage/config error,
+Every command reads a flat key=value config (where one applies), checks
+its inputs, writes its artifacts into --out (created just before the
+first write), and finishes with a manifest listing each output file and
+its digest. Exit codes: 0 success, 1 usage/config error,
 2 data/format error, 3 numeric failure, 4 partial sweep failure.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +52,10 @@ def positive_int(text: str) -> int:
 
 
 def _prepare_outdir(outdir: str, names: list[str], force: bool) -> Path:
+    """Check --out for clashing outputs; the caller creates it before its first write."""
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"output path {out} exists and is not a directory")
     clashes = [n for n in names if (out / n).exists()]
     if clashes and not force:
         raise UsageError(
@@ -78,10 +82,11 @@ def cmd_generate(args) -> int:
     field_cfg = configfile.field_config_from(cfg)
     dataset = generate_dataset(field_cfg, cfg["n_samples"])
     dataset_path = out / "dataset.bin"
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_dataset(dataset_path, dataset)
     rate = float(dataset.outcomes.mean(axis=(1, 2)).mean())
     print(f"wrote {dataset_path} ({len(dataset)} samples, event rate {rate:.4f})")
-    storage.write_manifest(out, "generate", cfg, cfg["seed"], [dataset_path])
+    storage.write_manifest(out, "generate", cfg, cfg["seed"], [dataset_path], args.started_utc)
     return EXIT_OK
 
 
@@ -104,6 +109,7 @@ def cmd_train(args) -> int:
     bce_path = out / "bce_arm.ckpt"
     cape_path = out / "cape_arm.ckpt"
     epochs_path = out / "epochs.csv"
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_checkpoint(bce_path, warm.best_params)
     storage.write_checkpoint(cape_path, cape_params)
     storage.write_epoch_csv(epochs_path, warm.records + cape_records)
@@ -115,7 +121,8 @@ def cmd_train(args) -> int:
         f"test ECE bce={bce_report.ece:.4f} cape={cape_report.ece:.4f}"
     )
     storage.write_manifest(
-        out, "train", cfg, train_cfg.seed, [bce_path, cape_path, epochs_path]
+        out, "train", cfg, train_cfg.seed, [bce_path, cape_path, epochs_path],
+        args.started_utc,
     )
     return EXIT_OK
 
@@ -144,6 +151,7 @@ def cmd_evaluate(args) -> int:
 
     metrics_path = out / "metrics.csv"
     reliability_path = out / "reliability.csv"
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_metrics_csv(metrics_path, report)
     storage.write_reliability_csv(reliability_path, report.bin_table)
     kl_text = f"{report.kl_true:.6f}" if report.kl_true is not None else "n/a"
@@ -152,7 +160,9 @@ def cmd_evaluate(args) -> int:
         f"({report.n_pixels} pixels, {n_bins} bins)"
     )
     config_echo = {"dataset": str(args.dataset), "bins": n_bins, "oracle": bool(args.oracle)}
-    storage.write_manifest(out, "evaluate", config_echo, 0, [metrics_path, reliability_path])
+    storage.write_manifest(
+        out, "evaluate", config_echo, 0, [metrics_path, reliability_path], args.started_utc
+    )
     return EXIT_OK
 
 
@@ -168,6 +178,7 @@ def cmd_sweep(args) -> int:
     rows = result.rows()
 
     sweep_path = out / "sweep.csv"
+    out.mkdir(parents=True, exist_ok=True)
     storage.write_sweep_csv(sweep_path, rows)
     files = [sweep_path]
     if rows:
@@ -192,7 +203,7 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
     print(f"wrote {sweep_path} ({len(rows)} rows, {len(result.failures)} failed cells)")
-    storage.write_manifest(out, "sweep", cfg, train_cfg.seed, files)
+    storage.write_manifest(out, "sweep", cfg, train_cfg.seed, files, args.started_utc)
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
@@ -217,9 +228,12 @@ def cmd_plot(args) -> int:
             f"{args.input}:1: unrecognized CSV header; expected an epoch or reliability report"
         )
     path = out / name
+    out.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
     print(f"wrote {path}")
-    storage.write_manifest(out, "plot", {"input": str(args.input)}, 0, [path])
+    storage.write_manifest(
+        out, "plot", {"input": str(args.input)}, 0, [path], args.started_utc
+    )
     return EXIT_OK
 
 
@@ -290,6 +304,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args.started_utc = datetime.now(timezone.utc)
     try:
         return args.func(args)
     except (ConfigError, UsageError) as exc:

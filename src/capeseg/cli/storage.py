@@ -205,8 +205,13 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(outdir, command: str, config_echo: dict, seed: int, outputs) -> Path:
-    """Inventory of a command's outputs with content digests; written last."""
+def write_manifest(
+    outdir, command: str, config_echo: dict, seed: int, outputs, started_utc: datetime
+) -> Path:
+    """Inventory of a command's outputs with content digests; written last.
+
+    started_utc is when the command started; finished_utc is stamped here.
+    """
     outdir = Path(outdir)
     entries = []
     for p in outputs:
@@ -219,7 +224,8 @@ def write_manifest(outdir, command: str, config_echo: dict, seed: int, outputs) 
         "version": __version__,
         "command": command,
         "master_seed": int(seed),
-        "started_utc": datetime.now(timezone.utc).isoformat(),
+        "started_utc": started_utc.isoformat(),
+        "finished_utc": datetime.now(timezone.utc).isoformat(),
         "config": config_echo,
         "outputs": entries,
     }

@@ -1,13 +1,14 @@
 """Two-phase training protocol and experiment sweeps.
 
-Phase one trains on binary cross-entropy with early stopping and keeps
-the checkpoint with the best validation loss. Phase two resumes from
-that checkpoint and trains on one cross-entropy, taken on logits,
-against a mixed target: the outcomes weighted with 1 - lambda plus
-quantile-binned empirical frequencies weighted with lambda, refreshed
-once per epoch over the full training set and frozen in between.
-Experiments compare the frozen warm-up checkpoint ("bce" arm) against
-the continued model ("cape" arm) on held out test folds.
+Both phases train on one cross-entropy, taken on logits, against a mixed
+target: the outcomes weighted with 1 - lambda plus quantile-binned
+empirical frequencies weighted with lambda. Phase one is the lambda = 0
+case with early stopping, and keeps the checkpoint with the best
+validation loss. Phase two resumes from that checkpoint at the
+configured lambda, with the frequencies refreshed once per epoch over
+the full training set and frozen in between. Experiments compare the
+frozen warm-up checkpoint ("bce" arm) against the continued model
+("cape" arm) on held out test folds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -174,15 +175,21 @@ def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np
     return np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in idx])
 
 
-def _val_metrics(
-    params: ModelParams, dataset: Dataset, val_idx: np.ndarray
-) -> tuple[float, float, Optional[float]]:
+def _epoch_record(
+    epoch: int,
+    phase: str,
+    train_loss: float,
+    params: ModelParams,
+    dataset: Dataset,
+    val_idx: np.ndarray,
+) -> EpochRecord:
+    """One epoch's record, with loss, Brier and KL (None without true_p) on val_idx."""
     logits = _predict_split(params, dataset, val_idx)
     outs, true_p = _split_targets(dataset, val_idx)
     val_loss, _ = bce_loss(logits, outs)
     preds = probabilities(logits)
     kl = kl_to_true(preds, true_p) if true_p is not None else None
-    return val_loss, brier_score(preds, outs), kl
+    return EpochRecord(epoch, phase, train_loss, val_loss, brier_score(preds, outs), kl)
 
 
 def _run_epoch(
@@ -191,13 +198,15 @@ def _run_epoch(
     dataset: Dataset,
     order: np.ndarray,
     batch_size: int,
-    sample_loss: Callable[[int, np.ndarray], tuple[float, np.ndarray]],
+    p_emp: np.ndarray | dict[int, np.ndarray],
+    cal_weight: float,
 ) -> tuple[ModelParams, AdamState, float]:
-    """One pass of minibatch Adam; returns (params, state, mean train loss).
+    """One pass of minibatch Adam on combined_loss; returns (params, state, mean train loss).
 
-    sample_loss(sample_index, flat_logits) must return a mean-over-pixels
-    loss and its per-pixel logit gradient. Gradients are summed in fixed
-    sample order so results do not depend on scheduling.
+    p_emp[si] holds the empirical-frequency targets of sample si, shaped
+    like its outcomes; the warm-up passes the outcomes at weight 0.
+    Gradients are summed in fixed sample order so results do not depend
+    on scheduling.
     """
     epoch_loss = 0.0
     c, f = params.in_channels, params.hidden_channels
@@ -208,7 +217,7 @@ def _run_epoch(
         grads = ModelParams(c, f)
         for si in batch:
             logits, cache = forward(params, dataset.inputs[si])
-            loss, grad = sample_loss(int(si), logits.ravel())
+            loss, grad = combined_loss(logits, dataset.outcomes[si], p_emp[si], cal_weight)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss on sample {int(si)}")
             batch_loss += scale * loss
@@ -224,9 +233,10 @@ def train_warmup(
 ) -> WarmupResult:
     """Minibatch Adam on binary cross-entropy with early stopping.
 
-    Returns the checkpoint with the lowest validation loss (not the last
-    one), the epoch it was reached, the epoch training stopped, and the
-    per-epoch records.
+    Binary cross-entropy is combined_loss at weight 0, whose mixed target
+    is exactly the outcomes. Returns the checkpoint with the lowest
+    validation loss (not the last one), the epoch it was reached, the
+    epoch training stopped, and the per-epoch records.
     """
     rng = Rng(config.seed)
     channels = dataset.shape[0]
@@ -240,19 +250,13 @@ def train_warmup(
     records: list[EpochRecord] = []
     stop_epoch = 0
 
-    def loss_on(si: int, logits: np.ndarray):
-        return bce_loss(logits, dataset.outcomes[si].ravel())
-
     for epoch in range(1, config.max_epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         params, adam, train_loss = _run_epoch(
-            params, adam, dataset, order, config.batch_size, loss_on
+            params, adam, dataset, order, config.batch_size, dataset.outcomes, 0.0
         )
-        val_loss, val_brier, val_kl = _val_metrics(params, dataset, val_idx)
-        records.append(
-            EpochRecord(epoch, WARMUP_PHASE, train_loss, val_loss, val_brier, val_kl)
-        )
-        improved, stop = stopper.update(epoch, val_loss)
+        records.append(_epoch_record(epoch, WARMUP_PHASE, train_loss, params, dataset, val_idx))
+        improved, stop = stopper.update(epoch, records[-1].val_loss)
         if improved:
             best = params
         stop_epoch = epoch
@@ -268,61 +272,6 @@ def train_warmup(
     )
 
 
-def _continuation_epochs(config: TrainConfig, start_epoch: int) -> int:
-    if config.cape_epochs_override is not None:
-        return max(0, config.cape_epochs_override)
-    return max(0, config.cape_epochs - start_epoch)
-
-
-def _continue_training(
-    start_params: ModelParams,
-    dataset: Dataset,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-    config: TrainConfig,
-    start_epoch: int,
-    with_calibration: bool,
-) -> tuple[ModelParams, list[EpochRecord]]:
-    rng = Rng(config.seed)
-    shuffle_rng = rng.child(_STREAM_CONTINUE_BATCHES)
-    params = start_params
-    adam = AdamState.init(params.flat.size, lr=config.lr)
-    train_idx = np.asarray(train_idx)
-    records: list[EpochRecord] = []
-
-    for e in range(1, _continuation_epochs(config, start_epoch) + 1):
-        if with_calibration:
-            # Refresh empirical targets over the full training set with the
-            # current model, then freeze them for this epoch's updates.
-            train_preds = probabilities(_predict_split(params, dataset, train_idx))
-            train_outs = dataset.outcomes[train_idx].ravel()
-            assignment = bin_assignment(train_preds, config.bins)
-            table = build_bins(train_preds, train_outs, assignment)
-            targets_flat = assign_p_emp(assignment, table)
-            targets = dict(zip(train_idx.tolist(), targets_flat.reshape(len(train_idx), -1)))
-
-            def loss_on(si: int, logits: np.ndarray):
-                return combined_loss(
-                    logits, dataset.outcomes[si].ravel(), targets[si], config.cal_weight
-                )
-
-        else:
-
-            def loss_on(si: int, logits: np.ndarray):
-                return bce_loss(logits, dataset.outcomes[si].ravel())
-
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        params, adam, train_loss = _run_epoch(
-            params, adam, dataset, order, config.batch_size, loss_on
-        )
-        val_loss, val_brier, val_kl = _val_metrics(params, dataset, val_idx)
-        records.append(
-            EpochRecord(start_epoch + e, CAPE_PHASE, train_loss, val_loss, val_brier, val_kl)
-        )
-
-    return params, records
-
-
 def train_cape(
     start_params: ModelParams,
     dataset: Dataset,
@@ -334,27 +283,36 @@ def train_cape(
     """Resume from the warm-up checkpoint with the combined loss.
 
     Runs for the remaining shared epoch budget (or the configured
-    override). Records continue the warm-up epoch numbering and carry the
-    "cape" phase tag.
+    override) with a fresh Adam state. Records continue the warm-up epoch
+    numbering and carry the "cape" phase tag.
     """
-    return _continue_training(
-        start_params, dataset, train_idx, val_idx, config, start_epoch, True
-    )
+    shuffle_rng = Rng(config.seed).child(_STREAM_CONTINUE_BATCHES)
+    params = start_params
+    adam = AdamState.init(params.flat.size, lr=config.lr)
+    train_idx = np.asarray(train_idx)
+    if config.cape_epochs_override is not None:
+        n_epochs = max(0, config.cape_epochs_override)
+    else:
+        n_epochs = max(0, config.cape_epochs - start_epoch)
+    records: list[EpochRecord] = []
 
+    for epoch in range(start_epoch + 1, start_epoch + n_epochs + 1):
+        # Refresh empirical targets over the full training set with the
+        # current model, then freeze them for this epoch's updates.
+        train_preds = probabilities(_predict_split(params, dataset, train_idx))
+        train_outs = dataset.outcomes[train_idx]
+        assignment = bin_assignment(train_preds, config.bins)
+        table = build_bins(train_preds, train_outs.ravel(), assignment)
+        targets = assign_p_emp(assignment, table).reshape(train_outs.shape)
+        p_emp = dict(zip(train_idx.tolist(), targets))
 
-def train_bce_continue(
-    start_params: ModelParams,
-    dataset: Dataset,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-    config: TrainConfig,
-    start_epoch: int,
-) -> tuple[ModelParams, list[EpochRecord]]:
-    """Plain cross-entropy continuation from a checkpoint, same schedule as
-    the calibrated continuation (reference arm for reduction checks)."""
-    return _continue_training(
-        start_params, dataset, train_idx, val_idx, config, start_epoch, False
-    )
+        order = train_idx[shuffle_rng.permutation(len(train_idx))]
+        params, adam, train_loss = _run_epoch(
+            params, adam, dataset, order, config.batch_size, p_emp, config.cal_weight
+        )
+        records.append(_epoch_record(epoch, CAPE_PHASE, train_loss, params, dataset, val_idx))
+
+    return params, records
 
 
 def evaluate_arm(
@@ -384,29 +342,6 @@ class CellResult:
     n_samples: int
     folds: list[FoldRun] = field(default_factory=list)
     error: Optional[str] = None
-
-    def arm_values(self, arm: str, metric: str) -> list[float]:
-        out = []
-        for f in self.folds:
-            report = f.bce_metrics if arm == ARM_BCE else f.cape_metrics
-            value = getattr(report, metric)
-            if value is not None:
-                out.append(float(value))
-        return out
-
-    def aggregate(self) -> dict[str, dict[str, tuple[float, float]]]:
-        """Per-arm mean/std of each metric across folds."""
-        summary: dict[str, dict[str, tuple[float, float]]] = {}
-        for arm in (ARM_BCE, ARM_CAPE):
-            summary[arm] = {}
-            for metric in ("ece", "brier", "kl_true"):
-                vals = self.arm_values(arm, metric)
-                if vals:
-                    summary[arm][metric] = (
-                        float(np.mean(vals)),
-                        float(np.std(vals)),
-                    )
-        return summary
 
 
 @dataclass

@@ -5,11 +5,16 @@ out) so they cannot share a bug with the vectorized code under test.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from capeseg.model import ModelParams, forward, init_params
-from capeseg.numerics import Rng, as_f64
+from capeseg.calibration import bce_loss
+from capeseg.model import ModelParams, backward, forward, init_params, predict
+from capeseg.numerics import AdamState, Rng, adam_step, as_f64
+from capeseg.pipeline import _STREAM_CONTINUE_BATCHES
+
+ContinuationEpoch = namedtuple("ContinuationEpoch", "train_loss val_loss")
 
 
 def conv2d_reference(inp, kernels, bias):
@@ -91,8 +96,6 @@ def params_with_relu_margin(seed, channels=3, hidden=4, shape=(4, 4), margin=1e-
 
 def model_loss_fn(template, inp, loss, target):
     """Flat-params scalar loss over the full forward pass, for FD checking."""
-    from capeseg.model import backward
-
     def fn(flat):
         p = ModelParams(template.in_channels, template.hidden_channels, flat)
         logits, cache = forward(p, inp)
@@ -101,3 +104,42 @@ def model_loss_fn(template, inp, loss, target):
         return value, g.flat
 
     return fn
+
+
+def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_epoch):
+    """Plain BCE continuation from a checkpoint on the CaPE schedule.
+
+    Same epoch count and shuffle stream as `train_cape`, a fresh Adam
+    state, and no target refresh: what `train_cape` must reproduce bit
+    for bit at weight 0. Returns (params, [ContinuationEpoch per epoch]).
+    """
+    if config.cape_epochs_override is not None:
+        n_epochs = max(0, config.cape_epochs_override)
+    else:
+        n_epochs = max(0, config.cape_epochs - start_epoch)
+    shuffle_rng = Rng(config.seed).child(_STREAM_CONTINUE_BATCHES)
+    c, f = start_params.in_channels, start_params.hidden_channels
+    params = start_params
+    adam = AdamState.init(params.flat.size, lr=config.lr)
+    train_idx = np.asarray(train_idx)
+    val_outcomes = dataset.outcomes[val_idx].ravel()
+    records = []
+    for _ in range(n_epochs):
+        order = train_idx[shuffle_rng.permutation(len(train_idx))]
+        train_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            scale = 1.0 / len(batch)
+            batch_loss = 0.0
+            grads = ModelParams(c, f)
+            for si in batch:
+                logits, cache = forward(params, dataset.inputs[si])
+                loss, grad = bce_loss(logits, dataset.outcomes[si])
+                batch_loss += scale * loss
+                grads.flat += backward(params, cache, grad.reshape(logits.shape) * scale).flat
+            flat, adam = adam_step(params.flat, grads.flat, adam)
+            params = ModelParams(c, f, flat)
+            train_loss += batch_loss * (len(batch) / len(order))
+        val_logits = np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in val_idx])
+        records.append(ContinuationEpoch(train_loss, bce_loss(val_logits, val_outcomes)[0]))
+    return params, records

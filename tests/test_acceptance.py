@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from oracles import (
+    bce_continuation,
     build_bins_bruteforce,
     finite_diff_check,
     model_loss_fn,
@@ -35,7 +36,6 @@ from capeseg.pipeline import (
     evaluate_arm,
     kfold_rotation,
     split_kfold,
-    train_bce_continue,
     train_cape,
     train_warmup,
 )
@@ -188,7 +188,7 @@ def test_criterion_7_protocol_reduction():
     cape_params, cape_records = train_cape(
         warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
     )
-    bce_params, bce_records = train_bce_continue(
+    bce_params, bce_records = bce_continuation(
         warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
     )
     assert np.array_equal(cape_params.flat, bce_params.flat)

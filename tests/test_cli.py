@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import bce_continuation
 
 import capeseg
 from capeseg import pipeline
@@ -19,7 +21,6 @@ from capeseg.numerics import Rng
 from capeseg.pipeline import (
     kfold_rotation,
     split_kfold,
-    train_bce_continue,
     train_warmup,
 )
 
@@ -294,6 +295,13 @@ class TestTrain:
         assert len(cape) == TRAIN_SMALL["cape_epochs_override"]
         assert warmup[0].epoch == 1
 
+    def test_manifest_brackets_the_run_in_utc(self, trained):
+        manifest = json.loads((trained / "manifest.json").read_text())
+        started = datetime.fromisoformat(manifest["started_utc"])
+        finished = datetime.fromisoformat(manifest["finished_utc"])
+        assert started.utcoffset() == finished.utcoffset() == timedelta(0)
+        assert started < finished
+
     def test_rerun_identical_csv(self, trained, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
         out = tmp_path / "rerun"
@@ -323,7 +331,7 @@ class TestTrain:
         folds = split_kfold(len(ds), tc.folds, tc.seed)
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
         warm = train_warmup(ds, train_idx, val_idx, tc)
-        _, expected = train_bce_continue(
+        _, expected = bce_continuation(
             warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
         )
         assert [r.val_loss for r in cape_rows] == [r.val_loss for r in expected]
@@ -537,6 +545,14 @@ class TestExitCodes:
             "evaluate", "--checkpoint", str(ckpt), "--dataset",
             str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),
         ]) == 2
+        assert not (tmp_path / "ev").exists()
+
+    def test_out_path_that_is_a_file_is_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path / "gen.cfg", **{**GEN_SMALL, "n_samples": 6})
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["generate", "--config", cfg, "--out", str(taken)]) == 1
+        assert taken.read_text() == "not a directory"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_usage_error(self, tmp_path, threads):
@@ -558,6 +574,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         assert "smallest fold" in capsys.readouterr().err
         assert not (tmp_path / "o" / "epochs.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_too_many_bins_for_smallest_sweep_size_fails_before_any_cell(
         self, tmp_path, monkeypatch, capsys
@@ -574,6 +591,7 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "smallest fold" in capsys.readouterr().err
         assert not (tmp_path / "o" / "sweep.csv").exists()
+        assert not (tmp_path / "o").exists()
 
 
 class TestModuleEntryPoint:
