@@ -244,25 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="flat key=value config file")
+    def common(p, training=False):
+        p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if training:
+            p.add_argument("--bins", type=int, default=None, help="override bin count")
+            p.add_argument(
+                "--lambda", dest="cal_weight", type=float, default=None,
+                help="override the calibration loss weight",
+            )
 
     p_gen = sub.add_parser("generate", help="generate a synthetic dataset")
     common(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="two-phase training on a dataset file")
-    common(p_train)
+    common(p_train, training=True)
     p_train.add_argument("--dataset", required=True, help="dataset file to train on")
-    p_train.add_argument("--bins", type=int, default=None, help="override bin count")
-    p_train.add_argument(
-        "--lambda", dest="cal_weight", type=float, default=None,
-        help="override the calibration loss weight",
-    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="metrics and reliability table for a checkpoint")
@@ -278,14 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="event-rate x dataset-size experiment grid")
-    common(p_sweep)
+    common(p_sweep, training=True)
     p_sweep.add_argument(
         "--threads", type=positive_int, default=1, help="parallel cells, >= 1 (default 1)"
-    )
-    p_sweep.add_argument("--bins", type=int, default=None, help="override bin count")
-    p_sweep.add_argument(
-        "--lambda", dest="cal_weight", type=float, default=None,
-        help="override the calibration loss weight",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

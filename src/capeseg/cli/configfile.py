@@ -20,15 +20,6 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> list[float]:
     return [float(part.strip()) for part in text.split(",") if part.strip()]
 

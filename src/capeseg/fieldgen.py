@@ -23,6 +23,7 @@ P_CLAMP = 1e-6  # keeps logits finite and KL terms non-degenerate
 OFFSET_LO, OFFSET_HI = -20.0, 20.0
 OFFSET_TOL = 2.5e-4  # stop tolerance on |pool rate - target|; contract is 1e-3
 CALIBRATION_FIELDS = 500  # fields pooled when tuning the offset
+CHUNK_FIELDS = 32  # fields smoothed per stack, which keeps the working set cache-sized
 
 # Sub-stream keys under a dataset seed.
 _STREAM_CALIBRATE = 0
@@ -73,51 +74,47 @@ class Dataset:
         return self.true_p is not None
 
 
-def _gaussian_kernel(length_scale: float) -> np.ndarray:
-    radius = math.ceil(3.0 * length_scale)
+def _gaussian_kernel(config: FieldConfig) -> np.ndarray:
+    """Normalized taps truncated at 3 length scales; the kernel must fit inside the field."""
+    radius = math.ceil(3.0 * config.length_scale)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-0.5 * (offsets / length_scale) ** 2)
+    w = np.exp(-0.5 * (offsets / config.length_scale) ** 2)
+    if w.size > config.height or w.size > config.width:
+        raise ValueError(
+            f"smoothing kernel ({w.size} px at length_scale="
+            f"{config.length_scale}) exceeds the {config.height}x{config.width} field"
+        )
     return w / w.sum()
 
 
-def gen_smooth_field(config: FieldConfig, rng: Rng) -> np.ndarray:
-    """Standardized smooth Gaussian field (exactly zero mean, unit variance).
+def _smooth_fields(fields: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Smooth each field of an N x H x W stack in place, then standardize it
+    exactly (zero mean, unit variance) on its own; returns the stack.
 
     Smoothing wraps around the field edges (circular), which keeps the
-    statistics stationary; the kernel is truncated at 3 length scales and
-    must fit inside the field.
+    statistics stationary. Each pass (rows, then columns) sums the taps in
+    order, from zero, over slices of a wrap-padded copy: no bit depends on N.
     """
-    kernel = _gaussian_kernel(config.length_scale)
-    if kernel.size > config.height or kernel.size > config.width:
-        raise ValueError(
-            f"smoothing kernel ({kernel.size} px at length_scale="
-            f"{config.length_scale}) exceeds the {config.height}x{config.width} field"
-        )
     radius = kernel.size // 2
-    white = rng.normal((config.height, config.width))
-    smooth = np.zeros_like(white)
-    for d in range(-radius, radius + 1):
-        smooth += kernel[d + radius] * np.roll(white, d, axis=0)
-    out = np.zeros_like(smooth)
-    for d in range(-radius, radius + 1):
-        out += kernel[d + radius] * np.roll(smooth, d, axis=1)
-    out -= out.mean()
-    sd = out.std()
-    if sd == 0.0:
-        raise ValueError("degenerate constant field; cannot standardize")
-    return out / sd
+    for axis in (1, 2):
+        dst = np.moveaxis(fields, axis, 0)
+        src = np.concatenate([dst[len(dst) - radius :], dst, dst[:radius]])  # wrap-padded
+        dst[...] = 0.0
+        for d in range(-radius, radius + 1):  # this slice is np.roll(fields, d, axis)
+            dst += kernel[d + radius] * src[radius - d : radius - d + len(dst)]
+    for field in fields:
+        field -= field.mean()
+        sd = field.std()
+        if sd == 0.0:
+            raise ValueError("degenerate constant field; cannot standardize")
+        field /= sd
+    return fields
 
 
-def gen_latent_field(
-    config: FieldConfig, rng: Rng, offset: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth field g and its probability map sigmoid(gain * g + offset).
-
-    Probabilities are clamped away from 0 and 1 so logits stay finite.
-    """
-    g = gen_smooth_field(config, rng)
-    p = sigmoid(config.gain * g + offset)
-    return g, np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+def gen_smooth_field(config: FieldConfig, rng: Rng) -> np.ndarray:
+    """One standardized smooth Gaussian field, H x W."""
+    kernel = _gaussian_kernel(config)
+    return _smooth_fields(rng.normal((1, config.height, config.width)), kernel)[0]
 
 
 def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
@@ -129,11 +126,14 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     noise does not eat the downstream event-rate budget.
     """
     rho = config.target_rate
-    pool = np.stack([gen_smooth_field(config, rng) for _ in range(CALIBRATION_FIELDS)])
-    scaled = config.gain * pool
+    kernel = _gaussian_kernel(config)
+    pool = rng.normal((CALIBRATION_FIELDS, config.height, config.width))
+    for start in range(0, CALIBRATION_FIELDS, CHUNK_FIELDS):
+        _smooth_fields(pool[start : start + CHUNK_FIELDS], kernel)
+    pool *= config.gain
 
     def mean_rate(b: float) -> float:
-        return float(np.mean(sigmoid(scaled + b)))
+        return float(np.mean(sigmoid(pool + b)))
 
     lo, hi = OFFSET_LO, OFFSET_HI
     if not mean_rate(lo) < rho < mean_rate(hi):
@@ -152,19 +152,31 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     raise ValueError(f"offset bisection failed to reach tolerance {OFFSET_TOL}")
 
 
+def _fill_samples(config: FieldConfig, rngs: list[Rng], offset: float, ds: Dataset) -> None:
+    """Build sample j of `ds` in place from stream rngs[j], which draws field
+    noise, outcome uniforms, then per-channel input noise. true_p is clamped
+    away from 0 and 1 so logits stay finite."""
+    g = np.empty(ds.outcomes.shape)
+    for j, rng in enumerate(rngs):
+        g[j] = rng.normal(g.shape[1:])
+        ds.outcomes[j] = rng.uniform(g.shape[1:])
+        ds.inputs[j] = rng.normal(ds.inputs.shape[1:])
+    _smooth_fields(g, _gaussian_kernel(config))
+    ds.true_p[...] = sigmoid(config.gain * g + offset)
+    np.clip(ds.true_p, P_CLAMP, 1.0 - P_CLAMP, out=ds.true_p)
+    np.less(ds.outcomes, ds.true_p, out=ds.outcomes)
+    ds.inputs *= config.obs_noise
+    ds.inputs += g[:, None]
+
+
 def make_sample(
     config: FieldConfig, rng: Rng, offset: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sample as (inputs C x H x W, binary outcomes H x W, true_p H x W).
-
-    Outcomes are Bernoulli draws from the latent map and inputs are the
-    field plus noise. Draw order within the stream is fixed: field noise,
-    outcome uniforms, then per-channel input noise.
-    """
-    g, p = gen_latent_field(config, rng, offset)
-    outcomes = (rng.uniform(p.shape) < p).astype(np.float64)
-    noise = rng.normal((config.channels,) + p.shape)
-    return g[None, :, :] + config.obs_noise * noise, outcomes, p
+    """One sample as (inputs C x H x W, binary outcomes H x W, true_p H x W)."""
+    c, h, w = config.channels, config.height, config.width
+    ds = Dataset(np.empty((1, c, h, w)), np.empty((1, h, w)), np.empty((1, h, w)))
+    _fill_samples(config, [rng], offset, ds)
+    return ds.inputs[0], ds.outcomes[0], ds.true_p[0]
 
 
 def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:
@@ -172,20 +184,18 @@ def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:
 
     Fully determined by config.seed: the offset uses one sub-stream,
     and sample i draws from a sub-stream keyed by i, so generation order
-    (or parallelism) cannot change the result.
+    (or parallelism) cannot change the result. Samples are built in
+    stacks of CHUNK_FIELDS, straight into the dataset arrays.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     root = Rng(config.seed)
     offset = calibrate_offset(config, root.child(_STREAM_CALIBRATE))
-    c, h, w = config.channels, config.height, config.width
-    ds = Dataset(
-        inputs=np.empty((n_samples, c, h, w)),
-        outcomes=np.empty((n_samples, h, w)),
-        true_p=np.empty((n_samples, h, w)),
-    )
-    for i in range(n_samples):
-        ds.inputs[i], ds.outcomes[i], ds.true_p[i] = make_sample(
-            config, root.child(_STREAM_SAMPLE, i), offset
-        )
+    c, h, w, n = config.channels, config.height, config.width, n_samples
+    ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), np.empty((n, h, w)))
+    for start in range(0, n, CHUNK_FIELDS):
+        rows = slice(start, start + CHUNK_FIELDS)
+        chunk = Dataset(ds.inputs[rows], ds.outcomes[rows], ds.true_p[rows])
+        streams = [root.child(_STREAM_SAMPLE, i) for i in range(n)[rows]]
+        _fill_samples(config, streams, offset, chunk)
     return ds

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -423,6 +423,14 @@ def _run_cell(args: tuple) -> CellResult:
         )
 
 
+def _pooled_cell(future: Future, task: tuple) -> CellResult:
+    """The cell's result, or a failed cell when a worker process died before it finished."""
+    try:
+        return future.result()
+    except BrokenExecutor as exc:
+        return CellResult(target_rate=task[1], n_samples=task[2], error=repr(exc))
+
+
 def run_experiment(
     field_base: FieldConfig,
     rates: list[float],
@@ -446,7 +454,8 @@ def run_experiment(
     ]
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+            futures = [pool.submit(_run_cell, t) for t in tasks]
+            cells = [_pooled_cell(f, t) for f, t in zip(futures, tasks)]
     else:
         cells = [_run_cell(t) for t in tasks]
     return SweepResult(cells=cells)

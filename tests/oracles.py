@@ -10,8 +10,9 @@ from collections import namedtuple
 import numpy as np
 
 from capeseg.calibration import bce_loss
+from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
 from capeseg.model import ModelParams, backward, forward, init_params, predict
-from capeseg.numerics import AdamState, Rng, adam_step, as_f64
+from capeseg.numerics import AdamState, Rng, adam_step, as_f64, sigmoid
 from capeseg.pipeline import _STREAM_CONTINUE_BATCHES
 
 ContinuationEpoch = namedtuple("ContinuationEpoch", "train_loss val_loss")
@@ -143,3 +144,55 @@ def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_ep
         val_logits = np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in val_idx])
         records.append(ContinuationEpoch(train_loss, bce_loss(val_logits, val_outcomes)[0]))
     return params, records
+
+
+def smooth_field_reference(config, rng):
+    """One standardized smooth field, smoothed with 2 x (2r+1) np.roll copies."""
+    length_scale = config.length_scale
+    radius = math.ceil(3.0 * length_scale)
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / length_scale) ** 2)
+    kernel = kernel / kernel.sum()
+    white = rng.normal((config.height, config.width))
+    smooth = np.zeros_like(white)
+    for d in range(-radius, radius + 1):
+        smooth += kernel[d + radius] * np.roll(white, d, axis=0)
+    out = np.zeros_like(smooth)
+    for d in range(-radius, radius + 1):
+        out += kernel[d + radius] * np.roll(smooth, d, axis=1)
+    out -= out.mean()
+    return out / out.std()
+
+
+def calibrate_offset_reference(config, rng):
+    """Offset bisection over a pool of fields made one at a time."""
+    pool = np.stack([smooth_field_reference(config, rng) for _ in range(CALIBRATION_FIELDS)])
+    scaled = config.gain * pool
+    lo, hi = OFFSET_LO, OFFSET_HI
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        rate = float(np.mean(sigmoid(scaled + mid)))
+        if abs(rate - config.target_rate) <= OFFSET_TOL:
+            return mid
+        lo, hi = (mid, hi) if rate < config.target_rate else (lo, mid)
+    raise AssertionError("reference bisection did not converge")
+
+
+def sample_reference(config, rng, offset):
+    """One sample drawn and built on its own: (inputs, outcomes, true_p)."""
+    g = smooth_field_reference(config, rng)
+    p = np.clip(sigmoid(config.gain * g + offset), P_CLAMP, 1.0 - P_CLAMP)
+    outcomes = (rng.uniform(p.shape) < p).astype(np.float64)
+    noise = rng.normal((config.channels,) + p.shape)
+    return g[None, :, :] + config.obs_noise * noise, outcomes, p
+
+
+def generate_dataset_reference(config, n_samples):
+    """The per-sample generator: same streams as `generate_dataset`, one field at a time.
+
+    Returns (dataset, calibrated offset).
+    """
+    root = Rng(config.seed)
+    offset = calibrate_offset_reference(config, root.child(0))
+    samples = [sample_reference(config, root.child(1, i), offset) for i in range(n_samples)]
+    inputs, outcomes, true_p = (np.stack(arrays) for arrays in zip(*samples))
+    return Dataset(inputs, outcomes, true_p), offset

@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -46,6 +48,12 @@ def write_mismatched_checkpoint(path):
     }
     storage.write_checkpoint(path, SimpleNamespace(blocks=blocks))
     return path
+
+
+def csv_rows(path):
+    """Data rows of a CSV file, header dropped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 def write_config(path, **kv):
@@ -454,6 +462,50 @@ class TestSweep:
         out = tmp_path / "threaded"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
         assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
+
+    def test_two_cell_pool_gives_identical_csv(self, tmp_path):
+        cfg = write_config(tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "rates": "0.2,0.3"})
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for out, threads in zip(outs, ("1", "2")):
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+        assert len((outs[0] / "sweep.csv").read_text().strip().splitlines()) - 1 == 2 * 3 * 2
+
+    def test_dead_worker_fails_its_cell_and_keeps_finished_ones(
+        self, swept, tmp_path, monkeypatch
+    ):
+        """A worker killed mid-sweep (as by the OOM killer) fails the cells it
+        left unfinished; cells that finished before still reach sweep.csv."""
+        healthy_done = tmp_path / "healthy-done"
+        real_run_fold = pipeline.run_fold
+
+        def run_fold(dataset, folds, rotation, config):
+            result = real_run_fold(dataset, folds, rotation, config)
+            if rotation == SWEEP_SMALL["folds"] - 1:
+                healthy_done.touch()
+            return result
+
+        def generate_or_die(cfg, n_samples):
+            if cfg.target_rate != 0.3:
+                return generate_dataset(cfg, n_samples)
+            deadline = time.monotonic() + 120
+            while not healthy_done.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)  # lets the finished cell's result reach the parent
+            os._exit(1)
+
+        monkeypatch.setattr(pipeline, "run_fold", run_fold)
+        monkeypatch.setattr(pipeline, "generate_dataset", generate_or_die)
+        cfg = write_config(tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "rates": "0.2,0.3"})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 4
+        # the rate-0.2 cell is grid cell 0, as in the one-cell sweep, so its rows match
+        assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
+        for name in ("ece_vs_rate.svg", "kl_vs_rate.svg", "manifest.json"):
+            assert (out / name).is_file()
+        failures = csv_rows(out / "failures.csv")
+        assert [row[:2] for row in failures] == [["0.3", "18"]]
+        assert "BrokenProcessPool" in failures[0][2]
 
 
 class TestPlot:

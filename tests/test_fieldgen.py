@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from oracles import (
+    calibrate_offset_reference,
+    generate_dataset_reference,
+    sample_reference,
+    smooth_field_reference,
+)
 
 from capeseg.fieldgen import (
+    CHUNK_FIELDS,
     FieldConfig,
     calibrate_offset,
-    gen_latent_field,
     gen_smooth_field,
     generate_dataset,
     make_sample,
@@ -48,12 +54,12 @@ class TestSmoothField:
     def test_latent_field_zero_gain_limit(self):
         # gain -> 0 pushes every pixel to sigmoid(offset)
         cfg = FieldConfig(gain=1e-12, target_rate=0.3, seed=2)
-        _, p = gen_latent_field(cfg, Rng(2), offset=0.4)
+        _, _, p = make_sample(cfg, Rng(2), offset=0.4)
         assert np.max(np.abs(p - sigmoid(np.array([0.4])))) < 1e-9
 
     def test_latent_field_clamped(self):
         cfg = FieldConfig(gain=50.0, target_rate=0.5, seed=3)
-        _, p = gen_latent_field(cfg, Rng(3), offset=0.0)
+        _, _, p = make_sample(cfg, Rng(3), offset=0.0)
         assert p.min() >= 1e-6
         assert p.max() <= 1.0 - 1e-6
 
@@ -172,3 +178,71 @@ class TestFieldConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FieldConfig(**kwargs)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedMatchesPerSampleReference:
+    """The chunked, stacked generator against the per-sample np.roll one, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "n, kwargs",
+        [
+            (1, {}),
+            (CHUNK_FIELDS - 1, {}),
+            (CHUNK_FIELDS, {}),
+            (CHUNK_FIELDS + 1, {}),
+            (5, {"height": 17, "width": 13, "length_scale": 2.0}),  # kernel as wide as the field
+            (5, {"channels": 1, "obs_noise": 0.0}),
+            (5, {"height": 20, "width": 20, "length_scale": 0.5}),
+            (5, {"height": 20, "width": 20, "length_scale": 3.0}),
+        ],
+    )
+    def test_dataset_and_offset_are_byte_identical(self, n, kwargs):
+        base = dict(height=12, width=12, channels=3, length_scale=1.5, target_rate=0.2, seed=31)
+        cfg = FieldConfig(**{**base, **kwargs})
+        expected, expected_offset = generate_dataset_reference(cfg, n)
+        assert calibrate_offset(cfg, Rng(cfg.seed).child(0)) == expected_offset
+        ds = generate_dataset(cfg, n)
+        assert same_bytes(ds.inputs, expected.inputs)
+        assert same_bytes(ds.outcomes, expected.outcomes)
+        assert same_bytes(ds.true_p, expected.true_p)
+
+    def test_single_field_and_sample_are_byte_identical(self):
+        cfg = FieldConfig(height=17, width=13, length_scale=1.0, target_rate=0.3)
+        assert same_bytes(gen_smooth_field(cfg, Rng(3)), smooth_field_reference(cfg, Rng(3)))
+        got, expected = make_sample(cfg, Rng(4), -0.7), sample_reference(cfg, Rng(4), -0.7)
+        assert all(same_bytes(a, b) for a, b in zip(got, expected))
+
+    def test_default_config_offset_is_byte_identical(self):
+        cfg = FieldConfig(target_rate=0.14, seed=11)
+        assert calibrate_offset(cfg, Rng(2)) == calibrate_offset_reference(cfg, Rng(2))
+
+
+class TestStackedErrorPaths:
+    def test_oversized_kernel_fails_before_any_draw(self, monkeypatch):
+        draws = []
+
+        def recording(method):
+            def draw(self, shape=None):
+                draws.append(shape)
+                return method(self, shape)
+
+            return draw
+
+        monkeypatch.setattr(Rng, "normal", recording(Rng.normal))
+        monkeypatch.setattr(Rng, "uniform", recording(Rng.uniform))
+        cfg = FieldConfig(height=16, width=16, length_scale=4.0, target_rate=0.3)
+        with pytest.raises(ValueError, match="exceeds"):
+            generate_dataset(cfg, 3)
+        assert draws == []
+
+    def test_constant_field_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(Rng, "normal", lambda self, shape=None: np.full(shape, 0.5))
+        cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3)
+        with pytest.raises(ValueError, match="degenerate"):
+            generate_dataset(cfg, 3)
+        with pytest.raises(ValueError, match="degenerate"):
+            make_sample(cfg, Rng(0), offset=0.0)
