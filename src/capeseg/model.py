@@ -88,9 +88,9 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logit map (HxW) plus backward cache."""
+    """Logit map (HxW) plus backward cache; finiteness: params here, `inp` in conv1."""
     inp = as_f64(inp)
-    require_finite("model input", inp)
+    require_finite("model parameters", params.flat)
     if inp.ndim != 3 or inp.shape[0] != params.in_channels:
         raise ValueError(
             f"expected input with {params.in_channels} channels, got shape {inp.shape}"

@@ -2,8 +2,8 @@
 with an analytic backward pass, Adam, and seedable random streams.
 
 All public operations take and return C-contiguous float64 numpy arrays
-and reject non-finite values. Reductions use numpy's fixed sequential
-order, so results do not depend on thread count.
+and reject non-finite inputs. Conv results do not depend on the BLAS
+thread count (`tests/test_cli.py::TestBlasThreadCount`).
 """
 
 from __future__ import annotations
@@ -75,18 +75,30 @@ def derive_seed(master: int, *keys: int) -> int:
 @dataclass
 class Conv2dCache:
     padded: np.ndarray  # C x (H+2p) x (W+2p), zero borders
+    cols: np.ndarray  # (C*k*k) x (H*W), row (c, di, dj) is padded[c, di:di+H, dj:dj+W]
     kernels: np.ndarray  # F x C x k x k
     pad: int
     out_shape: tuple[int, int, int]
 
 
+def _pad_im2col(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(padded, cols) of a C x H x W array zero-padded by p, for k = 2p+1, as in Conv2dCache."""
+    c, h, w = arr.shape
+    padded = np.zeros((c, h + 2 * p, w + 2 * p))
+    padded[:, p : p + h, p : p + w] = arr
+    st = padded.strides  # the k*k windows as one strided view; reshape copies it
+    windows = np.ndarray((c, 2 * p + 1, 2 * p + 1, h, w), np.float64, padded, 0, st + st[1:])
+    return padded, windows.reshape(-1, h * w)
+
+
 def conv2d_forward(
     inp: np.ndarray, kernels: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, Conv2dCache]:
-    """Same-size 2-D convolution with zero padding.
+    """Same-size 2-D convolution with zero padding, as im2col plus one matmul.
 
     inp: C x H x W, kernels: F x C x k x k (k odd), bias: F.
-    Returns (out F x H x W, cache for the backward pass).
+    Returns (out F x H x W, cache for the backward pass). Only `inp` is
+    checked for finiteness; `model.forward` checks the parameters.
     """
     inp = as_f64(inp)
     kernels = as_f64(kernels)
@@ -105,18 +117,12 @@ def conv2d_forward(
     if bias.shape[0] != f:
         raise ValueError(f"bias length {bias.shape[0]} does not match {f} filters")
     require_finite("conv2d input", inp)
-    require_finite("conv2d kernels", kernels)
-    require_finite("conv2d bias", bias)
 
     p = (k - 1) // 2
-    padded = np.zeros((c, h + 2 * p, w + 2 * p))
-    padded[:, p : p + h, p : p + w] = inp
-    out = np.broadcast_to(bias[:, None, None], (f, h, w)).copy()
-    for di in range(k):
-        for dj in range(k):
-            window = padded[:, di : di + h, dj : dj + w]
-            out += np.einsum("fc,chw->fhw", kernels[:, :, di, dj], window)
-    return out, Conv2dCache(padded=padded, kernels=kernels, pad=p, out_shape=(f, h, w))
+    padded, cols = _pad_im2col(inp, p)
+    out = kernels.reshape(f, c * k * k) @ cols + bias[:, None]
+    cache = Conv2dCache(padded=padded, cols=cols, kernels=kernels, pad=p, out_shape=(f, h, w))
+    return out.reshape(f, h, w), cache
 
 
 def conv2d_backward(
@@ -130,22 +136,14 @@ def conv2d_backward(
         )
     require_finite("conv2d upstream gradient", upstream)
     kernels = cache.kernels
-    padded = cache.padded
-    p = cache.pad
     f, h, w = cache.out_shape
-    k = kernels.shape[2]
+    c, k = kernels.shape[1], kernels.shape[2]
 
     grad_bias = upstream.sum(axis=(1, 2))
-    grad_kernels = np.zeros_like(kernels)
-    grad_padded = np.zeros_like(padded)
-    for di in range(k):
-        for dj in range(k):
-            window = padded[:, di : di + h, dj : dj + w]
-            grad_kernels[:, :, di, dj] = np.einsum("fhw,chw->fc", upstream, window)
-            grad_padded[:, di : di + h, dj : dj + w] += np.einsum(
-                "fc,fhw->chw", kernels[:, :, di, dj], upstream
-            )
-    grad_input = grad_padded[:, p : p + h, p : p + w]
+    grad_kernels = (upstream.reshape(f, h * w) @ cache.cols.T).reshape(kernels.shape)
+    # Transposed conv in gather form: flipped, channel-swapped kernel @ im2col of padded upstream.
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
+    grad_input = (flipped @ _pad_im2col(upstream, cache.pad)[1]).reshape(c, h, w)
     return grad_input, grad_kernels, grad_bias
 
 

@@ -453,9 +453,11 @@ def run_experiment(
         (field_base, rho, n, train_config, ci) for ci, (rho, n) in enumerate(grid)
     ]
     if threads > 1 and len(tasks) > 1:
+        # Largest cells first (Graham's LPT rule), so a big cell does not start last and run alone.
+        order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_cell, t) for t in tasks]
-            cells = [_pooled_cell(f, t) for f, t in zip(futures, tasks)]
+            futures = {ci: pool.submit(_run_cell, tasks[ci]) for ci in order}
+            cells = [_pooled_cell(futures[ci], t) for ci, t in enumerate(tasks)]
     else:
         cells = [_run_cell(t) for t in tasks]
     return SweepResult(cells=cells)

@@ -38,6 +38,47 @@ def conv2d_reference(inp, kernels, bias):
     return out
 
 
+def _zero_padded(arr, p):
+    c, h, w = arr.shape
+    padded = np.zeros((c, h + 2 * p, w + 2 * p))
+    padded[:, p : p + h, p : p + w] = arr
+    return padded
+
+
+def conv2d_forward_reference(inp, kernels, bias):
+    """Same-padded convolution as one `einsum` per kernel offset (the former
+    `numerics.conv2d_forward`)."""
+    c, h, w = inp.shape
+    f, _, k, _ = kernels.shape
+    padded = _zero_padded(inp, (k - 1) // 2)
+    out = np.broadcast_to(bias[:, None, None], (f, h, w)).copy()
+    for di in range(k):
+        for dj in range(k):
+            window = padded[:, di : di + h, dj : dj + w]
+            out += np.einsum("fc,chw->fhw", kernels[:, :, di, dj], window)
+    return out
+
+
+def conv2d_backward_reference(inp, kernels, upstream):
+    """Input, kernel and bias gradients of sum(out * upstream), one `einsum`
+    per kernel offset, the input gradient scattered into a padded buffer
+    (the former `numerics.conv2d_backward`)."""
+    c, h, w = inp.shape
+    k = kernels.shape[2]
+    p = (k - 1) // 2
+    padded = _zero_padded(inp, p)
+    grad_kernels = np.zeros_like(kernels)
+    grad_padded = np.zeros_like(padded)
+    for di in range(k):
+        for dj in range(k):
+            window = padded[:, di : di + h, dj : dj + w]
+            grad_kernels[:, :, di, dj] = np.einsum("fhw,chw->fc", upstream, window)
+            grad_padded[:, di : di + h, dj : dj + w] += np.einsum(
+                "fc,fhw->chw", kernels[:, :, di, dj], upstream
+            )
+    return grad_padded[:, p : p + h, p : p + w], grad_kernels, upstream.sum(axis=(1, 2))
+
+
 def build_bins_bruteforce(predictions, outcomes, n_bins):
     """O(N*B) rank-rule binning. Returns (counts, prob_pred, prob_true, edges)."""
     n = len(predictions)

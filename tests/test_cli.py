@@ -464,12 +464,15 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
 
     def test_two_cell_pool_gives_identical_csv(self, tmp_path):
-        cfg = write_config(tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "rates": "0.2,0.3"})
+        # two sizes, so the pool gets the cells out of grid order (largest first)
+        cfg = write_config(
+            tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "rates": "0.2,0.3", "sizes": "9,18"}
+        )
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for out, threads in zip(outs, ("1", "2")):
             assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
-        assert len((outs[0] / "sweep.csv").read_text().strip().splitlines()) - 1 == 2 * 3 * 2
+        assert len((outs[0] / "sweep.csv").read_text().strip().splitlines()) - 1 == 4 * 3 * 2
 
     def test_dead_worker_fails_its_cell_and_keeps_finished_ones(
         self, swept, tmp_path, monkeypatch
@@ -646,19 +649,52 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+def run_module(argv, **env):
+    """`python -m capeseg argv` in a child process, with `env` added to its environment."""
+    src = str(Path(capeseg.__file__).resolve().parent.parent)
+    child_env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "capeseg", *argv],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "argv, code, text",
         [(["--help"], 0, "usage: capeseg"), (["frobnicate"], 1, "invalid choice")],
     )
     def test_python_dash_m_capeseg(self, argv, code, text):
-        src = str(Path(capeseg.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        run = subprocess.run(
-            [sys.executable, "-m", "capeseg", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        run = run_module(argv)
         assert run.returncode == code
         assert text in run.stdout + run.stderr
+
+
+class TestBlasThreadCount:
+    def test_train_outputs_identical_for_one_and_two_blas_threads(self, tmp_path):
+        """Checkpoints and epochs.csv do not depend on the BLAS thread count.
+
+        At 64x64 with 32 hidden channels every conv matmul (the smallest is
+        32x9 @ 9x4096) is large enough that OpenBLAS runs it on two threads
+        when allowed to, so this compares real one- and two-thread runs.
+        """
+        gen = write_config(
+            tmp_path / "gen.cfg", **{**GEN_SMALL, "height": 64, "width": 64, "n_samples": 9}
+        )
+        assert main(["generate", "--config", gen, "--out", str(tmp_path / "data")]) == 0
+        cfg = write_config(
+            tmp_path / "train.cfg",
+            **{**TRAIN_SMALL, "max_epochs": 2, "batch_size": 3, "hidden_channels": 32},
+        )
+        outs = [tmp_path / f"blas{threads}" for threads in (1, 2)]
+        for out, threads in zip(outs, ("1", "2")):
+            run = run_module(
+                ["train", "--config", cfg, "--dataset", str(tmp_path / "data" / "dataset.bin"),
+                 "--out", str(out)],
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            assert run.returncode == 0, run.stderr
+        for name in ("bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

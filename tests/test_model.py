@@ -3,8 +3,16 @@ import pytest
 from oracles import conv2d_reference, finite_diff_check, model_loss_fn, params_with_relu_margin
 
 from capeseg.calibration import bce_loss
-from capeseg.model import ModelParams, backward, forward, init_params, predict, probabilities
-from capeseg.numerics import Rng
+from capeseg.model import (
+    ModelParams,
+    backward,
+    block_shapes,
+    forward,
+    init_params,
+    predict,
+    probabilities,
+)
+from capeseg.numerics import NumericError, Rng
 
 
 def forward_reference(params, inp):
@@ -68,6 +76,19 @@ class TestForward:
         params = init_params(3, 4, Rng(0))
         with pytest.raises(ValueError, match="channels"):
             forward(params, np.zeros((2, 4, 4)))
+
+    @pytest.mark.parametrize("block", list(block_shapes(2, 3)))
+    def test_non_finite_parameter_rejected(self, block):
+        params = init_params(2, 3, Rng(5))
+        params.blocks[block].flat[-1] = np.nan
+        with pytest.raises(NumericError, match="model parameters"):
+            forward(params, Rng(6).normal((2, 4, 4)))
+
+    def test_non_finite_input_rejected(self):
+        inp = Rng(6).normal((2, 4, 4))
+        inp[1, 2, 3] = np.inf
+        with pytest.raises(NumericError, match="conv2d input"):
+            forward(init_params(2, 3, Rng(5)), inp)
 
     def test_translation_equivariance_interior(self):
         rng = Rng(8)

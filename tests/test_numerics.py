@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import finite_diff_check
+from oracles import (
+    conv2d_backward_reference,
+    conv2d_forward_reference,
+    conv2d_reference,
+    finite_diff_check,
+)
 
 from capeseg.numerics import (
     AdamState,
@@ -11,26 +16,6 @@ from capeseg.numerics import (
     conv2d_forward,
     derive_seed,
 )
-
-
-def conv2d_reference(inp, kernels, bias):
-    """Direct nested-loop convolution with zero padding (oracle)."""
-    c, h, w = inp.shape
-    f, _, k, _ = kernels.shape
-    p = (k - 1) // 2
-    out = np.zeros((f, h, w))
-    for fi in range(f):
-        for i in range(h):
-            for j in range(w):
-                acc = bias[fi]
-                for ci in range(c):
-                    for di in range(k):
-                        for dj in range(k):
-                            ii, jj = i + di - p, j + dj - p
-                            if 0 <= ii < h and 0 <= jj < w:
-                                acc += inp[ci, ii, jj] * kernels[fi, ci, di, dj]
-                out[fi, i, j] = acc
-    return out
 
 
 class TestConv2d:
@@ -135,6 +120,42 @@ class TestConv2dBackward:
 
         flat0 = np.concatenate([inp.ravel(), kernels.ravel(), bias.ravel()])
         assert finite_diff_check(loss_fn, flat0, h=1e-4) < 1e-5
+
+
+class TestConv2dAgainstPerOffsetReference:
+    """im2col forward, kernel gradient and gather-form input gradient against
+    the per-offset `einsum` convolution and its scattered backward."""
+
+    @pytest.mark.parametrize(
+        "c, f, k, h, w",
+        [
+            (1, 1, 1, 4, 5),
+            (3, 2, 1, 5, 4),
+            (1, 1, 3, 6, 4),
+            (3, 4, 3, 5, 7),
+            (2, 1, 3, 7, 3),
+            (1, 3, 3, 4, 6),
+            (2, 3, 5, 6, 9),
+            (2, 3, 5, 2, 3),  # field smaller than the kernel
+            (3, 2, 5, 3, 1),
+        ],
+    )
+    def test_all_outputs_agree(self, c, f, k, h, w):
+        rng = Rng(derive_seed(77, c, f, k, h, w))
+        inp = rng.normal((c, h, w))
+        kernels = rng.normal((f, c, k, k))
+        bias = rng.normal((f,))
+        upstream = rng.normal((f, h, w))
+        out, cache = conv2d_forward(inp, kernels, bias)
+        got = (out, *conv2d_backward(cache, upstream))
+        want = (
+            conv2d_forward_reference(inp, kernels, bias),
+            *conv2d_backward_reference(inp, kernels, upstream),
+        )
+        names = ("output", "input gradient", "kernel gradient", "bias gradient")
+        for name, g, r in zip(names, got, want):
+            assert g.shape == r.shape, name
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
 
 
 class TestAdam:

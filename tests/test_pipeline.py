@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from dataclasses import replace
 
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import bce_continuation
 
+from capeseg import pipeline
 from capeseg.calibration import (
     assign_p_emp,
     bce_loss,
@@ -17,6 +19,7 @@ from capeseg.fieldgen import FieldConfig, generate_dataset
 from capeseg.model import sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
+    CellResult,
     EarlyStopper,
     TrainConfig,
     check_bins,
@@ -297,6 +300,37 @@ class TestRunExperiment:
         assert result.cells[0].error is not None
         assert result.cells[1].error is None
         assert len(result.failures) == 1
+
+    def test_pool_gets_largest_cells_first_and_returns_grid_order(self, monkeypatch):
+        submitted = []
+
+        class SyncExecutor:
+            """Runs each submitted cell at once, in submission order."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                submitted.append(task[1:3])
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SyncExecutor)
+        monkeypatch.setattr(
+            pipeline, "_run_cell", lambda task: CellResult(target_rate=task[1], n_samples=task[2])
+        )
+        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
+        result = run_experiment(field, [0.1, 0.2], [10, 30, 20], small_config(), threads=2)
+        assert submitted == [(0.1, 30), (0.2, 30), (0.1, 20), (0.2, 20), (0.1, 10), (0.2, 10)]
+        grid = [(rho, n) for rho in (0.1, 0.2) for n in (10, 30, 20)]
+        assert [(c.target_rate, c.n_samples) for c in result.cells] == grid
 
     def test_rerun_bit_identical(self):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
