@@ -1,10 +1,10 @@
 """Quantile binning, calibration metrics (ECE, Brier, Bernoulli KL) and the
 soft-target cross-entropy used for calibration-aware training.
 
-Binning is rank-based: predictions are sorted once (ties broken by
-position) and split into B contiguous runs of near-equal size, so every
-bin is non-empty whenever N >= B. The loss is a mean over pixels taken
-on logits, and its logit gradient is returned alongside the loss value.
+Binning is rank-based: one value sort and one threshold search split the
+predictions into B contiguous rank runs of near-equal size (ties split by
+position), so every bin is non-empty whenever N >= B. The loss is a mean
+over pixels taken on logits and returned with its logit gradient.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ class MetricsReport:
 
 
 def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
-    """Bin index (0..B-1) per prediction, by rank with stable tie-breaking.
+    """Bin index (0..B-1) per prediction, by rank with ties broken by position.
 
     Bin b covers sorted ranks [ceil(b*N/B), ceil((b+1)*N/B)), so bin sizes
-    differ by at most one and no bin is empty for N >= B.
+    differ by at most one and no bin is empty for N >= B. A run of equal
+    values across a bin start is split by position, as a stable sort would.
     """
-    predictions = as_f64(predictions).ravel()
+    predictions = require_finite("predictions", as_f64(predictions).ravel())
     n = predictions.size
     if n_bins < 1:
         raise ValueError("number of bins must be >= 1")
@@ -66,11 +67,14 @@ def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
         raise ValueError(
             f"need at least as many predictions as bins (N={n} < B={n_bins}); lower the bin count"
         )
-    order = np.argsort(predictions, kind="stable")
-    starts = (np.arange(n_bins + 1) * n + n_bins - 1) // n_bins  # ceil(b*N/B)
-    rank_bins = np.repeat(np.arange(n_bins), np.diff(starts))
-    assignment = np.empty(n, dtype=np.intp)
-    assignment[order] = rank_bins
+    openers = ((np.arange(n_bins + 1) * n + n_bins - 1) // n_bins)[1:-1]  # ceil(b*N/B)
+    ranked = np.sort(predictions)
+    opening = ranked[openers]  # the value at the first rank of bins 1..B-1
+    assignment = np.searchsorted(opening, predictions, side="right")
+    for value in set(opening[ranked[openers - 1] == opening].tolist()):  # np.unique loads numpy.ma
+        tied = np.flatnonzero(predictions == value)
+        ranks = np.searchsorted(ranked, value) + np.arange(tied.size)
+        assignment[tied] = np.searchsorted(openers, ranks, side="right")
     return assignment
 
 
@@ -147,12 +151,11 @@ def kl_to_true(
     if predictions.size != true_p.size:
         raise ValueError("predictions and true probabilities differ in length")
     f = np.clip(predictions, eps, 1.0 - eps)
-    p = true_p
-    terms = np.zeros_like(p)
-    pos = p > 0.0
-    terms[pos] += p[pos] * np.log(p[pos] / f[pos])
-    neg = p < 1.0
-    terms[neg] += (1.0 - p[neg]) * np.log((1.0 - p[neg]) / (1.0 - f[neg]))
+    p, q = true_p, 1.0 - true_p
+    # Both terms everywhere, summed from +0.0; where p is 0 or 1 the 0*log(0) term is dropped.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = 0.0 + np.where(p > 0.0, p * np.log(p / f), 0.0)
+        terms += np.where(p < 1.0, q * np.log(q / (1.0 - f)), 0.0)
     return float(np.mean(terms))
 
 

@@ -28,13 +28,13 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) cannot overflow: 1/(1+e) where x >= 0, else e/(1+e). Never writes into x.
+    e = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(e, out=e), out=e)
+    d = np.add(1.0, e, out=np.empty_like(e))
+    np.divide(e, d, out=e)
+    np.copyto(e, np.divide(1.0, d, out=d), where=x >= 0)
+    return e
 
 
 class Rng:

@@ -9,10 +9,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from capeseg.calibration import bce_loss
+from capeseg.calibration import KL_EPS, bce_loss
 from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
 from capeseg.model import ModelParams, backward, forward, init_params, predict
-from capeseg.numerics import AdamState, Rng, adam_step, as_f64, sigmoid
+from capeseg.numerics import AdamState, Rng, adam_step, as_f64
 from capeseg.pipeline import _STREAM_CONTINUE_BATCHES
 
 ContinuationEpoch = namedtuple("ContinuationEpoch", "train_loss val_loss")
@@ -94,6 +94,54 @@ def build_bins_bruteforce(predictions, outcomes, n_bins):
         prob_true.append(sum(outcomes[i] for i in members) / len(members))
         edges.append(predictions[order[stop - 1]] if b < n_bins - 1 else 1.0)
     return counts, prob_pred, prob_true, edges
+
+
+def bin_assignment_reference(predictions, n_bins):
+    """Rank bins through a stable argsort (the former `calibration.bin_assignment`)."""
+    predictions = as_f64(predictions).ravel()
+    n = predictions.size
+    if n_bins < 1:
+        raise ValueError("number of bins must be >= 1")
+    if n < n_bins:
+        raise ValueError(
+            f"need at least as many predictions as bins (N={n} < B={n_bins}); lower the bin count"
+        )
+    order = np.argsort(predictions, kind="stable")
+    starts = (np.arange(n_bins + 1) * n + n_bins - 1) // n_bins  # ceil(b*N/B)
+    rank_bins = np.repeat(np.arange(n_bins), np.diff(starts))
+    assignment = np.empty(n, dtype=np.intp)
+    assignment[order] = rank_bins
+    return assignment
+
+
+def sigmoid_reference(x):
+    """Sigmoid through boolean sign masks (the former `numerics.sigmoid`)."""
+    # Branch on sign to avoid overflow in exp for large |x|.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def kl_to_true_reference(predictions, true_p, eps=KL_EPS):
+    """Mean Bernoulli KL with each term added under its mask (the former
+    `calibration.kl_to_true`)."""
+    if true_p is None:
+        raise ValueError("true probabilities unavailable; KL cannot be computed")
+    predictions = as_f64(predictions).ravel()
+    true_p = as_f64(true_p).ravel()
+    if predictions.size != true_p.size:
+        raise ValueError("predictions and true probabilities differ in length")
+    f = np.clip(predictions, eps, 1.0 - eps)
+    p = true_p
+    terms = np.zeros_like(p)
+    pos = p > 0.0
+    terms[pos] += p[pos] * np.log(p[pos] / f[pos])
+    neg = p < 1.0
+    terms[neg] += (1.0 - p[neg]) * np.log((1.0 - p[neg]) / (1.0 - f[neg]))
+    return float(np.mean(terms))
 
 
 def finite_diff_check(loss_fn, params: np.ndarray, h: float = 1e-4) -> float:
@@ -211,7 +259,7 @@ def calibrate_offset_reference(config, rng):
     lo, hi = OFFSET_LO, OFFSET_HI
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        rate = float(np.mean(sigmoid(scaled + mid)))
+        rate = float(np.mean(sigmoid_reference(scaled + mid)))
         if abs(rate - config.target_rate) <= OFFSET_TOL:
             return mid
         lo, hi = (mid, hi) if rate < config.target_rate else (lo, mid)
@@ -221,7 +269,7 @@ def calibrate_offset_reference(config, rng):
 def sample_reference(config, rng, offset):
     """One sample drawn and built on its own: (inputs, outcomes, true_p)."""
     g = smooth_field_reference(config, rng)
-    p = np.clip(sigmoid(config.gain * g + offset), P_CLAMP, 1.0 - P_CLAMP)
+    p = np.clip(sigmoid_reference(config.gain * g + offset), P_CLAMP, 1.0 - P_CLAMP)
     outcomes = (rng.uniform(p.shape) < p).astype(np.float64)
     noise = rng.normal((config.channels,) + p.shape)
     return g[None, :, :] + config.obs_noise * noise, outcomes, p

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_bins_bruteforce
+from oracles import bin_assignment_reference, build_bins_bruteforce, kl_to_true_reference
 
 from capeseg.calibration import (
     assign_p_emp,
@@ -17,7 +17,7 @@ from capeseg.calibration import (
     evaluate_predictions,
     kl_to_true,
 )
-from capeseg.numerics import Rng
+from capeseg.numerics import NumericError, Rng
 
 
 class TestBuildBins:
@@ -354,3 +354,73 @@ class TestBinningProperties:
         assert np.max(np.abs(table.prob_pred - prob_pred)) < 1e-12
         assert np.max(np.abs(table.prob_true - prob_true)) < 1e-12
         assert table.edges.tolist() == edges
+
+
+@st.composite
+def ties_across_bin_starts(draw):
+    """(predictions, B) whose sorted values hold one run of equal values across
+    1..B-1 consecutive bin starts, in shuffled positions."""
+    n_bins = draw(st.integers(2, 12))
+    n = draw(st.integers(n_bins, 80))
+    starts = [-(-k * n // n_bins) for k in range(1, n_bins)]  # ceil(k*N/B), k = 1..B-1
+    crossed = draw(st.integers(1, n_bins - 1))
+    first = draw(st.integers(0, n_bins - 1 - crossed))
+    lo, hi = starts[first] - 1, starts[first + crossed - 1]
+    values = np.sort(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+    values[lo : hi + 1] = values[lo]
+    return values[draw(st.permutations(range(n)))], n_bins
+
+
+class TestBinAssignmentMatchesStableSort:
+    """The value-sort binning against the stable-argsort reference, index for index."""
+
+    @staticmethod
+    def check(preds, n_bins):
+        got = bin_assignment(preds, n_bins)
+        assert np.array_equal(got, bin_assignment_reference(preds, n_bins))
+
+    @PROPERTY
+    @given(ties_across_bin_starts())
+    def test_ties_across_one_or_more_bin_starts(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n, n_bins", [(7, 7), (20, 3), (64, 20), (200, 2)])
+    def test_one_value_crosses_every_bin_start(self, n, n_bins):
+        self.check(np.full(n, 0.3), n_bins)
+
+    @PROPERTY
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.2, 0.2, 0.7]),
+                    min_size=1, max_size=60))
+    def test_bin_count_equal_to_n_and_one_with_signed_zeros(self, preds):
+        for n_bins in (1, len(preds)):
+            self.check(preds, n_bins)
+
+    @PROPERTY
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=120), st.data())
+    def test_any_values_and_bin_count(self, preds, data):
+        self.check(preds, data.draw(st.integers(1, len(preds))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictions_rejected(self, bad):
+        with pytest.raises(NumericError, match="non-finite"):
+            bin_assignment([0.2, bad, 0.7], 2)
+
+
+def same_float_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestKlMatchesMaskedReference:
+    @PROPERTY
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(UNIT, min_size=n, max_size=n),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), UNIT), min_size=n, max_size=n))))
+    def test_true_p_at_exactly_zero_and_one(self, case):
+        preds, true_p = case
+        assert same_float_bits(kl_to_true(preds, true_p), kl_to_true_reference(preds, true_p))
+
+    def test_large_set_bitwise(self):
+        rng = Rng(8)
+        preds, true_p = rng.uniform(100_003), rng.uniform(100_003)
+        true_p[::7], true_p[::11] = 0.0, 1.0
+        assert same_float_bits(kl_to_true(preds, true_p), kl_to_true_reference(preds, true_p))

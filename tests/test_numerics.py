@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     conv2d_backward_reference,
     conv2d_forward_reference,
     conv2d_reference,
     finite_diff_check,
+    sigmoid_reference,
 )
 
 from capeseg.numerics import (
@@ -15,7 +18,43 @@ from capeseg.numerics import (
     conv2d_backward,
     conv2d_forward,
     derive_seed,
+    sigmoid,
 )
+
+
+# 36.7: 1 + exp(-|x|) rounds to 1; 709.8: exp(|x|) would overflow; 745.2: exp(-|x|) underflows
+# to 0; then 1e308, infinity, the smallest normal and two subnormals,
+# each with both signs.
+SIGMOID_EDGES = [0.0, 36.7, 709.8, 745.2, 1e308, np.inf, 5e-324, 2.2250738585072014e-308, 1e-310]
+SIGMOID_EDGES += [-v for v in SIGMOID_EDGES]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSigmoidMatchesMaskedReference:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(allow_nan=False)),
+                    min_size=1, max_size=64))
+    def test_bitwise_and_input_untouched(self, values):
+        x = np.array(values)
+        before = x.copy()
+        got = sigmoid(x)
+        assert same_bits(got, sigmoid_reference(x))
+        assert same_bits(x, before)
+
+    def test_edge_values_bitwise(self):
+        x = np.array(SIGMOID_EDGES)
+        assert same_bits(sigmoid(x), sigmoid_reference(x))
+        assert sigmoid(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("value", [-745.2, -0.0, 0.0, 3.5])
+    def test_zero_dimensional_input(self, value):
+        x = np.array(value)
+        got = sigmoid(x)
+        assert got.shape == () and same_bits(got, sigmoid_reference(x))
+        assert same_bits(x, np.array(value))
 
 
 class TestConv2d:
