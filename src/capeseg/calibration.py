@@ -49,7 +49,6 @@ class MetricsReport:
     brier: float
     kl_true: Optional[float]  # None when the data carries no true probabilities
     bin_table: BinTable
-    n_pixels: int
 
 
 def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
@@ -208,5 +207,4 @@ def evaluate_predictions(
         brier=brier_score(predictions, outcomes),
         kl_true=kl,
         bin_table=table,
-        n_pixels=predictions.size,
     )

@@ -20,6 +20,7 @@ from ..calibration import evaluate_predictions
 from ..fieldgen import generate_dataset
 from ..numerics import NumericError
 from ..pipeline import (
+    TrainConfig,
     check_bins,
     evaluate_arm,
     kfold_rotation,
@@ -91,7 +92,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = configfile.load_config(args.config, configfile.TRAIN_SCHEMA)
+    cfg = configfile.load_config(args.config, configfile.TRAIN_KEYS)
     cfg = _apply_overrides(cfg, args)
     train_cfg = configfile.train_config_from(cfg)
     outputs = ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv", "manifest.json"]
@@ -131,13 +132,12 @@ def cmd_evaluate(args) -> int:
     outputs = ["metrics.csv", "reliability.csv", "manifest.json"]
     out = _prepare_outdir(args.out, outputs, args.force)
     dataset = storage.read_dataset(args.dataset)
-    n_bins = args.bins if args.bins is not None else 20
 
     if args.oracle:
         if not dataset.has_true_p:
             raise FormatError("--oracle requires a dataset with true probabilities")
         true_p = dataset.true_p.ravel()
-        report = evaluate_predictions(true_p, dataset.outcomes.ravel(), true_p, n_bins)
+        report = evaluate_predictions(true_p, dataset.outcomes.ravel(), true_p, args.bins)
     else:
         if not args.checkpoint:
             raise UsageError("evaluate needs --checkpoint (or --oracle)")
@@ -147,7 +147,7 @@ def cmd_evaluate(args) -> int:
                 f"checkpoint expects {params.in_channels} input channels, "
                 f"dataset has {dataset.shape[0]}"
             )
-        report = evaluate_arm(params, dataset, np.arange(len(dataset)), n_bins)
+        report = evaluate_arm(params, dataset, np.arange(len(dataset)), args.bins)
 
     metrics_path = out / "metrics.csv"
     reliability_path = out / "reliability.csv"
@@ -157,9 +157,9 @@ def cmd_evaluate(args) -> int:
     kl_text = f"{report.kl_true:.6f}" if report.kl_true is not None else "n/a"
     print(
         f"ece={report.ece:.4f} brier={report.brier:.4f} kl={kl_text} "
-        f"({report.n_pixels} pixels, {n_bins} bins)"
+        f"({report.bin_table.n_pixels} pixels, {args.bins} bins)"
     )
-    config_echo = {"dataset": str(args.dataset), "bins": n_bins, "oracle": bool(args.oracle)}
+    config_echo = {"dataset": str(args.dataset), "bins": args.bins, "oracle": bool(args.oracle)}
     storage.write_manifest(
         out, "evaluate", config_echo, 0, [metrics_path, reliability_path], args.started_utc
     )
@@ -208,25 +208,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    header = storage.csv_header(args.input)
-    if header == storage.EPOCH_CSV_HEADER:
-        records = storage.read_epoch_csv(args.input)
-        if not records:
-            raise FormatError(f"{args.input}: no epoch rows to plot")
+    epoch, reliability = storage.EPOCH_CSV_HEADER, storage.RELIABILITY_CSV_HEADER
+    header, rows = storage.read_csv(args.input, epoch, reliability)
+    if not rows:
+        raise FormatError(f"{args.input}: no rows to plot")
+    if header == epoch:
         name = "learning_curves.svg"
-        out = _prepare_outdir(args.out, [name, "manifest.json"], args.force)
-        content = svg.learning_curve_chart(records, "Training and validation curves")
-    elif header == storage.RELIABILITY_CSV_HEADER:
-        rows = storage.read_reliability_csv(args.input)
-        if not rows:
-            raise FormatError(f"{args.input}: no reliability rows to plot")
-        name = "reliability.svg"
-        out = _prepare_outdir(args.out, [name, "manifest.json"], args.force)
-        content = svg.reliability_chart(rows, "Reliability diagram")
+        content = svg.learning_curve_chart(rows, "Training and validation curves")
     else:
-        raise FormatError(
-            f"{args.input}:1: unrecognized CSV header; expected an epoch or reliability report"
-        )
+        name = "reliability.svg"
+        content = svg.reliability_chart(rows, "Reliability diagram")
+    out = _prepare_outdir(args.out, [name, "manifest.json"], args.force)
     path = out / name
     out.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
@@ -270,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", required=True, help="dataset file to evaluate on")
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_eval.add_argument("--bins", type=int, default=None, help="bin count (default 20)")
+    p_eval.add_argument(
+        "--bins", type=int, default=TrainConfig.bins, help="bin count (default %(default)s)"
+    )
     p_eval.add_argument(
         "--oracle", action="store_true",
         help="score the stored true probabilities instead of a checkpoint",

@@ -8,9 +8,11 @@ are errors so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 from dataclasses import fields
+from typing import Optional, get_type_hints
 
 from ..fieldgen import FieldConfig
 from ..pipeline import TrainConfig
+from .storage import finite_float
 
 
 class ConfigError(ValueError):
@@ -20,43 +22,35 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part.strip()) for part in text.split(",") if part.strip()]
+def _list_of(cast):
+    return lambda text: [cast(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part.strip()) for part in text.split(",") if part.strip()]
+# Caster per field annotation; an Optional[int] key defaults to None.
+_CASTERS = {int: int, float: finite_float, Optional[int]: int}
+
+# Config-file spelling of the fields whose key is not their name.
+_SPELLING = {"cal_weight": "lambda"}
 
 
-FIELD_KEYS = {
-    "height": (int, 32),
-    "width": (int, 32),
-    "channels": (int, 3),
-    "length_scale": (float, 4.0),
-    "gain": (float, 2.0),
-    "target_rate": (float, _REQUIRED),
-    "obs_noise": (float, 0.5),
-    "seed": (int, 0),
+def _key(name: str) -> str:
+    return _SPELLING.get(name, name)
+
+
+def _keys(config_class) -> dict:
+    """{key: (caster, default)} for each field of a config dataclass."""
+    hints = get_type_hints(config_class)
+    return {_key(f.name): (_CASTERS[hints[f.name]], f.default) for f in fields(config_class)}
+
+
+FIELD_KEYS = _keys(FieldConfig)
+TRAIN_KEYS = _keys(TrainConfig)
+
+GENERATE_SCHEMA = {
+    **FIELD_KEYS,
+    "target_rate": (finite_float, _REQUIRED),
+    "n_samples": (int, _REQUIRED),
 }
-
-TRAIN_KEYS = {
-    "lr": (float, 1e-4),
-    "max_epochs": (int, 50),
-    "patience": (int, 15),
-    "min_delta": (float, 0.0),
-    "batch_size": (int, 16),
-    "bins": (int, 20),
-    "lambda": (float, 0.5),
-    "folds": (int, 9),
-    "cape_epochs": (int, 50),
-    "cape_epochs_override": (int, None),
-    "hidden_channels": (int, 8),
-    "seed": (int, 0),
-}
-
-GENERATE_SCHEMA = {**FIELD_KEYS, "n_samples": (int, _REQUIRED)}
-
-TRAIN_SCHEMA = dict(TRAIN_KEYS)
 
 # Default grid: the event-rate regimes under study and three dataset sizes.
 DEFAULT_SWEEP_RATES = [0.011, 0.032, 0.07, 0.14, 0.30, 0.46]
@@ -65,8 +59,8 @@ DEFAULT_SWEEP_SIZES = [200, 600, 1500]
 SWEEP_SCHEMA = {
     **{k: v for k, v in FIELD_KEYS.items() if k != "target_rate"},
     **TRAIN_KEYS,
-    "rates": (_parse_float_list, DEFAULT_SWEEP_RATES),
-    "sizes": (_parse_int_list, DEFAULT_SWEEP_SIZES),
+    "rates": (_list_of(finite_float), DEFAULT_SWEEP_RATES),
+    "sizes": (_list_of(int), DEFAULT_SWEEP_SIZES),
 }
 
 
@@ -111,25 +105,22 @@ def load_config(path: str, schema: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return coerce(parse_kv_text(text, source=path), schema, source=path)
 
 
-def field_config_from(cfg: dict) -> FieldConfig:
-    names = {f.name for f in fields(FieldConfig)}
+def _build(config_class, cfg: dict):
+    names = [f.name for f in fields(config_class)]
     try:
-        return FieldConfig(**{k: v for k, v in cfg.items() if k in names})
+        return config_class(**{n: cfg[_key(n)] for n in names if _key(n) in cfg})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def field_config_from(cfg: dict) -> FieldConfig:
+    return _build(FieldConfig, cfg)
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
-    names = {f.name for f in fields(TrainConfig)}
-    kwargs = {k: v for k, v in cfg.items() if k in names}
-    if "lambda" in cfg:
-        kwargs["cal_weight"] = cfg["lambda"]
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(TrainConfig, cfg)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import math
 import struct
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -47,6 +49,8 @@ class FormatError(ValueError):
 def fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -237,123 +241,101 @@ def write_manifest(
 # --- CSV reports ---
 
 
-def write_epoch_csv(path, records: list[EpochRecord]) -> None:
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
+
+
+def _optional(cast):
+    return lambda text: cast(text) if text else None
+
+
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(EPOCH_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.epoch, r.phase, fmt(r.train_loss), fmt(r.val_loss), fmt(r.brier), fmt(r.kl_true)]
-            )
+        writer.writerow(header)
+        writer.writerows([fmt(cell) for cell in row] for row in rows)
+
+
+# The CSVs read back: per-column casts and the record built from one row.
+_READ_LAYOUTS = {
+    tuple(EPOCH_CSV_HEADER): (
+        (int, str, finite_float, finite_float, finite_float, _optional(finite_float)),
+        EpochRecord,
+    ),
+    tuple(RELIABILITY_CSV_HEADER): (
+        (int, finite_float, finite_float, int, finite_float, finite_float),
+        lambda *row: dict(zip(RELIABILITY_CSV_HEADER, row)),
+    ),
+}
+
+
+def read_csv(path, *headers: list[str]) -> tuple[list[str], list]:
+    """(header, records) of a CSV report whose header is one of `headers`.
+
+    Undecodable bytes, another header, a wrong field count and a bad or
+    non-finite number are each a FormatError naming the line.
+    """
+    try:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header not in headers:
+            raise ValueError("expected header " + " or ".join(",".join(h) for h in headers))
+        casts, make = _READ_LAYOUTS[tuple(header)]
+        records = []
+        for row in reader:
+            if len(row) != len(casts):
+                raise ValueError(f"expected {len(casts)} fields")
+            records.append(make(*(cast(cell) for cast, cell in zip(casts, row))))
+    except (csv.Error, ValueError) as exc:
+        raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    return header, records
+
+
+def write_epoch_csv(path, records: list[EpochRecord]) -> None:
+    _write_csv(path, EPOCH_CSV_HEADER, map(astuple, records))
 
 
 def read_epoch_csv(path) -> list[EpochRecord]:
-    records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EPOCH_CSV_HEADER:
-            raise FormatError(f"{path}:1: expected header {','.join(EPOCH_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(EPOCH_CSV_HEADER):
-                raise FormatError(f"{path}:{lineno}: expected {len(EPOCH_CSV_HEADER)} fields")
-            try:
-                records.append(
-                    EpochRecord(
-                        epoch=int(row[0]),
-                        phase=row[1],
-                        train_loss=float(row[2]),
-                        val_loss=float(row[3]),
-                        brier=float(row[4]),
-                        kl_true=float(row[5]) if row[5] else None,
-                    )
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return read_csv(path, EPOCH_CSV_HEADER)[1]
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    fmt(row["rho"]),
-                    row["n"],
-                    row["fold"],
-                    row["arm"],
-                    fmt(row["ece"]),
-                    fmt(row["brier"]),
-                    fmt(row["kl"]),
-                    row["stop_epoch"],
-                ]
-            )
+    _write_csv(path, SWEEP_CSV_HEADER, ([row[k] for k in SWEEP_CSV_HEADER] for row in rows))
 
 
 def write_failures_csv(path, failures) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "n", "error"])
-        for cell in failures:
-            writer.writerow([fmt(cell.target_rate), cell.n_samples, cell.error.strip()])
+    rows = ((cell.target_rate, cell.n_samples, cell.error.strip()) for cell in failures)
+    _write_csv(path, ["rho", "n", "error"], rows)
 
 
 def write_reliability_csv(path, table: BinTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RELIABILITY_CSV_HEADER)
-        for b in range(table.n_bins):
-            writer.writerow(
-                [
-                    b,
-                    fmt(table.edges[b]),
-                    fmt(table.edges[b + 1]),
-                    int(table.counts[b]),
-                    fmt(table.prob_pred[b]),
-                    fmt(table.prob_true[b]),
-                ]
-            )
+    columns = (table.edges[:-1], table.edges[1:], table.counts, table.prob_pred, table.prob_true)
+    _write_csv(path, RELIABILITY_CSV_HEADER, zip(range(table.n_bins), *columns))
 
 
 def read_reliability_csv(path) -> list[dict]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RELIABILITY_CSV_HEADER:
-            raise FormatError(f"{path}:1: expected header {','.join(RELIABILITY_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RELIABILITY_CSV_HEADER):
-                raise FormatError(f"{path}:{lineno}: expected {len(RELIABILITY_CSV_HEADER)} fields")
-            try:
-                rows.append(
-                    {
-                        "bin": int(row[0]),
-                        "edge_lo": float(row[1]),
-                        "edge_hi": float(row[2]),
-                        "count": int(row[3]),
-                        "prob_pred": float(row[4]),
-                        "prob_true": float(row[5]),
-                    }
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+    return read_csv(path, RELIABILITY_CSV_HEADER)[1]
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        writer.writerow(["ece", fmt(report.ece)])
-        writer.writerow(["brier", fmt(report.brier)])
-        writer.writerow(["kl_true", fmt(report.kl_true)])
-        writer.writerow(["n_pixels", report.n_pixels])
-        writer.writerow(["n_bins", report.bin_table.n_bins])
-
-
-def csv_header(path) -> Optional[list[str]]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return next(csv.reader(fh), None)
+    table = report.bin_table
+    rows = [
+        ("ece", report.ece),
+        ("brier", report.brier),
+        ("kl_true", report.kl_true),
+        ("n_pixels", table.n_pixels),
+        ("n_bins", table.n_bins),
+    ]
+    _write_csv(path, METRICS_CSV_HEADER, rows)

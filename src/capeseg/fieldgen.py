@@ -111,12 +111,6 @@ def _smooth_fields(fields: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return fields
 
 
-def gen_smooth_field(config: FieldConfig, rng: Rng) -> np.ndarray:
-    """One standardized smooth Gaussian field, H x W."""
-    kernel = _gaussian_kernel(config)
-    return _smooth_fields(rng.normal((1, config.height, config.width)), kernel)[0]
-
-
 def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     """Logit offset b with mean(sigmoid(gain * g + b)) within 1e-3 of the target rate.
 

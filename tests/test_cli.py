@@ -101,6 +101,20 @@ class TestConfigFile:
         with pytest.raises(configfile.ConfigError, match="target_rate"):
             configfile.coerce(raw, configfile.GENERATE_SCHEMA)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, text, schema",
+        [
+            ("obs_noise", "{}", configfile.SWEEP_SCHEMA),
+            ("lr", "{}", configfile.TRAIN_KEYS),
+            ("rates", "0.1, {}, 0.3", configfile.SWEEP_SCHEMA),
+        ],
+        ids=["obs_noise", "lr", "rates"],
+    )
+    def test_non_finite_number_names_key(self, key, text, schema, value):
+        with pytest.raises(configfile.ConfigError, match=f"{key}.*non-finite"):
+            configfile.coerce({key: text.format(value)}, schema)
+
     def test_duplicate_key_reports_line(self):
         with pytest.raises(configfile.ConfigError, match=":2"):
             configfile.parse_kv_text("a = 1\na = 2\n")
@@ -121,7 +135,7 @@ class TestConfigFile:
         assert cfg["sizes"] == [200, 600, 1500]
 
     def test_lambda_maps_to_cal_weight(self):
-        cfg = configfile.coerce({"lambda": "0.25"}, configfile.TRAIN_SCHEMA)
+        cfg = configfile.coerce({"lambda": "0.25"}, configfile.TRAIN_KEYS)
         tc = configfile.train_config_from(cfg)
         assert tc.cal_weight == 0.25
 
@@ -273,6 +287,12 @@ class TestGenerate:
         cfg = write_config(tmp_path / "gen.cfg", **{**GEN_SMALL, "n_sample": 6})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    def test_non_finite_config_number_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "gen.cfg", **{**GEN_SMALL, "obs_noise": "nan"})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert "obs_noise" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_kernel_exceeding_field_is_clean_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "gen.cfg", **{**GEN_SMALL, "length_scale": 4.0})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -334,7 +354,7 @@ class TestTrain:
         # independent reference: plain BCE continuation with the same seeds
         ds = storage.read_dataset(dataset_dir / "dataset.bin")
         tc = configfile.train_config_from(
-            configfile.coerce({k: str(v) for k, v in TRAIN_SMALL.items()}, configfile.TRAIN_SCHEMA)
+            configfile.coerce({k: str(v) for k, v in TRAIN_SMALL.items()}, configfile.TRAIN_KEYS)
         )
         folds = split_kfold(len(ds), tc.folds, tc.seed)
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
@@ -554,11 +574,28 @@ class TestPlot:
     def test_moving_average_of_constant(self):
         assert svg.moving_average([2.5] * 7, 3) == [2.5] * 7
 
-    def test_malformed_csv_reports_line(self, tmp_path):
-        bad = tmp_path / "epochs.csv"
-        bad.write_text("epoch,phase,train_loss,val_loss,brier,kl\n1,warmup,oops,0.5,0.2,\n")
-        code = main(["plot", "--input", str(bad), "--out", str(tmp_path / "p")])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            (b"epoch,phase,train_loss,val_loss,brier,kl", b"1,warmup,{},0.5,0.2,"),
+            (b"bin,edge_lo,edge_hi,count,prob_pred,prob_true", b"0,0.0,1.0,4,{},0.5"),
+        ],
+        ids=["epochs", "reliability"],
+    )
+    @pytest.mark.parametrize(
+        "cell", [b"oops", b"nan", b"inf", b"0.\xff"], ids=["oops", "nan", "inf", "undecodable"]
+    )
+    def test_malformed_csv_reports_line(self, tmp_path, capsys, header, row, cell):
+        bad = tmp_path / "report.csv"
+        good = row.replace(b"{}", b"0.25")
+        bad.write_bytes(b"\n".join([header, good, row.replace(b"{}", cell), good, b""]))
+        out = tmp_path / "p"
+        assert main(["plot", "--input", str(bad), "--out", str(out)]) == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_input_is_format_error(self, tmp_path):
+        assert main(["plot", "--input", str(tmp_path), "--out", str(tmp_path / "p")]) == 2
 
     def test_unrecognized_header_rejected(self, tmp_path):
         bad = tmp_path / "other.csv"

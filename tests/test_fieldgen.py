@@ -10,13 +10,20 @@ from oracles import (
 from capeseg.fieldgen import (
     CHUNK_FIELDS,
     FieldConfig,
+    _gaussian_kernel,
+    _smooth_fields,
     calibrate_offset,
-    gen_smooth_field,
     generate_dataset,
     make_sample,
 )
 from capeseg.model import sigmoid
 from capeseg.numerics import Rng
+
+
+def gen_smooth_field(config, rng):
+    """One standardized smooth Gaussian field, H x W, through the package's smoother."""
+    kernel = _gaussian_kernel(config)
+    return _smooth_fields(rng.normal((1, config.height, config.width)), kernel)[0]
 
 
 def lag1_autocorr(field):
