@@ -1,6 +1,13 @@
 """Dense float64 numerics: the logistic sigmoid, same-padded 2-D convolution
 with an analytic backward pass, Adam, and seedable random streams.
 
+Each conv copies the k*k shifts of the side with fewer channels: the input
+when C <= F (then one matmul), else the weighed taps (one matmul first, then
+a strided sum). A spare zero row under the padding makes each shift one
+contiguous run of a flat channel; outputs are W+2p wide, then cropped.
+Backward takes both gradients (the input one in gather form) from one array,
+the shifts of the padded upstream gradient.
+
 All public operations take and return C-contiguous float64 numpy arrays
 and reject non-finite inputs. Conv results do not depend on the BLAS
 thread count (`tests/test_cli.py::TestBlasThreadCount`).
@@ -8,7 +15,7 @@ thread count (`tests/test_cli.py::TestBlasThreadCount`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +57,7 @@ class Rng:
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._keys = _keys
-        entropy = [self.seed, *(_keys)]
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        self._gen = np.random.default_rng(np.random.SeedSequence([self.seed, *_keys]))
 
     def child(self, *keys: int) -> "Rng":
         return Rng(self.seed, self._keys + tuple(int(k) for k in keys))
@@ -74,35 +80,36 @@ def derive_seed(master: int, *keys: int) -> int:
 
 @dataclass
 class Conv2dCache:
-    padded: np.ndarray  # C x (H+2p) x (W+2p), zero borders
-    cols: np.ndarray  # (C*k*k) x (H*W), row (c, di, dj) is padded[c, di:di+H, dj:dj+W]
+    padded: np.ndarray  # C x (H+2p+1) x (W+2p): zero borders plus one spare zero row
     kernels: np.ndarray  # F x C x k x k
     pad: int
     out_shape: tuple[int, int, int]
 
 
-def _pad_im2col(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(padded, cols) of a C x H x W array zero-padded by p, for k = 2p+1, as in Conv2dCache."""
+def _pad(arr: np.ndarray, p: int) -> np.ndarray:
+    """C x H x W array zero-padded by p, plus a spare zero row so every shifted row fits."""
     c, h, w = arr.shape
-    padded = np.zeros((c, h + 2 * p, w + 2 * p))
+    padded = np.zeros((c, h + 2 * p + 1, w + 2 * p))
     padded[:, p : p + h, p : p + w] = arr
-    st = padded.strides  # the k*k windows as one strided view; reshape copies it
-    windows = np.ndarray((c, 2 * p + 1, 2 * p + 1, h, w), np.float64, padded, 0, st + st[1:])
-    return padded, windows.reshape(-1, h * w)
+    return padded
+
+
+def _shifts(padded: np.ndarray, k: int, n: int) -> np.ndarray:
+    """(C*k*k) x n copy whose row (c, di, dj) is padded channel c flat from di*Wp + dj."""
+    st = padded.strides  # one strided view of contiguous n-long runs; reshape copies it
+    return np.ndarray((len(padded), k, k, n), np.float64, padded, 0, st + st[2:]).reshape(-1, n)
 
 
 def conv2d_forward(
     inp: np.ndarray, kernels: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, Conv2dCache]:
-    """Same-size 2-D convolution with zero padding, as im2col plus one matmul.
+    """Same-size 2-D convolution with zero padding, shifting the side with fewer channels.
 
     inp: C x H x W, kernels: F x C x k x k (k odd), bias: F.
     Returns (out F x H x W, cache for the backward pass). Only `inp` is
     checked for finiteness; `model.forward` checks the parameters.
     """
-    inp = as_f64(inp)
-    kernels = as_f64(kernels)
-    bias = as_f64(bias)
+    inp, kernels, bias = as_f64(inp), as_f64(kernels), as_f64(bias)
     if inp.ndim != 3 or kernels.ndim != 4 or bias.ndim != 1:
         raise ValueError(
             f"expected input CxHxW, kernels FxCxkxk, bias F; got "
@@ -119,10 +126,16 @@ def conv2d_forward(
     require_finite("conv2d input", inp)
 
     p = (k - 1) // 2
-    padded, cols = _pad_im2col(inp, p)
-    out = kernels.reshape(f, c * k * k) @ cols + bias[:, None]
-    cache = Conv2dCache(padded=padded, cols=cols, kernels=kernels, pad=p, out_shape=(f, h, w))
-    return out.reshape(f, h, w), cache
+    padded = _pad(inp, p)
+    wp, lp = w + 2 * p, padded[0].size
+    if c <= f:  # shift the input, then weigh: F x (C*k*k) @ (C*k*k) x (H*Wp)
+        grid = kernels.reshape(f, c * k * k) @ _shifts(padded, k, h * wp)
+    else:  # weigh every tap, then shift: z row (di, dj, f) read from di*Wp + dj
+        z = kernels.transpose(2, 3, 0, 1).reshape(k * k * f, c) @ padded.reshape(c, lp)
+        st = tuple(8 * s for s in (k * f * lp + wp, f * lp + 1, lp, 1))
+        grid = np.ndarray((k, k, f, h * wp), np.float64, z, 0, st).sum(axis=(0, 1))
+    out = grid.reshape(f, h, wp)[:, :, :w] + bias[:, None, None]  # a C-contiguous copy
+    return out, Conv2dCache(padded=padded, kernels=kernels, pad=p, out_shape=(f, h, w))
 
 
 def conv2d_backward(
@@ -135,16 +148,17 @@ def conv2d_backward(
             f"upstream shape {upstream.shape} does not match forward output {cache.out_shape}"
         )
     require_finite("conv2d upstream gradient", upstream)
-    kernels = cache.kernels
+    kernels, p = cache.kernels, cache.pad
     f, h, w = cache.out_shape
-    c, k = kernels.shape[1], kernels.shape[2]
+    c, k, wp = kernels.shape[1], kernels.shape[2], w + 2 * p
 
-    grad_bias = upstream.sum(axis=(1, 2))
-    grad_kernels = (upstream.reshape(f, h * w) @ cache.cols.T).reshape(kernels.shape)
-    # Transposed conv in gather form: flipped, channel-swapped kernel @ im2col of padded upstream.
+    ushifts = _shifts(_pad(upstream, p), k, h * wp)  # both gradients come from these rows
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
-    grad_input = (flipped @ _pad_im2col(upstream, cache.pad)[1]).reshape(c, h, w)
-    return grad_input, grad_kernels, grad_bias
+    grad_input = np.ascontiguousarray((flipped @ ushifts).reshape(c, h, wp)[:, :, :w])
+    x_grid = cache.padded.reshape(c, -1)[:, p * wp + p :][:, : h * wp]  # pad columns are 0
+    by_shift = (ushifts @ x_grid.T).reshape(f, k, k, c)[:, ::-1, ::-1]
+    grad_kernels = np.ascontiguousarray(by_shift.transpose(0, 3, 1, 2))
+    return grad_input, grad_kernels, upstream.sum(axis=(1, 2))
 
 
 @dataclass
@@ -168,8 +182,7 @@ def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState, label: str = "params"
 ) -> tuple[np.ndarray, AdamState]:
     """One Adam update with bias correction. Returns (new params, new state)."""
-    params = as_f64(params)
-    grads = as_f64(grads)
+    params, grads = as_f64(params), as_f64(grads)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
@@ -184,8 +197,5 @@ def adam_step(
     v_hat = v / (1.0 - state.beta2**t)
     new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     require_finite("adam update", new_params)
-    new_state = AdamState(
-        m=m, v=v, t=t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
-    return new_params, new_state
+    return new_params, replace(state, m=m, v=v, t=t)
 

@@ -443,10 +443,17 @@ def run_experiment(
     Every cell derives its data, split and training seeds from the master
     seed and its grid position, so cells are independent and the sweep is
     deterministic regardless of worker count. Failed cells are recorded
-    and do not abort the sweep. A bin count that some cell's smallest fold
-    cannot fill is rejected before any cell starts.
+    and do not abort the sweep. An empty grid, a rate outside (0, 1), a
+    size below 1 and a bin count that some cell's smallest fold cannot fill
+    are rejected before any cell starts.
     """
+    if not rates or not sizes:
+        raise ValueError("a sweep needs at least one rate and one size")
+    for rho in rates:
+        replace(field_base, target_rate=rho)  # FieldConfig rejects a rate outside (0, 1)
     for n in sizes:
+        if n < 1:
+            raise ValueError(f"sweep sizes must be >= 1, got {n}")
         check_bins(train_config, n, field_base.height * field_base.width)
     grid = [(rho, n) for rho in rates for n in sizes]
     tasks = [

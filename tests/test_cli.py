@@ -685,6 +685,26 @@ class TestExitCodes:
         assert not (tmp_path / "o" / "sweep.csv").exists()
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"rates": "0.2,1.5"}, "target_rate must be in (0, 1)"),
+            ({"sizes": "18,0"}, "sweep sizes must be >= 1"),
+            ({"rates": ""}, "at least one rate and one size"),
+        ],
+    )
+    def test_unrunnable_sweep_grid_fails_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, grid, message
+    ):
+        def no_cell(task):
+            raise AssertionError("a sweep cell started")
+
+        monkeypatch.setattr(pipeline, "_run_cell", no_cell)
+        cfg = write_config(tmp_path / "sweep.cfg", **{**SWEEP_SMALL, **grid})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def run_module(argv, **env):
     """`python -m capeseg argv` in a child process, with `env` added to its environment."""

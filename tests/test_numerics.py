@@ -161,8 +161,30 @@ class TestConv2dBackward:
         assert finite_diff_check(loss_fn, flat0, h=1e-4) < 1e-5
 
 
+def assert_conv_matches_reference(c, f, k, h, w):
+    """Forward output and all three gradients against the per-offset `einsum`
+    conv, each C-contiguous float64 and within 1e-12 relative."""
+    rng = Rng(derive_seed(77, c, f, k, h, w))
+    inp = rng.normal((c, h, w))
+    kernels = rng.normal((f, c, k, k))
+    bias = rng.normal((f,))
+    upstream = rng.normal((f, h, w))
+    out, cache = conv2d_forward(inp, kernels, bias)
+    got = (out, *conv2d_backward(cache, upstream))
+    want = (
+        conv2d_forward_reference(inp, kernels, bias),
+        *conv2d_backward_reference(inp, kernels, upstream),
+    )
+    names = ("output", "input gradient", "kernel gradient", "bias gradient")
+    for name, g, r in zip(names, got, want):
+        assert g.shape == r.shape, name
+        assert g.dtype == np.float64 and g.flags.c_contiguous, name
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
+
+
 class TestConv2dAgainstPerOffsetReference:
-    """im2col forward, kernel gradient and gather-form input gradient against
+    """Both forward forms (input shifts for C <= F, weighed-tap shifts for
+    C > F), the kernel gradient and the gather-form input gradient against
     the per-offset `einsum` convolution and its scattered backward."""
 
     @pytest.mark.parametrize(
@@ -177,24 +199,24 @@ class TestConv2dAgainstPerOffsetReference:
             (2, 3, 5, 6, 9),
             (2, 3, 5, 2, 3),  # field smaller than the kernel
             (3, 2, 5, 3, 1),
+            (3, 8, 3, 32, 32),  # conv1 of the workloads
+            (8, 1, 3, 32, 32),  # conv2 of the workloads
+            (8, 1, 3, 16, 16),
+            (4, 4, 3, 5, 6),  # C == F > 1: input shifts
+            (2, 3, 5, 1, 1),  # 1x1 field, k=5, C < F
+            (3, 2, 5, 1, 1),  # 1x1 field, k=5, C > F
         ],
     )
     def test_all_outputs_agree(self, c, f, k, h, w):
-        rng = Rng(derive_seed(77, c, f, k, h, w))
-        inp = rng.normal((c, h, w))
-        kernels = rng.normal((f, c, k, k))
-        bias = rng.normal((f,))
-        upstream = rng.normal((f, h, w))
-        out, cache = conv2d_forward(inp, kernels, bias)
-        got = (out, *conv2d_backward(cache, upstream))
-        want = (
-            conv2d_forward_reference(inp, kernels, bias),
-            *conv2d_backward_reference(inp, kernels, upstream),
-        )
-        names = ("output", "input gradient", "kernel gradient", "bias gradient")
-        for name, g, r in zip(names, got, want):
-            assert g.shape == r.shape, name
-            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
+        assert_conv_matches_reference(c, f, k, h, w)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 3, 5]),
+        st.integers(1, 12), st.integers(1, 12),
+    )
+    def test_any_shape_agrees(self, c, f, k, h, w):
+        assert_conv_matches_reference(c, f, k, h, w)
 
 
 class TestAdam:
