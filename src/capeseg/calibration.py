@@ -161,17 +161,17 @@ def kl_to_true(
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy of sigmoid(logits) against targets in [0,1].
 
-    Computed as log(1 + e^z) - t*z, which stays finite and exact at any
-    logit, so the returned gradient (sigmoid(z) - t) / n is the gradient
-    of the returned loss.
+    Computed as log(1 + e^z) - t*z from one exp(-|z|), finite at any finite
+    logit; the returned gradient (sigmoid(z) - t) / n is the gradient of that loss.
     """
     logits = as_f64(logits).ravel()
     targets = as_f64(targets).ravel()
     if logits.size != targets.size:
         raise ValueError("logits and targets differ in length")
     n = logits.size
-    loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
-    return loss, (sigmoid(logits) - targets) / n
+    e = np.exp(-np.abs(logits))  # log(1 + e^z) = max(z, 0) + log1p(e), and sigmoid(z, e)
+    loss = float(np.mean(np.maximum(logits, 0.0) + np.log1p(e) - targets * logits))
+    return loss, (sigmoid(logits, e) - targets) / n
 
 
 def combined_loss(

@@ -307,10 +307,6 @@ def write_epoch_csv(path, records: list[EpochRecord]) -> None:
     _write_csv(path, EPOCH_CSV_HEADER, map(astuple, records))
 
 
-def read_epoch_csv(path) -> list[EpochRecord]:
-    return read_csv(path, EPOCH_CSV_HEADER)[1]
-
-
 def write_sweep_csv(path, rows: list[dict]) -> None:
     _write_csv(path, SWEEP_CSV_HEADER, ([row[k] for k in SWEEP_CSV_HEADER] for row in rows))
 
@@ -323,10 +319,6 @@ def write_failures_csv(path, failures) -> None:
 def write_reliability_csv(path, table: BinTable) -> None:
     columns = (table.edges[:-1], table.edges[1:], table.counts, table.prob_pred, table.prob_true)
     _write_csv(path, RELIABILITY_CSV_HEADER, zip(range(table.n_bins), *columns))
-
-
-def read_reliability_csv(path) -> list[dict]:
-    return read_csv(path, RELIABILITY_CSV_HEADER)[1]
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:

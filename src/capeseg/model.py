@@ -103,11 +103,11 @@ def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCa
 def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> ModelParams:
     """Gradients of all parameter blocks from the logit gradient, flat like `params`."""
     grads = ModelParams(params.in_channels, params.hidden_channels)
-    dact1, grads.conv2_w[...], grads.conv2_b[...] = conv2d_backward(
-        cache.conv2, as_f64(dlogits)[None]
-    )
+    dact1, grads.conv2_w[...], grads.conv2_b[...] = conv2d_backward(cache.conv2, dlogits[None])
     dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
-    _, grads.conv1_w[...], grads.conv1_b[...] = conv2d_backward(cache.conv1, dpre1)
+    _, grads.conv1_w[...], grads.conv1_b[...] = conv2d_backward(
+        cache.conv1, dpre1, input_grad=False  # conv1's input is data
+    )
     return grads
 
 

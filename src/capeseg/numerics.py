@@ -2,11 +2,11 @@
 with an analytic backward pass, Adam, and seedable random streams.
 
 Each conv copies the k*k shifts of the side with fewer channels: the input
-when C <= F (then one matmul), else the weighed taps (one matmul first, then
-a strided sum). A spare zero row under the padding makes each shift one
-contiguous run of a flat channel; outputs are W+2p wide, then cropped.
-Backward takes both gradients (the input one in gather form) from one array,
-the shifts of the padded upstream gradient.
+when C <= F (one matmul), else the weighed taps (one matmul, then a strided
+sum). A spare zero row under the padding makes each shift one contiguous run
+of a flat channel; outputs are W+2p wide, take the bias, then one crop copy.
+Backward shifts the padded upstream for both gradients; without the input
+gradient (conv1, whose input is data) it weighs the input shifts instead.
 
 All public operations take and return C-contiguous float64 numpy arrays
 and reject non-finite inputs. Conv results do not depend on the BLAS
@@ -34,10 +34,12 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # e = exp(-|x|) cannot overflow: 1/(1+e) where x >= 0, else e/(1+e). Never writes into x.
-    e = np.abs(x, out=np.empty_like(x))
-    np.exp(np.negative(e, out=e), out=e)
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # e = exp(-|x|) cannot overflow: 1/(1+e) where x >= 0, else e/(1+e). Never writes into x;
+    # a caller that has e already (bce_loss) passes it, and it is overwritten.
+    if e is None:
+        e = np.abs(x, out=np.empty_like(x))
+        np.exp(np.negative(e, out=e), out=e)
     d = np.add(1.0, e, out=np.empty_like(e))
     np.divide(e, d, out=e)
     np.copyto(e, np.divide(1.0, d, out=d), where=x >= 0)
@@ -134,14 +136,15 @@ def conv2d_forward(
         z = kernels.transpose(2, 3, 0, 1).reshape(k * k * f, c) @ padded.reshape(c, lp)
         st = tuple(8 * s for s in (k * f * lp + wp, f * lp + 1, lp, 1))
         grid = np.ndarray((k, k, f, h * wp), np.float64, z, 0, st).sum(axis=(0, 1))
-    out = grid.reshape(f, h, wp)[:, :, :w] + bias[:, None, None]  # a C-contiguous copy
+    grid += bias[:, None]  # on the Wp-wide grid, so the crop is the only copy
+    out = np.ascontiguousarray(grid.reshape(f, h, wp)[:, :, :w])
     return out, Conv2dCache(padded=padded, kernels=kernels, pad=p, out_shape=(f, h, w))
 
 
 def conv2d_backward(
-    cache: Conv2dCache, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(out * upstream) w.r.t. input, kernels and bias."""
+    cache: Conv2dCache, upstream: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of sum(out * upstream) w.r.t. input (None if not `input_grad`), kernels, bias."""
     upstream = as_f64(upstream)
     if upstream.shape != cache.out_shape:
         raise ValueError(
@@ -152,6 +155,11 @@ def conv2d_backward(
     f, h, w = cache.out_shape
     c, k, wp = kernels.shape[1], kernels.shape[2], w + 2 * p
 
+    if not input_grad:  # weigh the forward's input shifts by upstream on the Wp-wide grid
+        u = np.zeros((f, h, wp))
+        u[:, :, :w] = upstream  # zero pad columns drop the shifts' wrapped reads
+        grad_kernels = u.reshape(f, h * wp) @ _shifts(cache.padded, k, h * wp).T
+        return None, grad_kernels.reshape(kernels.shape), upstream.sum(axis=(1, 2))
     ushifts = _shifts(_pad(upstream, p), k, h * wp)  # both gradients come from these rows
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
     grad_input = np.ascontiguousarray((flipped @ ushifts).reshape(c, h, wp)[:, :, :w])

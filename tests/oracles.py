@@ -2,6 +2,8 @@
 
 These stay deliberately naive (nested loops, rank arithmetic written
 out) so they cannot share a bug with the vectorized code under test.
+The CSV readers at the end serve the tests only; the CLI reads through
+`storage.read_csv` itself.
 """
 
 import math
@@ -10,6 +12,7 @@ from collections import namedtuple
 import numpy as np
 
 from capeseg.calibration import KL_EPS, bce_loss
+from capeseg.cli import storage
 from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
 from capeseg.model import ModelParams, backward, forward, init_params, predict
 from capeseg.numerics import AdamState, Rng, adam_step, as_f64
@@ -123,6 +126,16 @@ def sigmoid_reference(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def bce_loss_reference(logits, targets):
+    """Mean BCE as `logaddexp(0, z) - t*z`, a second transcendental beside the
+    sigmoid (the former `calibration.bce_loss`)."""
+    logits = as_f64(logits).ravel()
+    targets = as_f64(targets).ravel()
+    n = logits.size
+    loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
+    return loss, (sigmoid_reference(logits) - targets) / n
 
 
 def kl_to_true_reference(predictions, true_p, eps=KL_EPS):
@@ -285,3 +298,11 @@ def generate_dataset_reference(config, n_samples):
     samples = [sample_reference(config, root.child(1, i), offset) for i in range(n_samples)]
     inputs, outcomes, true_p = (np.stack(arrays) for arrays in zip(*samples))
     return Dataset(inputs, outcomes, true_p), offset
+
+
+def read_epoch_csv(path):
+    return storage.read_csv(path, storage.EPOCH_CSV_HEADER)[1]
+
+
+def read_reliability_csv(path):
+    return storage.read_csv(path, storage.RELIABILITY_CSV_HEADER)[1]

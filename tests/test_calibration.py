@@ -1,10 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bin_assignment_reference, build_bins_bruteforce, kl_to_true_reference
+from oracles import (
+    bce_loss_reference,
+    bin_assignment_reference,
+    build_bins_bruteforce,
+    kl_to_true_reference,
+)
 
 from capeseg.calibration import (
     assign_p_emp,
@@ -338,6 +344,35 @@ class TestLossProperties:
             ref_loss, ref_grad = bce_loss(z, plain)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+
+
+class TestOneExpLossMatchesLogaddexpReference:
+    """`bce_loss` takes log(1 + e^z) and the sigmoid from one exp(-|z|); the
+    oracle pays for `logaddexp` beside the sigmoid. The gradient keeps its
+    bits. The loss does not: `exp`/`log1p` and `logaddexp` round differently.
+    On 1.1 M normal(0, 3) logits, max(z, 0) + log1p(exp(-|z|)) was within
+    3 ulp of `logaddexp(0, z)`, and each loss term within 4 ulp of the
+    larger of log(1 + e^z) and |t*z|."""
+
+    @PROPERTY
+    @given(logits_and_targets())
+    def test_gradient_bitwise_and_terms_within_ulps(self, case):
+        z, t = np.array(case[0]), np.array(case[1])
+        assert np.array_equal(bce_loss(z, t)[1], bce_loss_reference(z, t)[1])
+        scales = np.spacing(np.maximum(np.logaddexp(0.0, z), np.abs(t * z)))
+        for zi, ti, scale in zip(z, t, scales):
+            got, want = bce_loss([zi], [ti])[0], bce_loss_reference([zi], [ti])[0]
+            assert abs(got - want) <= 4 * scale
+
+    @pytest.mark.parametrize("z", [-800.0, -40.0, 40.0, 800.0])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_large_logits_finite_without_warnings(self, z, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = bce_loss([z], [t])
+            ref_loss, ref_grad = bce_loss_reference([z], [t])
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
 
 class TestBinningProperties:

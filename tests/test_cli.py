@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import bce_continuation
+from oracles import bce_continuation, read_epoch_csv, read_reliability_csv
 
 import capeseg
 from capeseg import pipeline
@@ -316,7 +316,7 @@ class TestTrain:
     def test_checkpoints_and_epoch_csv(self, trained):
         assert (trained / "bce_arm.ckpt").exists()
         assert (trained / "cape_arm.ckpt").exists()
-        records = storage.read_epoch_csv(trained / "epochs.csv")
+        records = read_epoch_csv(trained / "epochs.csv")
         warmup = [r for r in records if r.phase == "warmup"]
         cape = [r for r in records if r.phase == "cape"]
         assert len(warmup) >= 1
@@ -348,7 +348,7 @@ class TestTrain:
             "--out", str(out), "--lambda", "0",
         ])
         assert code == 0
-        records = storage.read_epoch_csv(out / "epochs.csv")
+        records = read_epoch_csv(out / "epochs.csv")
         cape_rows = [r for r in records if r.phase == "cape"]
 
         # independent reference: plain BCE continuation with the same seeds
@@ -382,7 +382,7 @@ class TestEvaluate:
             "--out", str(out), "--bins", "10",
         ])
         assert code == 0
-        rows = storage.read_reliability_csv(out / "reliability.csv")
+        rows = read_reliability_csv(out / "reliability.csv")
         assert len(rows) == 10
         assert sum(r["count"] for r in rows) == 24 * 16 * 16
         metrics = dict(

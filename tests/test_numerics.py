@@ -42,6 +42,7 @@ class TestSigmoidMatchesMaskedReference:
         before = x.copy()
         got = sigmoid(x)
         assert same_bits(got, sigmoid_reference(x))
+        assert same_bits(sigmoid(x, np.exp(-np.abs(x))), got)  # a caller's exp(-|x|), as bce_loss
         assert same_bits(x, before)
 
     def test_edge_values_bitwise(self):
@@ -217,6 +218,50 @@ class TestConv2dAgainstPerOffsetReference:
     )
     def test_any_shape_agrees(self, c, f, k, h, w):
         assert_conv_matches_reference(c, f, k, h, w)
+
+
+class TestConv2dBackwardWithoutInputGradient:
+    """`input_grad=False` (conv1, whose input is data) returns None for the
+    input gradient and takes the kernel gradient from the input shifts
+    instead of the upstream ones, for any C and F. Its inputs stay unwritten."""
+
+    @pytest.mark.parametrize(
+        "c, f, k, h, w",
+        [
+            (3, 8, 3, 32, 32),  # conv1 of the workloads
+            (8, 1, 3, 32, 32),  # conv2 of the workloads
+            (4, 4, 3, 5, 6),  # C == F
+            (2, 3, 5, 1, 1),  # 1x1 field, C < F
+            (3, 2, 5, 1, 1),  # 1x1 field, C > F
+            (1, 1, 1, 1, 1),
+        ],
+    )
+    def test_kernel_and_bias_gradients_match_reference(self, c, f, k, h, w):
+        self.check(c, f, k, h, w)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 3, 5]),
+        st.integers(1, 12), st.integers(1, 12),
+    )
+    def test_any_shape_agrees(self, c, f, k, h, w):
+        self.check(c, f, k, h, w)
+
+    @staticmethod
+    def check(c, f, k, h, w):
+        rng = Rng(derive_seed(78, c, f, k, h, w))
+        inp = rng.normal((c, h, w))
+        kernels = rng.normal((f, c, k, k))
+        upstream = rng.normal((f, h, w))
+        _, cache = conv2d_forward(inp, kernels, rng.normal((f,)))
+        padded, up = cache.padded.copy(), upstream.copy()
+        gi, gk, gb = conv2d_backward(cache, upstream, input_grad=False)
+        assert gi is None
+        _, want_k, want_b = conv2d_backward_reference(inp, kernels, upstream)
+        for got, want in ((gk, want_k), (gb, want_b)):
+            assert got.shape == want.shape and got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert same_bits(cache.padded, padded) and same_bits(upstream, up)
 
 
 class TestAdam:

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import read_epoch_csv, read_reliability_csv
 
 from capeseg.calibration import BinTable
 from capeseg.cli import storage
@@ -72,7 +73,7 @@ class TestStorageRoundTrips:
         kl_true=st.none() | FINITE,
     ), max_size=8))
     def test_epoch_csv_is_exact_including_missing_kl(self, records):
-        assert roundtrip(storage.write_epoch_csv, storage.read_epoch_csv, records) == records
+        assert roundtrip(storage.write_epoch_csv, read_epoch_csv, records) == records
 
     @PROPERTY
     @given(st.integers(1, 8), st.data())
@@ -84,7 +85,7 @@ class TestStorageRoundTrips:
             prob_pred=data.draw(unit),
             prob_true=data.draw(unit),
         )
-        rows = roundtrip(storage.write_reliability_csv, storage.read_reliability_csv, table)
+        rows = roundtrip(storage.write_reliability_csv, read_reliability_csv, table)
         assert [r["bin"] for r in rows] == list(range(n_bins))
         assert [r["edge_lo"] for r in rows] == table.edges[:-1].tolist()
         assert [r["edge_hi"] for r in rows] == table.edges[1:].tolist()
