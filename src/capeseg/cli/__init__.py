@@ -1,10 +1,10 @@
 """Command-line entry points: generate, train, evaluate, sweep, plot.
 
 Every command reads a flat key=value config (where one applies), checks
-its inputs, writes its artifacts into --out (created just before the
-first write), and finishes with a manifest listing each output file and
-its digest. Exit codes: 0 success, 1 usage/config error,
-2 data/format error, 3 numeric failure, 4 partial sweep failure.
+its inputs, writes its artifacts into --out (created by the first
+write), and finishes with a manifest listing each output file and its
+digest. Exit codes: 0 success, 1 usage/config error, 2 data/format
+error, 3 numeric failure, 4 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def positive_int(text: str) -> int:
 
 
 def _prepare_outdir(outdir: str, names: list[str], force: bool) -> Path:
-    """Check --out for clashing outputs; the caller creates it before its first write."""
+    """Check --out for clashing outputs and manifest; the first write creates --out."""
     out = Path(outdir)
     if out.exists() and not out.is_dir():
         raise UsageError(f"output path {out} exists and is not a directory")
-    clashes = [n for n in names if (out / n).exists()]
+    clashes = [n for n in [*names, storage.MANIFEST_NAME] if (out / n).exists()]
     if clashes and not force:
         raise UsageError(
             f"output file(s) already exist in {out}: {', '.join(clashes)} (use --force)"
@@ -79,15 +79,13 @@ def _apply_overrides(cfg: dict, args) -> dict:
 def cmd_generate(args) -> int:
     cfg = configfile.load_config(args.config, configfile.GENERATE_SCHEMA)
     cfg = _apply_overrides(cfg, args)
-    out = _prepare_outdir(args.out, ["dataset.bin", "manifest.json"], args.force)
+    out = _prepare_outdir(args.out, ["dataset.bin"], args.force)
     field_cfg = configfile.field_config_from(cfg)
     dataset = generate_dataset(field_cfg, cfg["n_samples"])
-    dataset_path = out / "dataset.bin"
-    out.mkdir(parents=True, exist_ok=True)
-    storage.write_dataset(dataset_path, dataset)
+    written = storage.write_dataset(out / "dataset.bin", dataset)
     rate = float(dataset.outcomes.mean(axis=(1, 2)).mean())
-    print(f"wrote {dataset_path} ({len(dataset)} samples, event rate {rate:.4f})")
-    storage.write_manifest(out, "generate", cfg, cfg["seed"], [dataset_path], args.started_utc)
+    print(f"wrote {written.path} ({len(dataset)} samples, event rate {rate:.4f})")
+    storage.write_manifest(out, "generate", cfg, cfg["seed"], [written], args.started_utc)
     return EXIT_OK
 
 
@@ -95,8 +93,7 @@ def cmd_train(args) -> int:
     cfg = configfile.load_config(args.config, configfile.TRAIN_KEYS)
     cfg = _apply_overrides(cfg, args)
     train_cfg = configfile.train_config_from(cfg)
-    outputs = ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv", "manifest.json"]
-    out = _prepare_outdir(args.out, outputs, args.force)
+    out = _prepare_outdir(args.out, ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv"], args.force)
     dataset = storage.read_dataset(args.dataset)
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
@@ -107,13 +104,11 @@ def cmd_train(args) -> int:
         warm.best_params, dataset, train_idx, val_idx, train_cfg, warm.stop_epoch
     )
 
-    bce_path = out / "bce_arm.ckpt"
-    cape_path = out / "cape_arm.ckpt"
-    epochs_path = out / "epochs.csv"
-    out.mkdir(parents=True, exist_ok=True)
-    storage.write_checkpoint(bce_path, warm.best_params)
-    storage.write_checkpoint(cape_path, cape_params)
-    storage.write_epoch_csv(epochs_path, warm.records + cape_records)
+    files = [
+        storage.write_checkpoint(out / "bce_arm.ckpt", warm.best_params),
+        storage.write_checkpoint(out / "cape_arm.ckpt", cape_params),
+        storage.write_epoch_csv(out / "epochs.csv", warm.records + cape_records),
+    ]
 
     bce_report = evaluate_arm(warm.best_params, dataset, test_idx, train_cfg.bins)
     cape_report = evaluate_arm(cape_params, dataset, test_idx, train_cfg.bins)
@@ -121,16 +116,12 @@ def cmd_train(args) -> int:
         f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); "
         f"test ECE bce={bce_report.ece:.4f} cape={cape_report.ece:.4f}"
     )
-    storage.write_manifest(
-        out, "train", cfg, train_cfg.seed, [bce_path, cape_path, epochs_path],
-        args.started_utc,
-    )
+    storage.write_manifest(out, "train", cfg, train_cfg.seed, files, args.started_utc)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    outputs = ["metrics.csv", "reliability.csv", "manifest.json"]
-    out = _prepare_outdir(args.out, outputs, args.force)
+    out = _prepare_outdir(args.out, ["metrics.csv", "reliability.csv"], args.force)
     dataset = storage.read_dataset(args.dataset)
 
     if args.oracle:
@@ -149,60 +140,43 @@ def cmd_evaluate(args) -> int:
             )
         report = evaluate_arm(params, dataset, np.arange(len(dataset)), args.bins)
 
-    metrics_path = out / "metrics.csv"
-    reliability_path = out / "reliability.csv"
-    out.mkdir(parents=True, exist_ok=True)
-    storage.write_metrics_csv(metrics_path, report)
-    storage.write_reliability_csv(reliability_path, report.bin_table)
+    files = [storage.write_metrics_csv(out / "metrics.csv", report)]
+    files.append(storage.write_reliability_csv(out / "reliability.csv", report.bin_table))
     kl_text = f"{report.kl_true:.6f}" if report.kl_true is not None else "n/a"
     print(
         f"ece={report.ece:.4f} brier={report.brier:.4f} kl={kl_text} "
         f"({report.bin_table.n_pixels} pixels, {args.bins} bins)"
     )
     config_echo = {"dataset": str(args.dataset), "bins": args.bins, "oracle": bool(args.oracle)}
-    storage.write_manifest(
-        out, "evaluate", config_echo, 0, [metrics_path, reliability_path], args.started_utc
-    )
+    storage.write_manifest(out, "evaluate", config_echo, 0, files, args.started_utc)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = configfile.load_config(args.config, configfile.SWEEP_SCHEMA)
     cfg = _apply_overrides(cfg, args)
-    outputs = ["sweep.csv", "ece_vs_rate.svg", "kl_vs_rate.svg", "manifest.json"]
-    out = _prepare_outdir(args.out, outputs + ["failures.csv"], args.force)
+    outputs = ["sweep.csv", "ece_vs_rate.svg", "kl_vs_rate.svg", "failures.csv"]
+    out = _prepare_outdir(args.out, outputs, args.force)
     field_cfg = configfile.field_config_from({**cfg, "target_rate": 0.5})
     train_cfg = configfile.train_config_from(cfg)
 
     result = run_experiment(field_cfg, cfg["rates"], cfg["sizes"], train_cfg, args.threads)
     rows = result.rows()
 
-    sweep_path = out / "sweep.csv"
-    out.mkdir(parents=True, exist_ok=True)
-    storage.write_sweep_csv(sweep_path, rows)
-    files = [sweep_path]
+    files = [storage.write_sweep_csv(out / "sweep.csv", rows)]
     if rows:
-        ece_path = out / "ece_vs_rate.svg"
-        kl_path = out / "kl_vs_rate.svg"
-        ece_path.write_text(
-            svg.sweep_chart(rows, "ece", "Calibration error vs event rate", "ECE"),
-            encoding="utf-8",
-        )
-        kl_path.write_text(
-            svg.sweep_chart(rows, "kl", "KL divergence vs event rate", "KL (nats)"),
-            encoding="utf-8",
-        )
-        files += [ece_path, kl_path]
+        ece = svg.sweep_chart(rows, "ece", "Calibration error vs event rate", "ECE")
+        kl = svg.sweep_chart(rows, "kl", "KL divergence vs event rate", "KL (nats)")
+        files.append(storage.publish(out / "ece_vs_rate.svg", [ece.encode("utf-8")]))
+        files.append(storage.publish(out / "kl_vs_rate.svg", [kl.encode("utf-8")]))
     if result.failures:
-        failures_path = out / "failures.csv"
-        storage.write_failures_csv(failures_path, result.failures)
-        files.append(failures_path)
+        files.append(storage.write_failures_csv(out / "failures.csv", result.failures))
         for cell in result.failures:
             print(
                 f"cell (rate={cell.target_rate}, n={cell.n_samples}) failed:\n{cell.error}",
                 file=sys.stderr,
             )
-    print(f"wrote {sweep_path} ({len(rows)} rows, {len(result.failures)} failed cells)")
+    print(f"wrote {files[0].path} ({len(rows)} rows, {len(result.failures)} failed cells)")
     storage.write_manifest(out, "sweep", cfg, train_cfg.seed, files, args.started_utc)
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
@@ -218,14 +192,10 @@ def cmd_plot(args) -> int:
     else:
         name = "reliability.svg"
         content = svg.reliability_chart(rows, "Reliability diagram")
-    out = _prepare_outdir(args.out, [name, "manifest.json"], args.force)
-    path = out / name
-    out.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
-    print(f"wrote {path}")
-    storage.write_manifest(
-        out, "plot", {"input": str(args.input)}, 0, [path], args.started_utc
-    )
+    out = _prepare_outdir(args.out, [name], args.force)
+    written = storage.publish(out / name, [content.encode("utf-8")])
+    print(f"wrote {written.path}")
+    storage.write_manifest(out, "plot", {"input": str(args.input)}, 0, [written], args.started_utc)
     return EXIT_OK
 
 

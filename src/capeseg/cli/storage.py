@@ -1,6 +1,10 @@
 """Bit-exact persistence: dataset and checkpoint binaries, CSV reports,
 and the run manifest.
 
+Every output is written by `publish`: whole or not at all, and hashed as
+it is written. Each writer returns the `Written` record (path, size,
+SHA-256) that the manifest, published last, is built from.
+
 Datasets use a little-endian header (magic "CAPESEG1") followed by one
 record per sample: float32 inputs, uint8 outcomes, float32 true
 probabilities when flagged. Checkpoints are named parameter blocks with
@@ -15,8 +19,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,6 +45,8 @@ EPOCH_CSV_HEADER = ["epoch", "phase", "train_loss", "val_loss", "brier", "kl"]
 SWEEP_CSV_HEADER = ["rho", "n", "fold", "arm", "ece", "brier", "kl", "stop_epoch"]
 RELIABILITY_CSV_HEADER = ["bin", "edge_lo", "edge_hi", "count", "prob_pred", "prob_true"]
 METRICS_CSV_HEADER = ["metric", "value"]
+FAILURES_CSV_HEADER = ["rho", "n", "error"]
+MANIFEST_NAME = "manifest.json"
 
 
 class FormatError(ValueError):
@@ -67,7 +74,7 @@ def _record_dtype(c: int, h: int, w: int, has_true_p: bool) -> np.dtype:
     return np.dtype(fields)
 
 
-def write_dataset(path, dataset: Dataset) -> None:
+def write_dataset(path, dataset: Dataset) -> Written:
     if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
     if not np.isin(dataset.outcomes, (0.0, 1.0)).all():
@@ -79,9 +86,8 @@ def write_dataset(path, dataset: Dataset) -> None:
     records["outcomes"] = dataset.outcomes
     if dataset.has_true_p:
         records["true_p"] = dataset.true_p
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(dataset), c, h, w, flags))
-        fh.write(records.data)
+    header = _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(dataset), c, h, w, flags)
+    return publish(path, [header, records.data])
 
 
 def _reject_bad_samples(path, what: str, ok: np.ndarray) -> None:
@@ -131,7 +137,7 @@ def read_dataset(path) -> Dataset:
 # --- checkpoint container ---
 
 
-def write_checkpoint(path, params: ModelParams) -> None:
+def write_checkpoint(path, params: ModelParams) -> Written:
     blob = bytearray()
     blob += struct.pack("<8sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(params.blocks))
     for name, block in params.blocks.items():
@@ -141,7 +147,7 @@ def write_checkpoint(path, params: ModelParams) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    return publish(path, [blob])
 
 
 def read_checkpoint(path) -> ModelParams:
@@ -198,31 +204,53 @@ def read_checkpoint(path) -> ModelParams:
     return ModelParams(c, f, np.concatenate([blocks[name].ravel() for name in layout]))
 
 
-# --- manifest ---
+# --- publishing and the manifest ---
 
 
-def sha256_file(path) -> str:
+@dataclass(frozen=True)
+class Written:
+    """A published output: its path, its size and the SHA-256 of its bytes."""
+
+    path: Path
+    bytes: int
+    sha256: str
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+
+def publish(path, chunks) -> Written:
+    """Write the bytes-like `chunks` to a temporary file beside `path`, hashing
+    them, then rename it into place; any failure, an interrupt included,
+    removes it. Creates the directory when needed. Replacing an output
+    other than the manifest first removes the manifest, now stale."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+            size = fh.tell()
+        if path.name != MANIFEST_NAME:
+            (path.parent / MANIFEST_NAME).unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return Written(path, size, digest.hexdigest())
 
 
 def write_manifest(
     outdir, command: str, config_echo: dict, seed: int, outputs, started_utc: datetime
-) -> Path:
-    """Inventory of a command's outputs with content digests; written last.
+) -> Written:
+    """Inventory of a command's outputs from their `Written` records; published last.
 
     started_utc is when the command started; finished_utc is stamped here.
     """
-    outdir = Path(outdir)
-    entries = []
-    for p in outputs:
-        p = Path(p)
-        entries.append(
-            {"path": p.name, "bytes": p.stat().st_size, "sha256": sha256_file(p)}
-        )
+    entries = [{"path": w.path.name, "bytes": w.bytes, "sha256": w.sha256} for w in outputs]
     manifest = {
         "tool": "capeseg",
         "version": __version__,
@@ -233,9 +261,8 @@ def write_manifest(
         "config": config_echo,
         "outputs": entries,
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return publish(Path(outdir) / MANIFEST_NAME, [text.encode("utf-8")])
 
 
 # --- CSV reports ---
@@ -253,11 +280,12 @@ def _optional(cast):
     return lambda text: cast(text) if text else None
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([fmt(cell) for cell in row] for row in rows)
+def _write_csv(path, header: list[str], rows) -> Written:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([fmt(cell) for cell in row] for row in rows)
+    return publish(path, [text.getvalue().encode("utf-8")])
 
 
 # The CSVs read back: per-column casts and the record built from one row.
@@ -303,25 +331,25 @@ def read_csv(path, *headers: list[str]) -> tuple[list[str], list]:
     return header, records
 
 
-def write_epoch_csv(path, records: list[EpochRecord]) -> None:
-    _write_csv(path, EPOCH_CSV_HEADER, map(astuple, records))
+def write_epoch_csv(path, records: list[EpochRecord]) -> Written:
+    return _write_csv(path, EPOCH_CSV_HEADER, map(astuple, records))
 
 
-def write_sweep_csv(path, rows: list[dict]) -> None:
-    _write_csv(path, SWEEP_CSV_HEADER, ([row[k] for k in SWEEP_CSV_HEADER] for row in rows))
+def write_sweep_csv(path, rows: list[dict]) -> Written:
+    return _write_csv(path, SWEEP_CSV_HEADER, ([row[k] for k in SWEEP_CSV_HEADER] for row in rows))
 
 
-def write_failures_csv(path, failures) -> None:
+def write_failures_csv(path, failures) -> Written:
     rows = ((cell.target_rate, cell.n_samples, cell.error.strip()) for cell in failures)
-    _write_csv(path, ["rho", "n", "error"], rows)
+    return _write_csv(path, FAILURES_CSV_HEADER, rows)
 
 
-def write_reliability_csv(path, table: BinTable) -> None:
+def write_reliability_csv(path, table: BinTable) -> Written:
     columns = (table.edges[:-1], table.edges[1:], table.counts, table.prob_pred, table.prob_true)
-    _write_csv(path, RELIABILITY_CSV_HEADER, zip(range(table.n_bins), *columns))
+    return _write_csv(path, RELIABILITY_CSV_HEADER, zip(range(table.n_bins), *columns))
 
 
-def write_metrics_csv(path, report: MetricsReport) -> None:
+def write_metrics_csv(path, report: MetricsReport) -> Written:
     table = report.bin_table
     rows = [
         ("ece", report.ece),
@@ -330,4 +358,4 @@ def write_metrics_csv(path, report: MetricsReport) -> None:
         ("n_pixels", table.n_pixels),
         ("n_bins", table.n_bins),
     ]
-    _write_csv(path, METRICS_CSV_HEADER, rows)
+    return _write_csv(path, METRICS_CSV_HEADER, rows)

@@ -198,13 +198,13 @@ def _run_epoch(
     dataset: Dataset,
     order: np.ndarray,
     batch_size: int,
-    p_emp: np.ndarray | dict[int, np.ndarray],
+    p_emp: np.ndarray,
     cal_weight: float,
 ) -> tuple[ModelParams, AdamState, float]:
     """One pass of minibatch Adam on combined_loss; returns (params, state, mean train loss).
 
-    p_emp[si] holds the empirical-frequency targets of sample si, shaped
-    like its outcomes; the warm-up passes the outcomes at weight 0.
+    p_emp is shaped like dataset.outcomes, and p_emp[si] holds the targets
+    of sample si; the warm-up passes the outcomes at weight 0.
     Gradients are summed in fixed sample order so results do not depend
     on scheduling.
     """
@@ -295,16 +295,16 @@ def train_cape(
     else:
         n_epochs = max(0, config.cape_epochs - start_epoch)
     records: list[EpochRecord] = []
+    p_emp = np.zeros_like(dataset.outcomes)  # rows at train_idx refilled each epoch
 
     for epoch in range(start_epoch + 1, start_epoch + n_epochs + 1):
         # Refresh empirical targets over the full training set with the
         # current model, then freeze them for this epoch's updates.
         train_preds = probabilities(_predict_split(params, dataset, train_idx))
-        train_outs = dataset.outcomes[train_idx]
         assignment = bin_assignment(train_preds, config.bins)
-        table = build_bins(train_preds, train_outs.ravel(), assignment)
-        targets = assign_p_emp(assignment, table).reshape(train_outs.shape)
-        p_emp = dict(zip(train_idx.tolist(), targets))
+        table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
+        p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
+        del train_preds, assignment  # not held beside the next refresh
 
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         params, adam, train_loss = _run_epoch(

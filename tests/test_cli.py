@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -54,6 +56,20 @@ def csv_rows(path):
     """Data rows of a CSV file, header dropped."""
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))[1:]
+
+
+def replace_fails_after(monkeypatch, n, exc=None):
+    """Let the next n os.replace calls through; raise `exc` on every later one."""
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) > n:
+            raise exc or OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage.os, "replace", replace)
 
 
 def write_config(path, **kv):
@@ -254,12 +270,89 @@ class TestCheckpointRoundTrip:
             storage.read_checkpoint(path)
 
 
+class TestWritePath:
+    def test_written_describes_the_published_file(self, tmp_path):
+        written = storage.publish(tmp_path / "new" / "f.bin", [b"abc", memoryview(b"de")])
+        assert os.fspath(written) == str(tmp_path / "new" / "f.bin")
+        assert os.path.getsize(written) == written.bytes == 5
+        assert written.sha256 == hashlib.sha256(b"abcde").hexdigest()
+        assert os.listdir(tmp_path / "new") == ["f.bin"]
+
+    def test_replacing_an_output_removes_the_stale_manifest(self, tmp_path):
+        storage.publish(tmp_path / "manifest.json", [b"{}"])
+        storage.publish(tmp_path / "f.bin", [b"abc"])
+        assert os.listdir(tmp_path) == ["f.bin"]
+
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+    def test_failure_while_writing_keeps_old_files_and_no_temporary(self, tmp_path, exc):
+        target = tmp_path / "f.bin"
+        target.write_bytes(b"old")
+        (tmp_path / "manifest.json").write_bytes(b"{}")
+
+        def chunks():
+            yield b"new"
+            raise exc
+
+        with pytest.raises(type(exc)):
+            storage.publish(target, chunks())
+        assert sorted(os.listdir(tmp_path)) == ["f.bin", "manifest.json"]
+        assert target.read_bytes() == b"old"
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        replace_fails_after(monkeypatch, 0, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            storage.publish(tmp_path / "f.bin", [b"abc"])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("outputs", ["dataset_dir", "trained", "swept"])
+    def test_out_holds_exactly_the_manifest_listing(self, request, outputs):
+        out = request.getfixturevalue(outputs)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(
+            [e["path"] for e in manifest["outputs"]] + ["manifest.json"]
+        )
+        for entry in manifest["outputs"]:
+            data = (out / entry["path"]).read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (
+                entry["bytes"], entry["sha256"]
+            )
+
+    def test_force_replaces_outputs(self, tmp_path):
+        cfg = write_config(tmp_path / "gen.cfg", **{**GEN_SMALL, "n_samples": 6})
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        argv = ["generate", "--config", cfg, "--seed", "99", "--out"]
+        assert main([*argv, str(out), "--force"]) == 0
+        assert main([*argv, str(fresh)]) == 0
+        assert (out / "dataset.bin").read_bytes() == (fresh / "dataset.bin").read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == 99
+        assert sorted(os.listdir(out)) == ["dataset.bin", "manifest.json"]
+
+    def test_forced_rerun_failing_partway_leaves_no_manifest(
+        self, trained, dataset_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        old = {name: (out / name).read_bytes() for name in ("bce_arm.ckpt", "cape_arm.ckpt")}
+        cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
+        replace_fails_after(monkeypatch, 1)  # bce_arm.ckpt lands, cape_arm.ckpt does not
+        with pytest.raises(OSError, match="No space"):
+            main([
+                "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
+                "--out", str(out), "--force", "--seed", "14",
+            ])
+        assert sorted(os.listdir(out)) == ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv"]
+        assert (out / "bce_arm.ckpt").read_bytes() != old["bce_arm.ckpt"]
+        assert (out / "cape_arm.ckpt").read_bytes() == old["cape_arm.ckpt"]
+
+
 class TestGenerate:
     def test_outputs_and_manifest(self, dataset_dir):
         assert (dataset_dir / "dataset.bin").exists()
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         entry = next(e for e in manifest["outputs"] if e["path"] == "dataset.bin")
-        assert entry["sha256"] == storage.sha256_file(dataset_dir / "dataset.bin")
+        data = (dataset_dir / "dataset.bin").read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
         ds = storage.read_dataset(dataset_dir / "dataset.bin")
         assert ds.shape == (3, 16, 16)
         assert len(ds) == 24
