@@ -24,6 +24,7 @@ from ..pipeline import (
     check_bins,
     evaluate_arm,
     kfold_rotation,
+    record_helper,
     run_experiment,
     split_kfold,
     train_cape,
@@ -55,8 +56,9 @@ def positive_int(text: str) -> int:
 def _prepare_outdir(outdir: str, names: list[str], force: bool) -> Path:
     """Check --out for clashing outputs and manifest; the first write creates --out."""
     out = Path(outdir)
-    if out.exists() and not out.is_dir():
-        raise UsageError(f"output path {out} exists and is not a directory")
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise UsageError(f"output path {blocker} exists and is not a directory")
     clashes = [n for n in [*names, storage.MANIFEST_NAME] if (out / n).exists()]
     if clashes and not force:
         raise UsageError(
@@ -99,10 +101,16 @@ def cmd_train(args) -> int:
 
     folds = split_kfold(len(dataset), train_cfg.folds, train_cfg.seed)
     train_idx, val_idx, test_idx = kfold_rotation(folds, 0)
-    warm = train_warmup(dataset, train_idx, val_idx, train_cfg)
-    cape_params, cape_records = train_cape(
-        warm.best_params, dataset, train_idx, val_idx, train_cfg, warm.stop_epoch
-    )
+    with record_helper(dataset) as submit:
+        warm = train_warmup(dataset, train_idx, val_idx, train_cfg, submit)
+        bce_job = submit(
+            evaluate_arm, warm.best_params, test_idx=test_idx, n_bins=train_cfg.bins,
+            dataset=dataset,
+        )
+        cape_params, cape_records = train_cape(
+            warm.best_params, dataset, train_idx, val_idx, train_cfg, warm.stop_epoch, submit
+        )
+        bce_report = bce_job.result()
 
     files = [
         storage.write_checkpoint(out / "bce_arm.ckpt", warm.best_params),
@@ -110,7 +118,6 @@ def cmd_train(args) -> int:
         storage.write_epoch_csv(out / "epochs.csv", warm.records + cape_records),
     ]
 
-    bce_report = evaluate_arm(warm.best_params, dataset, test_idx, train_cfg.bins)
     cape_report = evaluate_arm(cape_params, dataset, test_idx, train_cfg.bins)
     print(
         f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); "
@@ -177,7 +184,7 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
     print(f"wrote {files[0].path} ({len(rows)} rows, {len(result.failures)} failed cells)")
-    storage.write_manifest(out, "sweep", cfg, train_cfg.seed, files, args.started_utc)
+    storage.write_manifest(out, "sweep", cfg, train_cfg.seed, files, args.started_utc, outputs)
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
@@ -186,16 +193,16 @@ def cmd_plot(args) -> int:
     header, rows = storage.read_csv(args.input, epoch, reliability)
     if not rows:
         raise FormatError(f"{args.input}: no rows to plot")
+    names = ["learning_curves.svg", "reliability.svg"]
     if header == epoch:
-        name = "learning_curves.svg"
-        content = svg.learning_curve_chart(rows, "Training and validation curves")
+        name, content = names[0], svg.learning_curve_chart(rows, "Training and validation curves")
     else:
-        name = "reliability.svg"
-        content = svg.reliability_chart(rows, "Reliability diagram")
-    out = _prepare_outdir(args.out, [name], args.force)
+        name, content = names[1], svg.reliability_chart(rows, "Reliability diagram")
+    out = _prepare_outdir(args.out, names, args.force)
     written = storage.publish(out / name, [content.encode("utf-8")])
     print(f"wrote {written.path}")
-    storage.write_manifest(out, "plot", {"input": str(args.input)}, 0, [written], args.started_utc)
+    config_echo = {"input": str(args.input)}
+    storage.write_manifest(out, "plot", config_echo, 0, [written], args.started_utc, names)
     return EXIT_OK
 
 
@@ -269,7 +276,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except NumericError as exc:

@@ -244,12 +244,17 @@ def publish(path, chunks) -> Written:
 
 
 def write_manifest(
-    outdir, command: str, config_echo: dict, seed: int, outputs, started_utc: datetime
+    outdir, command: str, config_echo: dict, seed: int, outputs, started_utc: datetime,
+    declared=(),
 ) -> Written:
     """Inventory of a command's outputs from their `Written` records; published last.
 
     started_utc is when the command started; finished_utc is stamped here.
+    Those of the `declared` output names that this run did not write, left
+    by an earlier run, are removed first.
     """
+    for name in set(declared) - {w.path.name for w in outputs}:
+        (Path(outdir) / name).unlink(missing_ok=True)
     entries = [{"path": w.path.name, "bytes": w.bytes, "sha256": w.sha256} for w in outputs]
     manifest = {
         "tool": "capeseg",

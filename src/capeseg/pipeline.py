@@ -13,11 +13,14 @@ frozen warm-up checkpoint ("bce" arm) against the continued model
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
 import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -192,6 +195,63 @@ def _epoch_record(
     return EpochRecord(epoch, phase, train_loss, val_loss, brier_score(preds, outs), kl)
 
 
+def run_now(fn, *args, **kwargs) -> Future:
+    """The training loops' default `submit`: fn(*args, **kwargs) now, as a done
+    future. Jobs pass the dataset as `dataset=`, so a helper can use its own."""
+    future: Future = Future()
+    future.set_result(fn(*args, **kwargs))
+    return future
+
+
+_helper: dict = {}  # in the record helper: {"dataset": the dataset inherited at fork}
+
+
+def _on_helper(name: str, *args, **kwargs):
+    return globals()[name](*args, dataset=_helper["dataset"], **kwargs)
+
+
+class _HelperJob(NamedTuple):
+    """A job sent to the record helper; `inline` computes it here if the helper died."""
+
+    future: Future
+    inline: Callable
+
+    def done(self) -> bool:
+        return self.future.done()
+
+    def result(self):
+        try:
+            return self.future.result()
+        except BrokenExecutor:
+            return self.inline()
+
+
+@contextlib.contextmanager
+def record_helper(dataset: Dataset):
+    """A `submit` that runs jobs (this module's functions, looked up by name) on one
+    helper process while this one trains. The helper is forked, so it holds the
+    `dataset` it inherited rather than receiving it. Jobs run inline with one
+    usable CPU, without fork, and once the helper died; the results are the same."""
+    if len(os.sched_getaffinity(0)) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield run_now
+        return
+    pool = ProcessPoolExecutor(  # forks at the first submit, before it starts a thread
+        1, multiprocessing.get_context("fork"), _helper.update, ({"dataset": dataset},)
+    )
+
+    def submit(fn, *args, dataset, **kwargs):
+        try:
+            future = pool.submit(_on_helper, fn.__name__, *args, **kwargs)
+        except BrokenExecutor:
+            return run_now(fn, *args, dataset=dataset, **kwargs)
+        return _HelperJob(future, lambda: fn(*args, dataset=dataset, **kwargs))
+
+    try:
+        yield submit
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_epoch(
     params: ModelParams,
     adam: AdamState,
@@ -229,7 +289,8 @@ def _run_epoch(
 
 
 def train_warmup(
-    dataset: Dataset, train_idx: np.ndarray, val_idx: np.ndarray, config: TrainConfig
+    dataset: Dataset, train_idx: np.ndarray, val_idx: np.ndarray, config: TrainConfig,
+    submit=run_now,
 ) -> WarmupResult:
     """Minibatch Adam on binary cross-entropy with early stopping.
 
@@ -237,37 +298,58 @@ def train_warmup(
     is exactly the outcomes. Returns the checkpoint with the lowest
     validation loss (not the last one), the epoch it was reached, the
     epoch training stopped, and the per-epoch records.
+
+    `submit` computes each record (see `run_now`), judged once it is done or
+    the next epoch has trained; a record that stops training drops that epoch.
     """
     rng = Rng(config.seed)
     channels = dataset.shape[0]
     params = init_params(channels, config.hidden_channels, rng.child(_STREAM_INIT))
     adam = AdamState.init(params.flat.size, lr=config.lr)
-    shuffle_rng = rng.child(_STREAM_WARMUP_BATCHES)
+    shuffle_rng = rng.child(_STREAM_WARMUP_BATCHES)  # nothing reads it after the warm-up
     stopper = EarlyStopper(patience=config.patience, min_delta=config.min_delta)
 
     train_idx = np.asarray(train_idx)
     best = params
     records: list[EpochRecord] = []
-    stop_epoch = 0
+    pending: list = []  # (params, record future) of the newest epoch, not yet judged
+
+    def judge() -> bool:
+        """Judge the pending epoch, if any; True when its record stops training."""
+        nonlocal best
+        if not pending:
+            return False
+        epoch_params, future = pending.pop()
+        records.append(future.result())
+        improved, stop = stopper.update(records[-1].epoch, records[-1].val_loss)
+        if improved:
+            best = epoch_params
+        return stop
 
     for epoch in range(1, config.max_epochs + 1):
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        params, adam, train_loss = _run_epoch(
-            params, adam, dataset, order, config.batch_size, dataset.outcomes, 0.0
-        )
-        records.append(_epoch_record(epoch, WARMUP_PHASE, train_loss, params, dataset, val_idx))
-        improved, stop = stopper.update(epoch, records[-1].val_loss)
-        if improved:
-            best = params
-        stop_epoch = epoch
-        if stop:
+        if pending and pending[0][1].done() and judge():
             break
+        order = train_idx[shuffle_rng.permutation(len(train_idx))]
+        try:
+            params, adam, train_loss = _run_epoch(
+                params, adam, dataset, order, config.batch_size, dataset.outcomes, 0.0
+            )
+        except Exception:
+            if judge():
+                break
+            raise
+        if judge():
+            break
+        pending.append((params, submit(
+            _epoch_record, epoch, WARMUP_PHASE, train_loss, params, dataset=dataset, val_idx=val_idx
+        )))
+    judge()
 
     return WarmupResult(
         best_params=best,
         best_val_loss=stopper.best,
         best_epoch=stopper.best_epoch,
-        stop_epoch=stop_epoch,
+        stop_epoch=records[-1].epoch,
         records=records,
     )
 
@@ -279,12 +361,14 @@ def train_cape(
     val_idx: np.ndarray,
     config: TrainConfig,
     start_epoch: int,
+    submit=run_now,
 ) -> tuple[ModelParams, list[EpochRecord]]:
     """Resume from the warm-up checkpoint with the combined loss.
 
     Runs for the remaining shared epoch budget (or the configured
     override) with a fresh Adam state. Records continue the warm-up epoch
-    numbering and carry the "cape" phase tag.
+    numbering and carry the "cape" phase tag; `submit` computes them (see
+    `run_now`), and they are collected in epoch order at the end.
     """
     shuffle_rng = Rng(config.seed).child(_STREAM_CONTINUE_BATCHES)
     params = start_params
@@ -294,24 +378,29 @@ def train_cape(
         n_epochs = max(0, config.cape_epochs_override)
     else:
         n_epochs = max(0, config.cape_epochs - start_epoch)
-    records: list[EpochRecord] = []
+    futures = []
     p_emp = np.zeros_like(dataset.outcomes)  # rows at train_idx refilled each epoch
 
-    for epoch in range(start_epoch + 1, start_epoch + n_epochs + 1):
-        # Refresh empirical targets over the full training set with the
-        # current model, then freeze them for this epoch's updates.
-        train_preds = probabilities(_predict_split(params, dataset, train_idx))
-        assignment = bin_assignment(train_preds, config.bins)
-        table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
-        p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
-        del train_preds, assignment  # not held beside the next refresh
+    try:
+        for epoch in range(start_epoch + 1, start_epoch + n_epochs + 1):
+            # Refresh empirical targets over the full training set with the
+            # current model, then freeze them for this epoch's updates.
+            train_preds = probabilities(_predict_split(params, dataset, train_idx))
+            assignment = bin_assignment(train_preds, config.bins)
+            table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
+            p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
+            del train_preds, assignment  # not held beside the next refresh
 
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
-        params, adam, train_loss = _run_epoch(
-            params, adam, dataset, order, config.batch_size, p_emp, config.cal_weight
-        )
-        records.append(_epoch_record(epoch, CAPE_PHASE, train_loss, params, dataset, val_idx))
-
+            order = train_idx[shuffle_rng.permutation(len(train_idx))]
+            params, adam, train_loss = _run_epoch(
+                params, adam, dataset, order, config.batch_size, p_emp, config.cal_weight
+            )
+            futures.append(submit(
+                _epoch_record, epoch, CAPE_PHASE, train_loss, params,
+                dataset=dataset, val_idx=val_idx,
+            ))
+    finally:  # a failed record comes before a failed epoch: its epoch is earlier
+        records = [future.result() for future in futures]
     return params, records
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -16,12 +17,13 @@ import pytest
 from oracles import bce_continuation, read_epoch_csv, read_reliability_csv
 
 import capeseg
+import capeseg.cli as cli_module
 from capeseg import pipeline
 from capeseg.cli import main
 from capeseg.cli import configfile, storage, svg
 from capeseg.fieldgen import FieldConfig, generate_dataset
 from capeseg.model import init_params
-from capeseg.numerics import Rng
+from capeseg.numerics import NumericError, Rng
 from capeseg.pipeline import (
     kfold_rotation,
     split_kfold,
@@ -329,18 +331,19 @@ class TestWritePath:
         assert sorted(os.listdir(out)) == ["dataset.bin", "manifest.json"]
 
     def test_forced_rerun_failing_partway_leaves_no_manifest(
-        self, trained, dataset_dir, tmp_path, monkeypatch
+        self, trained, dataset_dir, tmp_path, monkeypatch, capsys
     ):
         out = tmp_path / "run"
         shutil.copytree(trained, out)
         old = {name: (out / name).read_bytes() for name in ("bce_arm.ckpt", "cape_arm.ckpt")}
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
         replace_fails_after(monkeypatch, 1)  # bce_arm.ckpt lands, cape_arm.ckpt does not
-        with pytest.raises(OSError, match="No space"):
-            main([
-                "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
-                "--out", str(out), "--force", "--seed", "14",
-            ])
+        assert main([
+            "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
+            "--out", str(out), "--force", "--seed", "14",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No space" in err and err.count("\n") == 1
         assert sorted(os.listdir(out)) == ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv"]
         assert (out / "bce_arm.ckpt").read_bytes() != old["bce_arm.ckpt"]
         assert (out / "cape_arm.ckpt").read_bytes() == old["cape_arm.ckpt"]
@@ -467,6 +470,102 @@ class TestTrain:
         ]) == 2
 
 
+# Early stopping fires at epoch 8 of 10 (best epoch 7) on the dataset_dir data.
+TRAIN_EARLY_STOP = {**TRAIN_SMALL, "lr": 0.05, "max_epochs": 10}
+TRAIN_OUTPUTS = ("bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv")
+
+
+class TestRecordHelper:
+    """`train` computes its epoch records on a forked helper process when two
+    CPUs are usable, and inline otherwise; its outputs are the same."""
+
+    def run_train(self, dataset_dir, tmp_path, monkeypatch, capsys, cpus, name):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write_config(tmp_path / "early.cfg", **TRAIN_EARLY_STOP)
+        out = tmp_path / name
+        code = main([
+            "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
+            "--out", str(out),
+        ])
+        return code, out, capsys.readouterr().out
+
+    def slow_helper_records(self, monkeypatch, die=False):
+        """Records in the helper take 50 ms (or kill it), so the warm-up trains
+        the epoch after its stop before it sees the record that stops it."""
+        parent, real_record = os.getpid(), pipeline._epoch_record
+
+        @functools.wraps(real_record)
+        def record(*args, **kwargs):
+            if os.getpid() != parent:
+                if die:
+                    os._exit(1)
+                time.sleep(0.05)
+            return real_record(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_epoch_record", record)
+
+    def count_epochs(self, monkeypatch, fail_at=None):
+        """Count `_run_epoch` calls; raise NumericError on call `fail_at`."""
+        calls, real_run_epoch = [], pipeline._run_epoch
+
+        def run_epoch(*args):
+            calls.append(len(calls) + 1)
+            if calls[-1] == fail_at:
+                raise NumericError("injected non-finite loss")
+            return real_run_epoch(*args)
+
+        monkeypatch.setattr(pipeline, "_run_epoch", run_epoch)
+        return calls
+
+    def test_helper_and_inline_outputs_are_byte_identical(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        self.slow_helper_records(monkeypatch)
+        calls = self.count_epochs(monkeypatch)
+        inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
+        inline_epochs = len(calls)
+        helper = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
+        assert inline[0] == helper[0] == 0
+        assert "stopped at epoch 8 (best epoch 7)" in inline[2]
+        assert helper[2] == inline[2]
+        for name in TRAIN_OUTPUTS:
+            assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
+        assert len(calls) - inline_epochs == inline_epochs + 1  # epoch 9 ran, then was dropped
+
+    def test_failure_of_the_dropped_epoch_is_discarded(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
+        self.slow_helper_records(monkeypatch)
+        self.count_epochs(monkeypatch, fail_at=9)  # the epoch after the stop at 8
+        helper = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
+        assert helper[0] == 0
+        assert helper[2] == inline[2]
+        for name in TRAIN_OUTPUTS:
+            assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fail_at", [1, 8])
+    def test_failure_of_a_judged_epoch_exits_3(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, fail_at
+    ):
+        self.slow_helper_records(monkeypatch)
+        self.count_epochs(monkeypatch, fail_at=fail_at)
+        code, out, _ = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
+        assert code == 3
+        assert not out.exists()
+
+    def test_dead_helper_gives_the_inline_outputs(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
+        self.slow_helper_records(monkeypatch, die=True)
+        helper = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
+        assert helper[0] == 0
+        assert helper[2] == inline[2]
+        for name in TRAIN_OUTPUTS:
+            assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
+
+
 class TestEvaluate:
     def test_reliability_counts_sum_to_pixels(self, dataset_dir, tmp_path):
         out = tmp_path / "ev"
@@ -569,6 +668,17 @@ class TestSweep:
         assert (out / "failures.csv").exists()
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 3 * 2  # only the healthy cell contributes rows
+
+    def test_forced_rerun_removes_outputs_it_did_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        for sizes, force, code in (("2,18", [], 4), ("18", ["--force"], 0)):
+            cfg = write_config(tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "sizes": sizes})
+            assert main(["sweep", "--config", cfg, "--out", str(out), *force]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(
+            [e["path"] for e in manifest["outputs"]] + ["manifest.json"]
+        )
+        assert not (out / "failures.csv").exists()
 
     def test_threads_flag_gives_identical_csv(self, swept, tmp_path):
         cfg = write_config(tmp_path / "sweep.cfg", **SWEEP_SMALL)
@@ -687,6 +797,15 @@ class TestPlot:
         assert f"{bad}:3:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_forced_plot_of_the_other_chart_removes_the_first(self, trained, tmp_path):
+        out = tmp_path / "plots"
+        assert main(["plot", "--input", str(trained / "epochs.csv"), "--out", str(out)]) == 0
+        rel = tmp_path / "reliability.csv"
+        rel.write_text("bin,edge_lo,edge_hi,count,prob_pred,prob_true\n0,0.0,1.0,4,0.25,0.5\n")
+        assert main(["plot", "--input", str(rel), "--out", str(out)]) == 1
+        assert main(["plot", "--input", str(rel), "--out", str(out), "--force"]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "reliability.svg"]
+
     def test_directory_input_is_format_error(self, tmp_path):
         assert main(["plot", "--input", str(tmp_path), "--out", str(tmp_path / "p")]) == 2
 
@@ -738,6 +857,29 @@ class TestExitCodes:
         taken.write_text("not a directory")
         assert main(["generate", "--config", cfg, "--out", str(taken)]) == 1
         assert taken.read_text() == "not a directory"
+
+    def test_out_below_a_file_is_usage_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(cli_module, "generate_dataset", no_generation)
+        cfg = write_config(tmp_path / "gen.cfg", **{**GEN_SMALL, "n_samples": 6})
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["generate", "--config", cfg, "--out", str(taken / "sub")]) == 1
+        assert f"{taken} exists and is not a directory" in capsys.readouterr().err
+
+    def test_os_error_is_a_one_line_format_error(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
+        unreadable = tmp_path / "dir.bin"
+        unreadable.mkdir()  # reading a directory raises IsADirectoryError
+        assert main([
+            "train", "--config", cfg, "--dataset", str(unreadable), "--out", str(tmp_path / "o"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_usage_error(self, tmp_path, threads):
