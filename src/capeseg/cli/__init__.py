@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,13 +24,13 @@ from ..pipeline import (
     TrainConfig,
     check_bins,
     evaluate_arm,
-    kfold_rotation,
     record_helper,
     run_experiment,
+    run_fold,
     split_kfold,
-    train_cape,
-    train_warmup,
 )
+# Not called here, but perfbench/tracing.py wraps these two names in this module.
+from ..pipeline import train_cape, train_warmup  # noqa: F401
 from . import configfile, storage, svg
 from .configfile import ConfigError
 from .storage import FormatError
@@ -100,28 +101,20 @@ def cmd_train(args) -> int:
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
     folds = split_kfold(len(dataset), train_cfg.folds, train_cfg.seed)
-    train_idx, val_idx, test_idx = kfold_rotation(folds, 0)
-    with record_helper(dataset) as submit:
-        warm = train_warmup(dataset, train_idx, val_idx, train_cfg, submit)
-        bce_job = submit(
-            evaluate_arm, warm.best_params, test_idx=test_idx, n_bins=train_cfg.bins,
-            dataset=dataset,
-        )
-        cape_params, cape_records = train_cape(
-            warm.best_params, dataset, train_idx, val_idx, train_cfg, warm.stop_epoch, submit
-        )
-        bce_report = bce_job.result()
-
+    try:
+        with record_helper(dataset) as submit:
+            run = run_fold(dataset, folds, 0, train_cfg, submit)
+    except BrokenExecutor:  # the helper died; the fold is deterministic, so rerun it here
+        run = run_fold(dataset, folds, 0, train_cfg)
+    warm = run.warmup
     files = [
         storage.write_checkpoint(out / "bce_arm.ckpt", warm.best_params),
-        storage.write_checkpoint(out / "cape_arm.ckpt", cape_params),
-        storage.write_epoch_csv(out / "epochs.csv", warm.records + cape_records),
+        storage.write_checkpoint(out / "cape_arm.ckpt", run.cape_params),
+        storage.write_epoch_csv(out / "epochs.csv", warm.records + run.cape_records),
     ]
-
-    cape_report = evaluate_arm(cape_params, dataset, test_idx, train_cfg.bins)
     print(
         f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); "
-        f"test ECE bce={bce_report.ece:.4f} cape={cape_report.ece:.4f}"
+        f"test ECE bce={run.bce_metrics.ece:.4f} cape={run.cape_metrics.ece:.4f}"
     )
     storage.write_manifest(out, "train", cfg, train_cfg.seed, files, args.started_utc)
     return EXIT_OK
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if training:
-            p.add_argument("--bins", type=int, default=None, help="override bin count")
+            p.add_argument("--bins", type=positive_int, default=None, help="override bin count")
             p.add_argument(
                 "--lambda", dest="cal_weight", type=float, default=None,
                 help="override the calibration loss weight",
@@ -240,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p_eval.add_argument(
-        "--bins", type=int, default=TrainConfig.bins, help="bin count (default %(default)s)"
+        "--bins", type=positive_int, default=TrainConfig.bins, help="bin count (default %(default)s)"
     )
     p_eval.add_argument(
         "--oracle", action="store_true",

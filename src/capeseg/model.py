@@ -63,6 +63,10 @@ class ModelParams:
             setattr(self, name, self.blocks[name])
             offset = end
 
+    def __reduce__(self):
+        """Pickle as the flat vector, so the loaded blocks view its `flat` again."""
+        return ModelParams, (self.in_channels, self.hidden_channels, self.flat)
+
 
 @dataclass
 class ForwardCache:

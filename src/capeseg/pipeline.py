@@ -20,7 +20,7 @@ import os
 import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,8 +79,10 @@ class TrainConfig:
             raise ValueError("bins must be >= 1")
         if not 0.0 <= self.cal_weight <= 1.0:
             raise ValueError("cal_weight must be in [0, 1]")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
+        if min(self.batch_size, self.max_epochs, self.patience, self.hidden_channels) < 1:
+            raise ValueError("batch_size, max_epochs, patience and hidden_channels must be >= 1")
+        if min(self.cape_epochs, self.cape_epochs_override or 0) < 0:
+            raise ValueError("cape_epochs and cape_epochs_override must be >= 0")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
 
@@ -210,28 +212,13 @@ def _on_helper(name: str, *args, **kwargs):
     return globals()[name](*args, dataset=_helper["dataset"], **kwargs)
 
 
-class _HelperJob(NamedTuple):
-    """A job sent to the record helper; `inline` computes it here if the helper died."""
-
-    future: Future
-    inline: Callable
-
-    def done(self) -> bool:
-        return self.future.done()
-
-    def result(self):
-        try:
-            return self.future.result()
-        except BrokenExecutor:
-            return self.inline()
-
-
 @contextlib.contextmanager
 def record_helper(dataset: Dataset):
     """A `submit` that runs jobs (this module's functions, looked up by name) on one
     helper process while this one trains. The helper is forked, so it holds the
     `dataset` it inherited rather than receiving it. Jobs run inline with one
-    usable CPU, without fork, and once the helper died; the results are the same."""
+    usable CPU and without fork. Once the helper died, `submit` and the results
+    raise `BrokenExecutor`, and the caller reruns its work inline."""
     if len(os.sched_getaffinity(0)) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield run_now
         return
@@ -240,11 +227,7 @@ def record_helper(dataset: Dataset):
     )
 
     def submit(fn, *args, dataset, **kwargs):
-        try:
-            future = pool.submit(_on_helper, fn.__name__, *args, **kwargs)
-        except BrokenExecutor:
-            return run_now(fn, *args, dataset=dataset, **kwargs)
-        return _HelperJob(future, lambda: fn(*args, dataset=dataset, **kwargs))
+        return pool.submit(_on_helper, fn.__name__, *args, **kwargs)
 
     try:
         yield submit
@@ -375,7 +358,7 @@ def train_cape(
     adam = AdamState.init(params.flat.size, lr=config.lr)
     train_idx = np.asarray(train_idx)
     if config.cape_epochs_override is not None:
-        n_epochs = max(0, config.cape_epochs_override)
+        n_epochs = config.cape_epochs_override
     else:
         n_epochs = max(0, config.cape_epochs - start_epoch)
     futures = []
@@ -417,9 +400,8 @@ def evaluate_arm(
 @dataclass
 class FoldRun:
     fold: int
-    best_epoch: int
-    stop_epoch: int
-    warmup_records: list[EpochRecord]
+    warmup: WarmupResult
+    cape_params: ModelParams
     cape_records: list[EpochRecord]
     bce_metrics: MetricsReport
     cape_metrics: MetricsReport
@@ -452,7 +434,7 @@ class SweepResult:
                             "ece": report.ece,
                             "brier": report.brier,
                             "kl": report.kl_true,
-                            "stop_epoch": f.stop_epoch,
+                            "stop_epoch": f.warmup.stop_epoch,
                         }
                     )
         return out
@@ -467,25 +449,22 @@ def run_fold(
     folds: list[np.ndarray],
     rotation: int,
     config: TrainConfig,
+    submit=run_now,
 ) -> FoldRun:
     """Warm-up once, then fork: evaluate the frozen checkpoint and the
-    calibrated continuation on the same test fold."""
+    calibrated continuation on the same test fold. `submit` computes the
+    epoch records and the bce arm's metrics (see `run_now`), the latter
+    while CaPE trains."""
     train_idx, val_idx, test_idx = kfold_rotation(folds, rotation)
-    warm = train_warmup(dataset, train_idx, val_idx, config)
-    bce_metrics = evaluate_arm(warm.best_params, dataset, test_idx, config.bins)
+    warm = train_warmup(dataset, train_idx, val_idx, config, submit)
+    bce_job = submit(
+        evaluate_arm, warm.best_params, dataset=dataset, test_idx=test_idx, n_bins=config.bins
+    )
     cape_params, cape_records = train_cape(
-        warm.best_params, dataset, train_idx, val_idx, config, warm.stop_epoch
+        warm.best_params, dataset, train_idx, val_idx, config, warm.stop_epoch, submit
     )
     cape_metrics = evaluate_arm(cape_params, dataset, test_idx, config.bins)
-    return FoldRun(
-        fold=rotation,
-        best_epoch=warm.best_epoch,
-        stop_epoch=warm.stop_epoch,
-        warmup_records=warm.records,
-        cape_records=cape_records,
-        bce_metrics=bce_metrics,
-        cape_metrics=cape_metrics,
-    )
+    return FoldRun(rotation, warm, cape_params, cape_records, bce_job.result(), cape_metrics)
 
 
 def _run_cell(args: tuple) -> CellResult:

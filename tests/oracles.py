@@ -217,7 +217,7 @@ def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_ep
     for bit at weight 0. Returns (params, [ContinuationEpoch per epoch]).
     """
     if config.cape_epochs_override is not None:
-        n_epochs = max(0, config.cape_epochs_override)
+        n_epochs = config.cape_epochs_override
     else:
         n_epochs = max(0, config.cape_epochs - start_epoch)
     shuffle_rng = Rng(config.seed).child(_STREAM_CONTINUE_BATCHES)

@@ -89,6 +89,12 @@ TRAIN_SMALL = dict(
 )
 
 
+def train_small_config():
+    """TRAIN_SMALL as `train` reads it from its config file."""
+    text = {k: str(v) for k, v in TRAIN_SMALL.items()}
+    return configfile.train_config_from(configfile.coerce(text, configfile.TRAIN_KEYS))
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("data")
@@ -449,9 +455,7 @@ class TestTrain:
 
         # independent reference: plain BCE continuation with the same seeds
         ds = storage.read_dataset(dataset_dir / "dataset.bin")
-        tc = configfile.train_config_from(
-            configfile.coerce({k: str(v) for k, v in TRAIN_SMALL.items()}, configfile.TRAIN_KEYS)
-        )
+        tc = train_small_config()
         folds = split_kfold(len(ds), tc.folds, tc.seed)
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
         warm = train_warmup(ds, train_idx, val_idx, tc)
@@ -460,6 +464,19 @@ class TestTrain:
         )
         assert [r.val_loss for r in cape_rows] == [r.val_loss for r in expected]
         assert [r.train_loss for r in cape_rows] == [r.train_loss for r in expected]
+
+    def test_outputs_are_those_of_run_fold(self, trained, dataset_dir, tmp_path):
+        """`train` runs rotation 0 of its own split as one sweep fold would."""
+        ds = storage.read_dataset(dataset_dir / "dataset.bin")
+        tc = train_small_config()
+        run = pipeline.run_fold(ds, split_kfold(len(ds), tc.folds, tc.seed), 0, tc)
+        written = [
+            storage.write_checkpoint(tmp_path / "bce_arm.ckpt", run.warmup.best_params),
+            storage.write_checkpoint(tmp_path / "cape_arm.ckpt", run.cape_params),
+            storage.write_epoch_csv(tmp_path / "epochs.csv", run.warmup.records + run.cape_records),
+        ]
+        for w in written:
+            assert w.path.read_bytes() == (trained / w.path.name).read_bytes(), w.path.name
 
     def test_format_error_on_non_dataset(self, tmp_path):
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
@@ -489,18 +506,19 @@ class TestRecordHelper:
         ])
         return code, out, capsys.readouterr().out
 
-    def slow_helper_records(self, monkeypatch, die=False):
-        """Records in the helper take 50 ms (or kill it), so the warm-up trains
-        the epoch after its stop before it sees the record that stops it."""
+    def slow_helper_records(self, monkeypatch, die_in=None):
+        """Records in the helper take 50 ms (or kill it in phase `die_in`), so
+        the warm-up trains the epoch after its stop before it sees the record that
+        stops it."""
         parent, real_record = os.getpid(), pipeline._epoch_record
 
         @functools.wraps(real_record)
-        def record(*args, **kwargs):
+        def record(epoch, phase, *args, **kwargs):
             if os.getpid() != parent:
-                if die:
+                if phase == die_in:
                     os._exit(1)
                 time.sleep(0.05)
-            return real_record(*args, **kwargs)
+            return real_record(epoch, phase, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "_epoch_record", record)
 
@@ -554,16 +572,36 @@ class TestRecordHelper:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("phase", [pipeline.WARMUP_PHASE, pipeline.CAPE_PHASE])
     def test_dead_helper_gives_the_inline_outputs(
-        self, dataset_dir, tmp_path, monkeypatch, capsys
+        self, dataset_dir, tmp_path, monkeypatch, capsys, phase
     ):
         inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
-        self.slow_helper_records(monkeypatch, die=True)
+        self.slow_helper_records(monkeypatch, die_in=phase)
+        calls = self.count_epochs(monkeypatch)
         helper = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
         assert helper[0] == 0
         assert helper[2] == inline[2]
         for name in TRAIN_OUTPUTS:
             assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
+        assert len(calls) > 8 + 2  # the fold ran until the helper died, then again inline
+
+    def test_failed_cape_arm_score_leaves_no_out(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        """Both arms are scored before the first write."""
+        calls, real_evaluate = [], pipeline.evaluate_predictions
+
+        def evaluate_predictions(*args, **kwargs):
+            calls.append(len(calls) + 1)
+            if calls[-1] == 2:  # the bce arm is scored first
+                raise NumericError("injected non-finite metric")
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "evaluate_predictions", evaluate_predictions)
+        code, out, _ = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
+        assert (code, calls) == (3, [1, 2])
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -888,6 +926,16 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bins_below_one_is_usage_error(self, dataset_dir, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
+        out = tmp_path / "out"
+        argv = [command, *(["--config", cfg] if command == "train" else ["--oracle"])]
+        dataset = str(dataset_dir / "dataset.bin")
+        assert main([*argv, "--bins", "0", "--dataset", dataset, "--out", str(out)]) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_many_bins_fails_before_training(
         self, dataset_dir, tmp_path, monkeypatch, capsys
     ):
@@ -926,6 +974,7 @@ class TestExitCodes:
             ({"rates": "0.2,1.5"}, "target_rate must be in (0, 1)"),
             ({"sizes": "18,0"}, "sweep sizes must be >= 1"),
             ({"rates": ""}, "at least one rate and one size"),
+            ({"hidden_channels": 0}, "hidden_channels must be >= 1"),
         ],
     )
     def test_unrunnable_sweep_grid_fails_before_any_cell(

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from oracles import conv2d_reference, finite_diff_check, model_loss_fn, params_with_relu_margin
@@ -159,6 +161,15 @@ class TestFlatVector:
         assert np.array_equal(params.flat[-1:], params.conv2_b)
         params.conv2_b[0] = 5.0
         assert params.flat[-1] == 5.0
+
+    def test_pickle_keeps_the_blocks_views_of_flat(self):
+        params = init_params(3, 8, Rng(4))
+        data = pickle.dumps(params)
+        again = pickle.loads(data)
+        assert np.array_equal(again.flat, params.flat)
+        again.conv1_w[0, 0, 0, 0] = 7.0
+        assert again.flat[0] == 7.0
+        assert len(data) < 2 * params.flat.nbytes  # the vector once, not once per block
 
     def test_wrong_size_vector_rejected(self):
         with pytest.raises(ValueError):

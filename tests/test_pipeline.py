@@ -279,7 +279,7 @@ class TestRunExperiment:
         arms = {r["arm"] for r in rows}
         assert arms == {"bce", "cape"}
         for fold in cell.folds:
-            assert fold.warmup_records  # shared by both arms by construction
+            assert fold.warmup.records  # shared by both arms by construction
         assert {r["arm"] for r in rows if math.isfinite(r["ece"])} == {"bce", "cape"}
 
     def test_one_cell_completes_quickly(self):
@@ -345,8 +345,8 @@ class TestRunExperiment:
         cfg = small_config(max_epochs=3, patience=1, cape_epochs_override=2)
         fold = run_fold(small_dataset, folds, 1, cfg)
         assert fold.fold == 1
-        assert fold.stop_epoch == len(fold.warmup_records)
-        assert fold.cape_records[0].epoch == fold.stop_epoch + 1
+        assert fold.warmup.stop_epoch == len(fold.warmup.records)
+        assert fold.cape_records[0].epoch == fold.warmup.stop_epoch + 1
 
 
 class TestTrainConfigValidation:
@@ -358,6 +358,11 @@ class TestTrainConfigValidation:
             {"bins": 0},
             {"cal_weight": 1.5},
             {"lr": 0.0},
+            {"hidden_channels": 0},
+            {"patience": 0},
+            {"patience": -3},
+            {"cape_epochs": -1},
+            {"cape_epochs_override": -2},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
