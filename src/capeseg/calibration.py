@@ -170,7 +170,7 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
         raise ValueError("logits and targets differ in length")
     n = logits.size
     e = np.exp(-np.abs(logits))  # log(1 + e^z) = max(z, 0) + log1p(e), and sigmoid(z, e)
-    loss = float(np.mean(np.maximum(logits, 0.0) + np.log1p(e) - targets * logits))
+    loss = float(np.add.reduce(np.maximum(logits, 0.0) + np.log1p(e) - targets * logits) / n)
     return loss, (sigmoid(logits, e) - targets) / n
 
 

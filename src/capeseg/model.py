@@ -1,10 +1,11 @@
 """Small convolutional probability estimator: conv3x3 -> relu -> conv3x3 -> sigmoid.
 
 Maps a CxHxW input to an HxW map of event logits, preserving spatial
-size; `probabilities` turns logits into emitted probabilities. All
-parameters live in one flat float64 vector, so the optimizer and
-gradient checker can treat the model as one function; the named blocks
-are reshaped views into it.
+size: `forward` one sample (for training), `predict` N at once;
+`probabilities` turns logits into emitted probabilities. All parameters
+live in one flat float64 vector, so the optimizer and gradient checker
+can treat the model as one function; the named blocks are reshaped
+views into it.
 """
 
 from __future__ import annotations
@@ -91,31 +92,46 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logit map (HxW) plus backward cache; finiteness: params here, `inp` in conv1."""
+def _checked_input(params: ModelParams, inp, ndim: int) -> np.ndarray:
+    """`inp` as float64, once its shape is checked and it and the params are finite."""
     inp = as_f64(inp)
     require_finite("model parameters", params.flat)
-    if inp.ndim != 3 or inp.shape[0] != params.in_channels:
+    if inp.ndim != ndim or inp.shape[-3] != params.in_channels:
         raise ValueError(
             f"expected input with {params.in_channels} channels, got shape {inp.shape}"
         )
+    return require_finite("model input", inp)
+
+
+def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Logit map (HxW) plus backward cache; params, `inp` and logits are checked finite."""
+    inp = _checked_input(params, inp, 3)
     pre1, c1 = conv2d_forward(inp, params.conv1_w, params.conv1_b)
     logits, c2 = conv2d_forward(np.maximum(pre1, 0.0), params.conv2_w, params.conv2_b)
-    return logits[0], ForwardCache(pre1=pre1, conv1=c1, conv2=c2)
+    return require_finite("logits", logits[0]), ForwardCache(pre1=pre1, conv1=c1, conv2=c2)
 
 
-def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> ModelParams:
-    """Gradients of all parameter blocks from the logit gradient, flat like `params`."""
-    grads = ModelParams(params.in_channels, params.hidden_channels)
-    dact1, grads.conv2_w[...], grads.conv2_b[...] = conv2d_backward(cache.conv2, dlogits[None])
+def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of all parameter blocks from the logit gradient, one vector like `params.flat`."""
+    dact1, grad_w2, grad_b2 = conv2d_backward(cache.conv2, dlogits[None])
     dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
-    _, grads.conv1_w[...], grads.conv1_b[...] = conv2d_backward(
-        cache.conv1, dpre1, input_grad=False  # conv1's input is data
-    )
-    return grads
+    _, grad_w1, grad_b1 = conv2d_backward(cache.conv1, dpre1, input_grad=False)  # input: data
+    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
 
 
-def predict(params: ModelParams, inp: np.ndarray) -> np.ndarray:
-    """Logit map of a forward pass, without keeping the cache."""
-    logits, _ = forward(params, inp)
-    return logits
+def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Logit maps (N x H x W) of N samples (N x C x H x W), run as one tall image.
+
+    Each sample is followed by p zero rows, the zero padding each neighbour
+    sees alone; re-zeroed after the relu, they keep every logit bit-identical
+    to `forward` on that sample alone.
+    """
+    inputs = _checked_input(params, inputs, 4)
+    n, c, h, w = inputs.shape
+    rows = h + KERNEL_SIZE // 2
+    tall = np.zeros((c, n, rows, w))
+    tall[:, :, :h] = inputs.transpose(1, 0, 2, 3)
+    pre1, _ = conv2d_forward(tall.reshape(c, n * rows, w), params.conv1_w, params.conv1_b)
+    np.maximum(pre1, 0.0, out=pre1).reshape(-1, n, rows, w)[:, :, h:] = 0.0  # relu, gaps back to 0
+    logits, _ = conv2d_forward(pre1, params.conv2_w, params.conv2_b)
+    return require_finite("logits", logits.reshape(n, rows, w)[:, :h])

@@ -3,14 +3,18 @@ with an analytic backward pass, Adam, and seedable random streams.
 
 Each conv copies the k*k shifts of the side with fewer channels: the input
 when C <= F (one matmul), else the weighed taps (one matmul, then a strided
-sum). A spare zero row under the padding makes each shift one contiguous run
+sum). Spare zero rows under the padding make each shift one contiguous run
 of a flat channel; outputs are W+2p wide, take the bias, then one crop copy.
-Backward shifts the padded upstream for both gradients; without the input
-gradient (conv1, whose input is data) it weighs the input shifts instead.
+Input shifts run one row past the output, so the last columns of the matmul,
+which OpenBLAS rounds its own way, hold no output: a sample keeps its bits
+when stacked under others (`model.predict`). Backward shifts the padded
+upstream for both gradients; without the input gradient (conv1, whose input
+is data) it weighs the input shifts the forward kept instead.
 
-All public operations take and return C-contiguous float64 numpy arrays
-and reject non-finite inputs. Conv results do not depend on the BLAS
-thread count (`tests/test_cli.py::TestBlasThreadCount`).
+All public operations take and return C-contiguous float64 numpy arrays.
+`model.forward` and `model.predict` check finiteness, not the convs. Conv
+results do not depend on the BLAS thread count
+(`tests/test_cli.py::TestBlasThreadCount`).
 """
 
 from __future__ import annotations
@@ -82,16 +86,17 @@ def derive_seed(master: int, *keys: int) -> int:
 
 @dataclass
 class Conv2dCache:
-    padded: np.ndarray  # C x (H+2p+1) x (W+2p): zero borders plus one spare zero row
+    padded: np.ndarray  # C x (H+2p+2) x (W+2p): zero borders plus two spare zero rows
+    shifts: np.ndarray | None  # the input shifts, if the forward shifted the input
     kernels: np.ndarray  # F x C x k x k
     pad: int
     out_shape: tuple[int, int, int]
 
 
 def _pad(arr: np.ndarray, p: int) -> np.ndarray:
-    """C x H x W array zero-padded by p, plus a spare zero row so every shifted row fits."""
+    """C x H x W array zero-padded by p, plus two spare zero rows so every shifted row fits."""
     c, h, w = arr.shape
-    padded = np.zeros((c, h + 2 * p + 1, w + 2 * p))
+    padded = np.zeros((c, h + 2 * p + 2, w + 2 * p))
     padded[:, p : p + h, p : p + w] = arr
     return padded
 
@@ -108,8 +113,7 @@ def conv2d_forward(
     """Same-size 2-D convolution with zero padding, shifting the side with fewer channels.
 
     inp: C x H x W, kernels: F x C x k x k (k odd), bias: F.
-    Returns (out F x H x W, cache for the backward pass). Only `inp` is
-    checked for finiteness; `model.forward` checks the parameters.
+    Returns (out F x H x W, cache for the backward pass).
     """
     inp, kernels, bias = as_f64(inp), as_f64(kernels), as_f64(bias)
     if inp.ndim != 3 or kernels.ndim != 4 or bias.ndim != 1:
@@ -125,20 +129,19 @@ def conv2d_forward(
         raise ValueError(f"kernel must be square with odd size, got {k}x{k2}")
     if bias.shape[0] != f:
         raise ValueError(f"bias length {bias.shape[0]} does not match {f} filters")
-    require_finite("conv2d input", inp)
-
     p = (k - 1) // 2
     padded = _pad(inp, p)
     wp, lp = w + 2 * p, padded[0].size
-    if c <= f:  # shift the input, then weigh: F x (C*k*k) @ (C*k*k) x (H*Wp)
-        grid = kernels.reshape(f, c * k * k) @ _shifts(padded, k, h * wp)
+    shifts = _shifts(padded, k, (h + 1) * wp) if c <= f else None
+    if shifts is not None:  # shift the input, then weigh: F x (C*k*k) @ (C*k*k) x ((H+1)*Wp)
+        grid = kernels.reshape(f, c * k * k) @ shifts
     else:  # weigh every tap, then shift: z row (di, dj, f) read from di*Wp + dj
         z = kernels.transpose(2, 3, 0, 1).reshape(k * k * f, c) @ padded.reshape(c, lp)
         st = tuple(8 * s for s in (k * f * lp + wp, f * lp + 1, lp, 1))
-        grid = np.ndarray((k, k, f, h * wp), np.float64, z, 0, st).sum(axis=(0, 1))
+        grid = np.add.reduce(np.ndarray((k, k, f, h * wp), np.float64, z, 0, st), axis=(0, 1))
     grid += bias[:, None]  # on the Wp-wide grid, so the crop is the only copy
-    out = np.ascontiguousarray(grid.reshape(f, h, wp)[:, :, :w])
-    return out, Conv2dCache(padded=padded, kernels=kernels, pad=p, out_shape=(f, h, w))
+    out = np.ascontiguousarray(grid.reshape(f, -1, wp)[:, :h, :w])
+    return out, Conv2dCache(padded, shifts, kernels, p, (f, h, w))
 
 
 def conv2d_backward(
@@ -150,23 +153,23 @@ def conv2d_backward(
         raise ValueError(
             f"upstream shape {upstream.shape} does not match forward output {cache.out_shape}"
         )
-    require_finite("conv2d upstream gradient", upstream)
     kernels, p = cache.kernels, cache.pad
     f, h, w = cache.out_shape
     c, k, wp = kernels.shape[1], kernels.shape[2], w + 2 * p
 
+    grad_bias = np.add.reduce(upstream, axis=(1, 2))
     if not input_grad:  # weigh the forward's input shifts by upstream on the Wp-wide grid
         u = np.zeros((f, h, wp))
         u[:, :, :w] = upstream  # zero pad columns drop the shifts' wrapped reads
-        grad_kernels = u.reshape(f, h * wp) @ _shifts(cache.padded, k, h * wp).T
-        return None, grad_kernels.reshape(kernels.shape), upstream.sum(axis=(1, 2))
+        xs = _shifts(cache.padded, k, h * wp) if cache.shifts is None else cache.shifts
+        return None, (u.reshape(f, h * wp) @ xs[:, : h * wp].T).reshape(kernels.shape), grad_bias
     ushifts = _shifts(_pad(upstream, p), k, h * wp)  # both gradients come from these rows
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
     grad_input = np.ascontiguousarray((flipped @ ushifts).reshape(c, h, wp)[:, :, :w])
     x_grid = cache.padded.reshape(c, -1)[:, p * wp + p :][:, : h * wp]  # pad columns are 0
     by_shift = (ushifts @ x_grid.T).reshape(f, k, k, c)[:, ::-1, ::-1]
     grad_kernels = np.ascontiguousarray(by_shift.transpose(0, 3, 1, 2))
-    return grad_input, grad_kernels, upstream.sum(axis=(1, 2))
+    return grad_input, grad_kernels, grad_bias
 
 
 @dataclass

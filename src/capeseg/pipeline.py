@@ -176,8 +176,11 @@ def _split_targets(
 
 
 def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    """Flat logits of the samples in idx."""
-    return np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in idx])
+    """Flat logits of the samples in idx, stacked in chunks of about 2048 pixels (8 samples
+    at 16x16, 2 at 32x32): 4096 were slower, their copies outgrowing a 2 MB L2 cache."""
+    step = max(1, 2048 // (dataset.shape[1] * dataset.shape[2]))
+    chunks = [idx[i : i + step] for i in range(0, len(idx), step)]
+    return np.concatenate([predict(params, dataset.inputs[chunk]) for chunk in chunks]).ravel()
 
 
 def _epoch_record(
@@ -257,15 +260,15 @@ def _run_epoch(
         batch = order[start : start + batch_size]
         scale = 1.0 / len(batch)
         batch_loss = 0.0
-        grads = ModelParams(c, f)
+        grads = np.zeros(params.flat.size)
         for si in batch:
             logits, cache = forward(params, dataset.inputs[si])
             loss, grad = combined_loss(logits, dataset.outcomes[si], p_emp[si], cal_weight)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite training loss on sample {int(si)}")
             batch_loss += scale * loss
-            grads.flat += backward(params, cache, grad.reshape(logits.shape) * scale).flat
-        flat, adam = adam_step(params.flat, grads.flat, adam, label="model parameters")
+            grads += backward(params, cache, grad.reshape(logits.shape) * scale)
+        flat, adam = adam_step(params.flat, grads, adam, label="model parameters")
         params = ModelParams(c, f, flat)
         epoch_loss += batch_loss * (len(batch) / len(order))
     return params, adam, epoch_loss

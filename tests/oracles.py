@@ -14,7 +14,7 @@ import numpy as np
 from capeseg.calibration import KL_EPS, bce_loss
 from capeseg.cli import storage
 from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
-from capeseg.model import ModelParams, backward, forward, init_params, predict
+from capeseg.model import ModelParams, backward, forward, init_params
 from capeseg.numerics import AdamState, Rng, adam_step, as_f64
 from capeseg.pipeline import _STREAM_CONTINUE_BATCHES
 
@@ -203,8 +203,7 @@ def model_loss_fn(template, inp, loss, target):
         p = ModelParams(template.in_channels, template.hidden_channels, flat)
         logits, cache = forward(p, inp)
         value, grad = loss(logits.ravel(), target)
-        g = backward(p, cache, grad.reshape(logits.shape))
-        return value, g.flat
+        return value, backward(p, cache, grad.reshape(logits.shape))
 
     return fn
 
@@ -239,11 +238,11 @@ def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_ep
                 logits, cache = forward(params, dataset.inputs[si])
                 loss, grad = bce_loss(logits, dataset.outcomes[si])
                 batch_loss += scale * loss
-                grads.flat += backward(params, cache, grad.reshape(logits.shape) * scale).flat
+                grads.flat += backward(params, cache, grad.reshape(logits.shape) * scale)
             flat, adam = adam_step(params.flat, grads.flat, adam)
             params = ModelParams(c, f, flat)
             train_loss += batch_loss * (len(batch) / len(order))
-        val_logits = np.concatenate([predict(params, dataset.inputs[i]).ravel() for i in val_idx])
+        val_logits = np.concatenate([forward(params, dataset.inputs[i])[0].ravel() for i in val_idx])
         records.append(ContinuationEpoch(train_loss, bce_loss(val_logits, val_outcomes)[0]))
     return params, records
 

@@ -633,6 +633,22 @@ class TestEvaluate:
         assert code == 0
         assert (out / "metrics.csv").exists()
 
+    def test_overflowing_checkpoint_is_numeric_failure(self, dataset_dir, tmp_path, capsys):
+        params = init_params(3, 4, Rng(8))
+        params.conv1_w[...] = params.conv2_w[...] = 1e300  # finite, so the loader takes it
+        ckpt = tmp_path / "m.ckpt"
+        storage.write_checkpoint(ckpt, params)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "evaluate", "--checkpoint", str(ckpt), "--dataset",
+                str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),
+            ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("numeric failure:")] == [
+            "numeric failure: non-finite values in logits"
+        ]
+
     def test_shape_mismatch_is_format_error(self, dataset_dir, tmp_path):
         params = init_params(5, 4, Rng(8))  # dataset has 3 channels
         ckpt = tmp_path / "m.ckpt"

@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import conv2d_reference, finite_diff_check, model_loss_fn, params_with_relu_margin
 
 from capeseg.calibration import bce_loss
@@ -14,7 +16,7 @@ from capeseg.model import (
     predict,
     probabilities,
 )
-from capeseg.numerics import NumericError, Rng
+from capeseg.numerics import NumericError, Rng, derive_seed
 
 
 def forward_reference(params, inp):
@@ -86,21 +88,88 @@ class TestForward:
         with pytest.raises(NumericError, match="model parameters"):
             forward(params, Rng(6).normal((2, 4, 4)))
 
-    def test_non_finite_input_rejected(self):
-        inp = Rng(6).normal((2, 4, 4))
-        inp[1, 2, 3] = np.inf
-        with pytest.raises(NumericError, match="conv2d input"):
-            forward(init_params(2, 3, Rng(5)), inp)
-
     def test_translation_equivariance_interior(self):
         rng = Rng(8)
         params = init_params(3, 6, rng)
         inp = rng.normal((3, 10, 10))
         shifted = np.zeros_like(inp)
         shifted[:, 1:, :] = inp[:, :-1, :]  # zero row enters, matching the zero pad
-        base = predict(params, inp)
-        moved = predict(params, shifted)
+        base = predict(params, inp[None])[0]
+        moved = predict(params, shifted[None])[0]
         assert np.array_equal(moved[2:-2, 2:-2], base[1:-3, 2:-2])
+
+
+def predict_middle(params, inp):
+    """`predict` on `inp` as the middle sample of a chunk of three."""
+    rng = Rng(2)
+    return predict(params, np.stack([rng.normal(inp.shape), inp, rng.normal(inp.shape)]))[1]
+
+
+ENTRY_POINTS = {"forward": lambda params, inp: forward(params, inp)[0], "predict": predict_middle}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+class TestFiniteAtTheModelBoundary:
+    """`forward` and `predict` check the params, the input and the logits once per
+    call; the convs between them check nothing."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, entry, value):
+        inp = Rng(6).normal((2, 4, 4))
+        inp[1, 2, 3] = value
+        with pytest.raises(NumericError, match="model input"):
+            ENTRY_POINTS[entry](init_params(2, 3, Rng(5)), inp)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, entry, value):
+        params = init_params(2, 3, Rng(5))
+        params.conv2_w[0, 1, 2, 0] = value
+        with pytest.raises(NumericError, match="model parameters"):
+            ENTRY_POINTS[entry](params, Rng(6).normal((2, 4, 4)))
+
+    def test_finite_params_overflowing_to_non_finite_logits_rejected(self, entry):
+        params = ModelParams(2, 3)
+        params.conv1_w[...] = params.conv2_w[...] = 1e300  # conv1 ~1e301, conv2 overflows
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericError, match="logits"):
+                ENTRY_POINTS[entry](params, np.ones((2, 4, 4)))
+
+
+class TestStackedPredict:
+    """`predict` runs N samples as one tall image with zero gap rows; every logit
+    keeps the bits of `forward` on its sample alone, and the inputs are unwritten."""
+
+    @staticmethod
+    def check(n, c, f, h, w):
+        rng = Rng(derive_seed(61, n, c, f, h, w))
+        params = init_params(c, f, rng)
+        params.conv1_b[...] = rng.normal((f,))  # nonzero biases: the gap rows must be re-zeroed
+        params.conv2_b[...] = rng.normal((1,))
+        inputs = rng.normal((n, c, h, w))
+        before = inputs.copy()
+        got = predict(params, inputs)
+        want = np.stack([forward(params, x)[0] for x in inputs])
+        assert got.shape == (n, h, w) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert inputs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17])
+    @pytest.mark.parametrize("h, w", [(16, 16), (32, 32), (1, 5), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("f", [1, 9])
+    def test_bitwise_per_sample_forward(self, n, f, h, w):
+        self.check(n, 3, f, h, w)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 20), st.integers(1, 4), st.integers(1, 9),
+        st.integers(1, 12), st.integers(1, 12),
+    )
+    def test_any_shape_agrees(self, n, c, f, h, w):
+        self.check(n, c, f, h, w)
+
+    def test_per_sample_input_rejected(self):
+        with pytest.raises(ValueError, match="channels"):
+            predict(init_params(3, 4, Rng(0)), np.zeros((3, 4, 4)))
 
 
 class TestBackward:
@@ -109,7 +178,7 @@ class TestBackward:
         params = init_params(3, 4, rng)
         logits, cache = forward(params, rng.normal((3, 4, 4)))
         grads = backward(params, cache, np.zeros_like(logits))
-        assert not grads.flat.any()
+        assert grads.shape == params.flat.shape and not grads.any()
 
     @pytest.mark.parametrize("case", range(5))
     def test_gradient_check_bce(self, case):

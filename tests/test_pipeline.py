@@ -16,7 +16,7 @@ from capeseg.calibration import (
     evaluate_predictions,
 )
 from capeseg.fieldgen import FieldConfig, generate_dataset
-from capeseg.model import sigmoid
+from capeseg.model import forward, init_params, sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
     CellResult,
@@ -205,6 +205,15 @@ class TestTrainCape:
             theta -= 25.0 * dtheta
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.01
+
+
+class TestPredictSplit:
+    def test_chunks_keep_the_bits_of_per_sample_forward(self, small_dataset):
+        params = init_params(small_dataset.shape[0], 4, Rng(3))
+        idx = Rng(4).permutation(36)[:19]  # two chunks of 8 and one of 3
+        got = pipeline._predict_split(params, small_dataset, idx)
+        want = np.concatenate([forward(params, small_dataset.inputs[i])[0].ravel() for i in idx])
+        assert got.shape == (19 * 16 * 16,) and got.tobytes() == want.tobytes()
 
 
 class TestEvaluateArm:
