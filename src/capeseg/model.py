@@ -1,11 +1,11 @@
 """Small convolutional probability estimator: conv3x3 -> relu -> conv3x3 -> sigmoid.
 
-Maps a CxHxW input to an HxW map of event logits, preserving spatial
-size: `forward` one sample (for training), `predict` N at once;
-`probabilities` turns logits into emitted probabilities. All parameters
-live in one flat float64 vector, so the optimizer and gradient checker
-can treat the model as one function; the named blocks are reshaped
-views into it.
+Maps N samples (N x C x H x W) to N x H x W event logits, preserving
+spatial size, run as one tall image: `forward` for training (with the
+cache `backward` takes), `predict` without the cache; `probabilities`
+turns logits into emitted probabilities. All parameters live in one flat
+float64 vector, so the optimizer and gradient checker can treat the model
+as one function; the named blocks are reshaped views into it.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    pre1: np.ndarray  # F x H x W, before relu
+    act: np.ndarray  # F x N*(H+p) x W, after the relu, zero in the gap rows
     conv1: Conv2dCache
     conv2: Conv2dCache
 
@@ -92,46 +92,43 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _checked_input(params: ModelParams, inp, ndim: int) -> np.ndarray:
-    """`inp` as float64, once its shape is checked and it and the params are finite."""
-    inp = as_f64(inp)
-    require_finite("model parameters", params.flat)
-    if inp.ndim != ndim or inp.shape[-3] != params.in_channels:
-        raise ValueError(
-            f"expected input with {params.in_channels} channels, got shape {inp.shape}"
-        )
-    return require_finite("model input", inp)
-
-
-def forward(params: ModelParams, inp: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logit map (HxW) plus backward cache; params, `inp` and logits are checked finite."""
-    inp = _checked_input(params, inp, 3)
-    pre1, c1 = conv2d_forward(inp, params.conv1_w, params.conv1_b)
-    logits, c2 = conv2d_forward(np.maximum(pre1, 0.0), params.conv2_w, params.conv2_b)
-    return require_finite("logits", logits[0]), ForwardCache(pre1=pre1, conv1=c1, conv2=c2)
-
-
-def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of all parameter blocks from the logit gradient, one vector like `params.flat`."""
-    dact1, grad_w2, grad_b2 = conv2d_backward(cache.conv2, dlogits[None])
-    dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
-    _, grad_w1, grad_b1 = conv2d_backward(cache.conv1, dpre1, input_grad=False)  # input: data
-    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
-
-
-def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Logit maps (N x H x W) of N samples (N x C x H x W), run as one tall image.
+def forward(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Logit maps (N x H x W) of N samples (N x C x H x W) plus the backward cache,
+    run as one tall image; params, inputs and logits are checked finite.
 
     Each sample is followed by p zero rows, the zero padding each neighbour
     sees alone; re-zeroed after the relu, they keep every logit bit-identical
-    to `forward` on that sample alone.
+    to the sample run alone.
     """
-    inputs = _checked_input(params, inputs, 4)
+    inputs = as_f64(inputs)
+    require_finite("model parameters", params.flat)
+    if inputs.ndim != 4 or inputs.shape[1] != params.in_channels:
+        raise ValueError(
+            f"expected input with {params.in_channels} channels, got shape {inputs.shape}"
+        )
+    require_finite("model input", inputs)
     n, c, h, w = inputs.shape
     rows = h + KERNEL_SIZE // 2
     tall = np.zeros((c, n, rows, w))
     tall[:, :, :h] = inputs.transpose(1, 0, 2, 3)
-    pre1, _ = conv2d_forward(tall.reshape(c, n * rows, w), params.conv1_w, params.conv1_b)
-    np.maximum(pre1, 0.0, out=pre1).reshape(-1, n, rows, w)[:, :, h:] = 0.0  # relu, gaps back to 0
-    logits, _ = conv2d_forward(pre1, params.conv2_w, params.conv2_b)
-    return require_finite("logits", logits.reshape(n, rows, w)[:, :h])
+    act, c1 = conv2d_forward(tall.reshape(c, n * rows, w), params.conv1_w, params.conv1_b)
+    np.maximum(act, 0.0, out=act).reshape(-1, n, rows, w)[:, :, h:] = 0.0  # relu, gaps back to 0
+    logits, c2 = conv2d_forward(act, params.conv2_w, params.conv2_b)
+    return require_finite("logits", logits.reshape(n, rows, w)[:, :h]), ForwardCache(act, c1, c2)
+
+
+def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of all parameter blocks from the logit gradient (N x H x W) of one
+    `forward` call, one vector like `params.flat`."""
+    n, h, w = dlogits.shape
+    upstream = np.zeros((n, h + KERNEL_SIZE // 2, w))
+    upstream[:, :h] = dlogits  # the gap rows' logits are dropped
+    dact, grad_w2, grad_b2 = conv2d_backward(cache.conv2, upstream.reshape(1, -1, w))
+    dact *= cache.act > 0.0  # relu subgradient, 0 at the kink and in the gap rows
+    _, grad_w1, grad_b1 = conv2d_backward(cache.conv1, dact, input_grad=False)  # input: data
+    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
+
+
+def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Logit maps (N x H x W) of N samples (N x C x H x W): `forward` without its cache."""
+    return forward(params, inputs)[0]

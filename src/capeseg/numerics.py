@@ -7,14 +7,15 @@ sum). Spare zero rows under the padding make each shift one contiguous run
 of a flat channel; outputs are W+2p wide, take the bias, then one crop copy.
 Input shifts run one row past the output, so the last columns of the matmul,
 which OpenBLAS rounds its own way, hold no output: a sample keeps its bits
-when stacked under others (`model.predict`). Backward shifts the padded
+when stacked under others (`model.forward`). Backward shifts the padded
 upstream for both gradients; without the input gradient (conv1, whose input
-is data) it weighs the input shifts the forward kept instead.
+is data) it weighs the input shifts the forward kept instead. The kernel
+gradients sum over H*Wp padded with zeros to a multiple of 32, the rule that
+kept their bits under 1, 2 and 4 OpenBLAS threads on its SkylakeX core
+(`tests/test_cli.py::TestBlasThreadCount` checks two shapes).
 
 All public operations take and return C-contiguous float64 numpy arrays.
-`model.forward` and `model.predict` check finiteness, not the convs. Conv
-results do not depend on the BLAS thread count
-(`tests/test_cli.py::TestBlasThreadCount`).
+`model.forward` and `model.predict` check finiteness, not the convs.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def derive_seed(master: int, *keys: int) -> int:
 
 @dataclass
 class Conv2dCache:
-    padded: np.ndarray  # C x (H+2p+2) x (W+2p): zero borders plus two spare zero rows
+    padded: np.ndarray  # C x (H+2p+spare) x (W+2p): zero borders plus spare zero rows
     shifts: np.ndarray | None  # the input shifts, if the forward shifted the input
     kernels: np.ndarray  # F x C x k x k
     pad: int
@@ -94,9 +95,11 @@ class Conv2dCache:
 
 
 def _pad(arr: np.ndarray, p: int) -> np.ndarray:
-    """C x H x W array zero-padded by p, plus two spare zero rows so every shifted row fits."""
+    """C x H x W array zero-padded by p, plus spare zero rows so every shifted run of
+    (H+1)*Wp + 31 fits: the forward's, or H*Wp rounded up to 32 for the kernel gradients."""
     c, h, w = arr.shape
-    padded = np.zeros((c, h + 2 * p + 2, w + 2 * p))
+    wp = w + 2 * p
+    padded = np.zeros((c, h + 2 * p + 1 - (-(2 * p + 31) // wp), wp))
     padded[:, p : p + h, p : p + w] = arr
     return padded
 
@@ -132,9 +135,9 @@ def conv2d_forward(
     p = (k - 1) // 2
     padded = _pad(inp, p)
     wp, lp = w + 2 * p, padded[0].size
-    shifts = _shifts(padded, k, (h + 1) * wp) if c <= f else None
+    shifts = _shifts(padded, k, (h + 1) * wp + 31) if c <= f else None  # 31 for conv1 backward
     if shifts is not None:  # shift the input, then weigh: F x (C*k*k) @ (C*k*k) x ((H+1)*Wp)
-        grid = kernels.reshape(f, c * k * k) @ shifts
+        grid = kernels.reshape(f, c * k * k) @ shifts[:, : (h + 1) * wp]
     else:  # weigh every tap, then shift: z row (di, dj, f) read from di*Wp + dj
         z = kernels.transpose(2, 3, 0, 1).reshape(k * k * f, c) @ padded.reshape(c, lp)
         st = tuple(8 * s for s in (k * f * lp + wp, f * lp + 1, lp, 1))
@@ -157,16 +160,19 @@ def conv2d_backward(
     f, h, w = cache.out_shape
     c, k, wp = kernels.shape[1], kernels.shape[2], w + 2 * p
 
+    # Both kernel-gradient matmuls sum over H*Wp padded with zeros to a multiple of 32: off
+    # one, OpenBLAS's SkylakeX core rounds them differently under different thread counts.
+    n = -(-h * wp // 32) * 32
     grad_bias = np.add.reduce(upstream, axis=(1, 2))
     if not input_grad:  # weigh the forward's input shifts by upstream on the Wp-wide grid
-        u = np.zeros((f, h, wp))
-        u[:, :, :w] = upstream  # zero pad columns drop the shifts' wrapped reads
-        xs = _shifts(cache.padded, k, h * wp) if cache.shifts is None else cache.shifts
-        return None, (u.reshape(f, h * wp) @ xs[:, : h * wp].T).reshape(kernels.shape), grad_bias
-    ushifts = _shifts(_pad(upstream, p), k, h * wp)  # both gradients come from these rows
+        u = np.zeros((f, n))
+        u[:, : h * wp].reshape(f, h, wp)[:, :, :w] = upstream  # 0 at the wrapped reads
+        xs = _shifts(cache.padded, k, n) if cache.shifts is None else cache.shifts[:, :n]
+        return None, (u @ xs.T).reshape(kernels.shape), grad_bias
+    ushifts = _shifts(_pad(upstream, p), k, n)  # both gradients come from these rows
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
-    grad_input = np.ascontiguousarray((flipped @ ushifts).reshape(c, h, wp)[:, :, :w])
-    x_grid = cache.padded.reshape(c, -1)[:, p * wp + p :][:, : h * wp]  # pad columns are 0
+    grad_input = np.ascontiguousarray((flipped @ ushifts[:, : h * wp]).reshape(c, h, wp)[:, :, :w])
+    x_grid = cache.padded.reshape(c, -1)[:, p * wp + p :][:, :n]  # 0 at pad columns, past H*Wp
     by_shift = (ushifts @ x_grid.T).reshape(f, k, k, c)[:, ::-1, ::-1]
     grad_kernels = np.ascontiguousarray(by_shift.transpose(0, 3, 1, 2))
     return grad_input, grad_kernels, grad_bias

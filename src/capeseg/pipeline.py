@@ -175,12 +175,17 @@ def _split_targets(
     return dataset.outcomes[idx].ravel(), true_p
 
 
+def _stacks(idx: np.ndarray, dataset: Dataset) -> list[np.ndarray]:
+    """idx in runs of samples, each one stacked model call, training or predicting:
+    about 128 rows of a square sample (8 samples at 16x16, 4 at 32x32)."""
+    step = max(1, int(128 / math.sqrt(dataset.shape[1] * dataset.shape[2])))
+    return [idx[i : i + step] for i in range(0, len(idx), step)]
+
+
 def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    """Flat logits of the samples in idx, stacked in chunks of about 2048 pixels (8 samples
-    at 16x16, 2 at 32x32): 4096 were slower, their copies outgrowing a 2 MB L2 cache."""
-    step = max(1, 2048 // (dataset.shape[1] * dataset.shape[2]))
-    chunks = [idx[i : i + step] for i in range(0, len(idx), step)]
-    return np.concatenate([predict(params, dataset.inputs[chunk]) for chunk in chunks]).ravel()
+    """Flat logits of the samples in idx, predicted stack by stack."""
+    logits = [predict(params, dataset.inputs[stack]) for stack in _stacks(idx, dataset)]
+    return np.concatenate(logits).ravel()
 
 
 def _epoch_record(
@@ -250,24 +255,24 @@ def _run_epoch(
     """One pass of minibatch Adam on combined_loss; returns (params, state, mean train loss).
 
     p_emp is shaped like dataset.outcomes, and p_emp[si] holds the targets
-    of sample si; the warm-up passes the outcomes at weight 0.
-    Gradients are summed in fixed sample order so results do not depend
-    on scheduling.
+    of sample si; the warm-up passes the outcomes at weight 0. Each minibatch
+    runs in `_stacks`, each stack's mean loss and gradient weighed by its
+    share of the minibatch and summed in fixed order.
     """
     epoch_loss = 0.0
     c, f = params.in_channels, params.hidden_channels
     for start in range(0, len(order), batch_size):
         batch = order[start : start + batch_size]
-        scale = 1.0 / len(batch)
         batch_loss = 0.0
         grads = np.zeros(params.flat.size)
-        for si in batch:
-            logits, cache = forward(params, dataset.inputs[si])
-            loss, grad = combined_loss(logits, dataset.outcomes[si], p_emp[si], cal_weight)
+        for stack in _stacks(batch, dataset):
+            share = len(stack) / len(batch)
+            logits, cache = forward(params, dataset.inputs[stack])
+            loss, grad = combined_loss(logits, dataset.outcomes[stack], p_emp[stack], cal_weight)
             if not math.isfinite(loss):
-                raise NumericError(f"non-finite training loss on sample {int(si)}")
-            batch_loss += scale * loss
-            grads += backward(params, cache, grad.reshape(logits.shape) * scale)
+                raise NumericError(f"non-finite training loss on samples {stack.tolist()}")
+            batch_loss += share * loss
+            grads += backward(params, cache, grad.reshape(logits.shape) * share)
         flat, adam = adam_step(params.flat, grads, adam, label="model parameters")
         params = ModelParams(c, f, flat)
         epoch_loss += batch_loss * (len(batch) / len(order))

@@ -8,6 +8,7 @@ The CSV readers at the end serve the tests only; the CLI reads through
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +16,16 @@ from capeseg.calibration import KL_EPS, bce_loss
 from capeseg.cli import storage
 from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
 from capeseg.model import ModelParams, backward, forward, init_params
-from capeseg.numerics import AdamState, Rng, adam_step, as_f64
-from capeseg.pipeline import _STREAM_CONTINUE_BATCHES
+from capeseg.numerics import (
+    AdamState,
+    Conv2dCache,
+    Rng,
+    adam_step,
+    as_f64,
+    conv2d_backward,
+    conv2d_forward,
+)
+from capeseg.pipeline import _STREAM_CONTINUE_BATCHES, _stacks
 
 ContinuationEpoch = namedtuple("ContinuationEpoch", "train_loss val_loss")
 
@@ -80,6 +89,30 @@ def conv2d_backward_reference(inp, kernels, upstream):
                 "fc,fhw->chw", kernels[:, :, di, dj], upstream
             )
     return grad_padded[:, p : p + h, p : p + w], grad_kernels, upstream.sum(axis=(1, 2))
+
+
+@dataclass
+class ForwardCache:
+    pre1: np.ndarray  # F x H x W, before relu
+    conv1: Conv2dCache
+    conv2: Conv2dCache
+
+
+def sample_forward(params, inp):
+    """Logit map (H x W) of one C x H x W sample plus its backward cache, the
+    sample run alone (the former per-sample `model.forward`)."""
+    pre1, c1 = conv2d_forward(inp, params.conv1_w, params.conv1_b)
+    logits, c2 = conv2d_forward(np.maximum(pre1, 0.0), params.conv2_w, params.conv2_b)
+    return logits[0], ForwardCache(pre1=pre1, conv1=c1, conv2=c2)
+
+
+def sample_backward(params, cache, dlogits):
+    """Flat parameter gradient of one sample from its H x W logit gradient (the
+    former per-sample `model.backward`)."""
+    dact1, grad_w2, grad_b2 = conv2d_backward(cache.conv2, dlogits[None])
+    dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
+    _, grad_w1, grad_b1 = conv2d_backward(cache.conv1, dpre1, input_grad=False)
+    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
 
 
 def build_bins_bruteforce(predictions, outcomes, n_bins):
@@ -184,24 +217,24 @@ def finite_diff_check(loss_fn, params: np.ndarray, h: float = 1e-4) -> float:
     return worst
 
 
-def params_with_relu_margin(seed, channels=3, hidden=4, shape=(4, 4), margin=1e-3):
-    """Random params/input resampled until no pre-activation sits near the
-    relu kink, which keeps central differences valid."""
+def params_with_relu_margin(seed, channels=3, hidden=4, shape=(4, 4), margin=1e-3, n=1):
+    """Random params and n x C x H x W inputs, resampled until no sample's
+    pre-activation sits near the relu kink, which keeps central differences
+    valid. The gap rows of a stack are masked whatever their pre-activations."""
     for attempt in range(50):
         rng = Rng(seed + 1000 * attempt)
         params = init_params(channels, hidden, rng)
-        inp = rng.normal((channels,) + shape)
-        _, cache = forward(params, inp)
-        if np.min(np.abs(cache.pre1)) > margin:
-            return params, inp
+        inputs = rng.normal((n, channels) + shape)
+        if all(np.min(np.abs(sample_forward(params, x)[1].pre1)) > margin for x in inputs):
+            return params, inputs
     raise AssertionError("could not find a relu-safe configuration")
 
 
-def model_loss_fn(template, inp, loss, target):
-    """Flat-params scalar loss over the full forward pass, for FD checking."""
+def model_loss_fn(template, inputs, loss, target):
+    """Flat-params scalar loss over the full stacked forward pass, for FD checking."""
     def fn(flat):
         p = ModelParams(template.in_channels, template.hidden_channels, flat)
-        logits, cache = forward(p, inp)
+        logits, cache = forward(p, inputs)
         value, grad = loss(logits.ravel(), target)
         return value, backward(p, cache, grad.reshape(logits.shape))
 
@@ -211,9 +244,10 @@ def model_loss_fn(template, inp, loss, target):
 def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_epoch):
     """Plain BCE continuation from a checkpoint on the CaPE schedule.
 
-    Same epoch count and shuffle stream as `train_cape`, a fresh Adam
-    state, and no target refresh: what `train_cape` must reproduce bit
-    for bit at weight 0. Returns (params, [ContinuationEpoch per epoch]).
+    Same epoch count, shuffle stream and training stacks as `train_cape`, a
+    fresh Adam state, and no target refresh: what `train_cape` must reproduce
+    bit for bit at weight 0. Validation runs one sample at a time. Returns
+    (params, [ContinuationEpoch per epoch]).
     """
     if config.cape_epochs_override is not None:
         n_epochs = config.cape_epochs_override
@@ -231,18 +265,20 @@ def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_ep
         train_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            scale = 1.0 / len(batch)
             batch_loss = 0.0
             grads = ModelParams(c, f)
-            for si in batch:
-                logits, cache = forward(params, dataset.inputs[si])
-                loss, grad = bce_loss(logits, dataset.outcomes[si])
-                batch_loss += scale * loss
-                grads.flat += backward(params, cache, grad.reshape(logits.shape) * scale)
+            for stack in _stacks(batch, dataset):
+                share = len(stack) / len(batch)
+                logits, cache = forward(params, dataset.inputs[stack])
+                loss, grad = bce_loss(logits, dataset.outcomes[stack])
+                batch_loss += share * loss
+                grads.flat += backward(params, cache, grad.reshape(logits.shape) * share)
             flat, adam = adam_step(params.flat, grads.flat, adam)
             params = ModelParams(c, f, flat)
             train_loss += batch_loss * (len(batch) / len(order))
-        val_logits = np.concatenate([forward(params, dataset.inputs[i])[0].ravel() for i in val_idx])
+        val_logits = np.concatenate(
+            [sample_forward(params, dataset.inputs[i])[0].ravel() for i in val_idx]
+        )
         records.append(ContinuationEpoch(train_loss, bce_loss(val_logits, val_outcomes)[0]))
     return params, records
 

@@ -67,7 +67,7 @@ def test_criterion_1_gradient_suite():
         # randomized 4x4 instances, resampled away from the relu kink where
         # central differences are not valid
         params, inp = params_with_relu_margin(3000 + case)
-        n_pix = inp.shape[1] * inp.shape[2]
+        n_pix = inp[:, 0].size
         outcomes = (Rng(case).uniform(n_pix) < 0.35).astype(float)
         err_d = finite_diff_check(
             model_loss_fn(params, inp, bce_loss, outcomes), params.flat, h=1e-4

@@ -1030,15 +1030,26 @@ class TestModuleEntryPoint:
 
 
 class TestBlasThreadCount:
-    def test_train_outputs_identical_for_one_and_two_blas_threads(self, tmp_path):
-        """Checkpoints and epochs.csv do not depend on the BLAS thread count.
+    """Checkpoints and epochs.csv do not depend on the BLAS thread count.
 
-        At 64x64 with 32 hidden channels every conv matmul (the smallest is
-        32x9 @ 9x4096) is large enough that OpenBLAS runs it on two threads
-        when allowed to, so this compares real one- and two-thread runs.
-        """
+    With 32 hidden channels every conv matmul (at 64x64 the smallest is
+    32x9 @ 9x4096) is large enough that OpenBLAS runs it on two threads when
+    allowed to, so these compare real one- and two-thread runs.
+    """
+
+    def test_train_outputs_identical_for_one_and_two_blas_threads(self, tmp_path):
+        self.check(tmp_path, 64)
+
+    def test_kernel_gradient_inner_dimension_off_a_multiple_of_32(self, tmp_path):
+        """At 40x40 the kernel-gradient matmuls' inner dimension (H*Wp: 1680 for
+        one sample, 5166 for a stack of three) is no multiple of 32, which
+        OpenBLAS rounds differently per thread count unless it is padded to one."""
+        self.check(tmp_path, 40)
+
+    @staticmethod
+    def check(tmp_path, side):
         gen = write_config(
-            tmp_path / "gen.cfg", **{**GEN_SMALL, "height": 64, "width": 64, "n_samples": 9}
+            tmp_path / "gen.cfg", **{**GEN_SMALL, "height": side, "width": side, "n_samples": 9}
         )
         assert main(["generate", "--config", gen, "--out", str(tmp_path / "data")]) == 0
         cfg = write_config(

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conv2d_reference, finite_diff_check, model_loss_fn, params_with_relu_margin
+from oracles import (
+    conv2d_reference,
+    finite_diff_check,
+    model_loss_fn,
+    params_with_relu_margin,
+    sample_backward,
+    sample_forward,
+)
 
 from capeseg.calibration import bce_loss
 from capeseg.model import (
@@ -51,42 +58,42 @@ class TestInit:
 class TestForward:
     def test_zero_params_give_half(self):
         params = ModelParams(3, 4)  # all zeros
-        logits, _ = forward(params, Rng(1).normal((3, 5, 5)))
+        logits, _ = forward(params, Rng(1).normal((1, 3, 5, 5)))
         assert not logits.any()
         assert np.allclose(probabilities(logits), 0.5)
 
     def test_saturated_bias(self):
         params = ModelParams(1, 2)
         params.conv2_b[0] = 20.0
-        logits, _ = forward(params, np.zeros((1, 4, 4)))
+        logits, _ = forward(params, np.zeros((1, 1, 4, 4)))
         assert np.max(np.abs(probabilities(logits) - 1.0)) < 1e-8
 
     def test_matches_reference_implementation(self):
         rng = Rng(21)
         params = init_params(2, 3, rng)
         inp = rng.normal((2, 5, 5))
-        logits, _ = forward(params, inp)
-        assert np.max(np.abs(probabilities(logits) - forward_reference(params, inp))) < 1e-12
+        logits, _ = forward(params, inp[None])
+        assert np.max(np.abs(probabilities(logits[0]) - forward_reference(params, inp))) < 1e-12
 
     def test_output_strictly_inside_unit_interval(self):
         rng = Rng(33)
         params = init_params(3, 8, rng)
         params.conv2_b[0] = 50.0  # push toward saturation
-        probs = probabilities(forward(params, 10.0 * rng.normal((3, 8, 8)))[0])
+        probs = probabilities(forward(params, 10.0 * rng.normal((1, 3, 8, 8)))[0])
         assert probs.min() > 0.0
         assert probs.max() < 1.0
 
     def test_channel_mismatch_rejected(self):
         params = init_params(3, 4, Rng(0))
         with pytest.raises(ValueError, match="channels"):
-            forward(params, np.zeros((2, 4, 4)))
+            forward(params, np.zeros((1, 2, 4, 4)))
 
     @pytest.mark.parametrize("block", list(block_shapes(2, 3)))
     def test_non_finite_parameter_rejected(self, block):
         params = init_params(2, 3, Rng(5))
         params.blocks[block].flat[-1] = np.nan
         with pytest.raises(NumericError, match="model parameters"):
-            forward(params, Rng(6).normal((2, 4, 4)))
+            forward(params, Rng(6).normal((1, 2, 4, 4)))
 
     def test_translation_equivariance_interior(self):
         rng = Rng(8)
@@ -105,7 +112,10 @@ def predict_middle(params, inp):
     return predict(params, np.stack([rng.normal(inp.shape), inp, rng.normal(inp.shape)]))[1]
 
 
-ENTRY_POINTS = {"forward": lambda params, inp: forward(params, inp)[0], "predict": predict_middle}
+ENTRY_POINTS = {
+    "forward": lambda params, inp: forward(params, inp[None])[0],
+    "predict": predict_middle,
+}
 
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
@@ -137,7 +147,8 @@ class TestFiniteAtTheModelBoundary:
 
 class TestStackedPredict:
     """`predict` runs N samples as one tall image with zero gap rows; every logit
-    keeps the bits of `forward` on its sample alone, and the inputs are unwritten."""
+    keeps the bits of the per-sample oracle on its sample alone, and the inputs
+    are unwritten."""
 
     @staticmethod
     def check(n, c, f, h, w):
@@ -148,7 +159,7 @@ class TestStackedPredict:
         inputs = rng.normal((n, c, h, w))
         before = inputs.copy()
         got = predict(params, inputs)
-        want = np.stack([forward(params, x)[0] for x in inputs])
+        want = np.stack([sample_forward(params, x)[0] for x in inputs])
         assert got.shape == (n, h, w) and got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert inputs.tobytes() == before.tobytes()
@@ -176,21 +187,21 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = Rng(5)
         params = init_params(3, 4, rng)
-        logits, cache = forward(params, rng.normal((3, 4, 4)))
+        logits, cache = forward(params, rng.normal((2, 3, 4, 4)))
         grads = backward(params, cache, np.zeros_like(logits))
         assert grads.shape == params.flat.shape and not grads.any()
 
     @pytest.mark.parametrize("case", range(5))
     def test_gradient_check_bce(self, case):
         params, inp = params_with_relu_margin(100 + case)
-        y = (Rng(case).uniform(inp.shape[1:]) < 0.4).astype(float).ravel()
+        y = (Rng(case).uniform(inp[:, 0].shape) < 0.4).astype(float).ravel()
         err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.flat)
         assert err < 1e-5
 
     @pytest.mark.parametrize("case", range(5))
     def test_gradient_check_calibration_targets(self, case):
         params, inp = params_with_relu_margin(200 + case)
-        targets = Rng(case).uniform(inp.shape[1] * inp.shape[2])
+        targets = Rng(case).uniform(inp[:, 0].size)
         err = finite_diff_check(model_loss_fn(params, inp, bce_loss, targets), params.flat)
         assert err < 1e-5
 
@@ -203,7 +214,7 @@ class TestBackward:
         params.conv2_b[0] = -20.0
         logits, _ = forward(params, inp)
         assert probabilities(logits).max() < 1e-7
-        y = (Rng(900).uniform(inp.shape[1:]) < 0.4).astype(float).ravel()
+        y = (Rng(900).uniform(inp[:, 0].shape) < 0.4).astype(float).ravel()
         assert 0 < y.sum() < y.size
         err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.flat)
         assert err < 1e-5
@@ -211,8 +222,55 @@ class TestBackward:
     def test_gradient_check_away_from_kink_margin(self):
         # Explicit margin variant: every pre-activation at least 1e-3 from 0.
         params, inp = params_with_relu_margin(777, margin=1e-3)
-        y = (Rng(777).uniform(inp.shape[1:]) < 0.3).astype(float).ravel()
+        y = (Rng(777).uniform(inp[:, 0].shape) < 0.3).astype(float).ravel()
         err = finite_diff_check(model_loss_fn(params, inp, bce_loss, y), params.flat)
+        assert err < 1e-5
+
+
+class TestStackedTraining:
+    """A stack's mean loss and flat gradient are the per-sample oracle's, each
+    sample weighed by its share of the stack; the gap rows add nothing."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 17), st.integers(1, 4), st.integers(1, 9),
+        st.integers(1, 12), st.integers(1, 12),
+    )
+    def test_share_weighted_sum_of_per_sample(self, n, c, f, h, w):
+        self.check(n, c, f, h, w)
+
+    @pytest.mark.parametrize(
+        "n, c, f, h, w",
+        [(8, 3, 8, 16, 16), (4, 3, 8, 32, 32), (3, 4, 2, 5, 6), (5, 3, 1, 1, 1), (17, 2, 3, 1, 4)],
+    )
+    def test_workload_and_edge_shapes(self, n, c, f, h, w):
+        self.check(n, c, f, h, w)  # f < c keeps conv1's weighed-tap path
+
+    @staticmethod
+    def check(n, c, f, h, w):
+        rng = Rng(derive_seed(62, n, c, f, h, w))
+        params = init_params(c, f, rng)
+        params.conv1_b[...] = rng.normal((f,))  # nonzero biases: the gap rows must be masked
+        params.conv2_b[...] = rng.normal((1,))
+        inputs = rng.normal((n, c, h, w))
+        targets = rng.uniform((n, h, w))
+        logits, cache = forward(params, inputs)
+        loss, grad = bce_loss(logits, targets)
+        got = backward(params, cache, grad.reshape(logits.shape))
+        want_loss, want = 0.0, np.zeros_like(params.flat)
+        for x, t in zip(inputs, targets):
+            sample_logits, sample_cache = sample_forward(params, x)
+            sample_loss, sample_grad = bce_loss(sample_logits, t)
+            want_loss += sample_loss / n
+            want += sample_backward(params, sample_cache, sample_grad.reshape(h, w) / n)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert abs(loss - want_loss) <= 1e-13 * abs(want_loss)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_gradient_check_through_a_stack(self):
+        params, inputs = params_with_relu_margin(555, n=3)
+        y = (Rng(555).uniform(inputs[:, 0].shape) < 0.4).astype(float).ravel()
+        err = finite_diff_check(model_loss_fn(params, inputs, bce_loss, y), params.flat)
         assert err < 1e-5
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bce_continuation
+from oracles import bce_continuation, sample_forward
 
 from capeseg import pipeline
 from capeseg.calibration import (
@@ -16,7 +16,7 @@ from capeseg.calibration import (
     evaluate_predictions,
 )
 from capeseg.fieldgen import FieldConfig, generate_dataset
-from capeseg.model import forward, init_params, sigmoid
+from capeseg.model import init_params, sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
     CellResult,
@@ -212,7 +212,8 @@ class TestPredictSplit:
         params = init_params(small_dataset.shape[0], 4, Rng(3))
         idx = Rng(4).permutation(36)[:19]  # two chunks of 8 and one of 3
         got = pipeline._predict_split(params, small_dataset, idx)
-        want = np.concatenate([forward(params, small_dataset.inputs[i])[0].ravel() for i in idx])
+        want = np.concatenate([sample_forward(params, small_dataset.inputs[i])[0] for i in idx])
+        want = want.ravel()
         assert got.shape == (19 * 16 * 16,) and got.tobytes() == want.tobytes()
 
 
