@@ -9,40 +9,3 @@ frequencies).
 """
 
 __version__ = "0.1.0"
-
-from .calibration import (
-    BinTable,
-    MetricsReport,
-    bce_loss,
-    brier_score,
-    build_bins,
-    combined_loss,
-    ece,
-    kl_to_true,
-)
-from .fieldgen import Dataset, FieldConfig, generate_dataset
-from .model import ModelParams, forward, init_params
-from .numerics import Rng
-from .pipeline import TrainConfig, evaluate_arm, run_experiment, split_kfold
-
-__all__ = [
-    "BinTable",
-    "Dataset",
-    "FieldConfig",
-    "MetricsReport",
-    "ModelParams",
-    "Rng",
-    "TrainConfig",
-    "bce_loss",
-    "brier_score",
-    "build_bins",
-    "combined_loss",
-    "ece",
-    "evaluate_arm",
-    "forward",
-    "generate_dataset",
-    "init_params",
-    "kl_to_true",
-    "run_experiment",
-    "split_kfold",
-]

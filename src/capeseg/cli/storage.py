@@ -107,6 +107,8 @@ def read_dataset(path) -> Dataset:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
     if version != DATASET_VERSION:
         raise FormatError(f"{path}: unsupported dataset version {version}")
+    if flags & ~FLAG_TRUE_P:
+        raise FormatError(f"{path}: unknown header flags {flags:#x}")
     if 0 in (n_samples, c, h, w):
         raise FormatError(f"{path}: empty dataset ({n_samples} samples of {c}x{h}x{w})")
     has_p = bool(flags & FLAG_TRUE_P)
@@ -178,6 +180,8 @@ def read_checkpoint(path) -> ModelParams:
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
+            if name in blocks:
+                raise ValueError(f"{name} appears twice")
             blocks[name] = arr.reshape(shape)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint block: {exc}") from exc

@@ -6,9 +6,10 @@ empirical frequencies weighted with lambda. Phase one is the lambda = 0
 case with early stopping, and keeps the checkpoint with the best
 validation loss. Phase two resumes from that checkpoint at the
 configured lambda, with the frequencies refreshed once per epoch over
-the full training set and frozen in between. Experiments compare the
-frozen warm-up checkpoint ("bce" arm) against the continued model
-("cape" arm) on held out test folds.
+the full training set and frozen in between. Both phases run in one
+epoch loop, which judges each epoch's record once it is done or once the
+next epoch has trained. Experiments compare the frozen warm-up checkpoint
+("bce" arm) against the continued model ("cape" arm) on held out test folds.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _epoch_record(
 
 
 def run_now(fn, *args, **kwargs) -> Future:
-    """The training loops' default `submit`: fn(*args, **kwargs) now, as a done
+    """The training loop's default `submit`: fn(*args, **kwargs) now, as a done
     future. Jobs pass the dataset as `dataset=`, so a helper can use its own."""
     future: Future = Future()
     future.set_result(fn(*args, **kwargs))
@@ -225,9 +226,11 @@ def record_helper(dataset: Dataset):
     """A `submit` that runs jobs (this module's functions, looked up by name) on one
     helper process while this one trains. The helper is forked, so it holds the
     `dataset` it inherited rather than receiving it. Jobs run inline with one
-    usable CPU and without fork. Once the helper died, `submit` and the results
-    raise `BrokenExecutor`, and the caller reruns its work inline."""
-    if len(os.sched_getaffinity(0)) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    usable CPU, and without fork or `os.sched_getaffinity` (macOS, Windows).
+    Once the helper died, `submit` and the results raise `BrokenExecutor`, and
+    the caller reruns its work inline."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield run_now
         return
     pool = ProcessPoolExecutor(  # forks at the first submit, before it starts a thread
@@ -279,28 +282,29 @@ def _run_epoch(
     return params, adam, epoch_loss
 
 
-def train_warmup(
-    dataset: Dataset, train_idx: np.ndarray, val_idx: np.ndarray, config: TrainConfig,
-    submit=run_now,
-) -> WarmupResult:
-    """Minibatch Adam on binary cross-entropy with early stopping.
+def _train(
+    params: ModelParams, dataset: Dataset, train_idx: np.ndarray, val_idx: np.ndarray,
+    config: TrainConfig, phase: str, epochs: range, submit,
+    stopper: Optional[EarlyStopper] = None,
+) -> tuple[ModelParams, list[EpochRecord]]:
+    """The epoch loop of both phases: minibatch Adam from a fresh state, epochs
+    numbered by `epochs`, each shuffled from the phase's own stream.
 
-    Binary cross-entropy is combined_loss at weight 0, whose mixed target
-    is exactly the outcomes. Returns the checkpoint with the lowest
-    validation loss (not the last one), the epoch it was reached, the
-    epoch training stopped, and the per-epoch records.
-
-    `submit` computes each record (see `run_now`), judged once it is done or
-    the next epoch has trained; a record that stops training drops that epoch.
+    A warm-up epoch trains on the outcomes at weight 0. A CaPE epoch first
+    refreshes the binned targets over the full training split with the current
+    model, frozen for its updates. `submit` computes each record (see
+    `run_now`), judged once it is done or once the next epoch has trained.
+    Returns (params, records): with a `stopper`, the params of its best record,
+    and a record that stops training drops the epoch trained meanwhile, with
+    any error it raised; without one, the last epoch's params.
     """
-    rng = Rng(config.seed)
-    channels = dataset.shape[0]
-    params = init_params(channels, config.hidden_channels, rng.child(_STREAM_INIT))
+    cape = phase == CAPE_PHASE
+    stream = _STREAM_CONTINUE_BATCHES if cape else _STREAM_WARMUP_BATCHES
+    shuffle_rng = Rng(config.seed).child(stream)
     adam = AdamState.init(params.flat.size, lr=config.lr)
-    shuffle_rng = rng.child(_STREAM_WARMUP_BATCHES)  # nothing reads it after the warm-up
-    stopper = EarlyStopper(patience=config.patience, min_delta=config.min_delta)
-
     train_idx = np.asarray(train_idx)
+    p_emp = np.zeros_like(dataset.outcomes) if cape else dataset.outcomes  # rows refilled below
+    cal_weight = config.cal_weight if cape else 0.0
     best = params
     records: list[EpochRecord] = []
     pending: list = []  # (params, record future) of the newest epoch, not yet judged
@@ -311,19 +315,26 @@ def train_warmup(
         if not pending:
             return False
         epoch_params, future = pending.pop()
-        records.append(future.result())
-        improved, stop = stopper.update(records[-1].epoch, records[-1].val_loss)
+        rec = future.result()
+        records.append(rec)
+        improved, stop = stopper.update(rec.epoch, rec.val_loss) if stopper else (True, False)
         if improved:
             best = epoch_params
         return stop
 
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in epochs:
         if pending and pending[0][1].done() and judge():
             break
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
         try:
+            if cape:
+                train_preds = probabilities(_predict_split(params, dataset, train_idx))
+                assignment = bin_assignment(train_preds, config.bins)
+                table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
+                p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
+                del train_preds, assignment  # not held beside the next refresh
+            order = train_idx[shuffle_rng.permutation(len(train_idx))]
             params, adam, train_loss = _run_epoch(
-                params, adam, dataset, order, config.batch_size, dataset.outcomes, 0.0
+                params, adam, dataset, order, config.batch_size, p_emp, cal_weight
             )
         except Exception:
             if judge():
@@ -332,67 +343,47 @@ def train_warmup(
         if judge():
             break
         pending.append((params, submit(
-            _epoch_record, epoch, WARMUP_PHASE, train_loss, params, dataset=dataset, val_idx=val_idx
+            _epoch_record, epoch, phase, train_loss, params, dataset=dataset, val_idx=val_idx
         )))
     judge()
+    return best, records
 
-    return WarmupResult(
-        best_params=best,
-        best_val_loss=stopper.best,
-        best_epoch=stopper.best_epoch,
-        stop_epoch=records[-1].epoch,
-        records=records,
+
+def train_warmup(
+    dataset: Dataset, train_idx: np.ndarray, val_idx: np.ndarray, config: TrainConfig,
+    submit=run_now,
+) -> WarmupResult:
+    """Minibatch Adam on binary cross-entropy with early stopping (see `_train`).
+
+    Binary cross-entropy is combined_loss at weight 0, whose mixed target
+    is exactly the outcomes. Returns the checkpoint with the lowest
+    validation loss (not the last one), the epoch it was reached, the
+    epoch training stopped, and the per-epoch records.
+    """
+    rng = Rng(config.seed).child(_STREAM_INIT)
+    params = init_params(dataset.shape[0], config.hidden_channels, rng)
+    stopper = EarlyStopper(patience=config.patience, min_delta=config.min_delta)
+    best, records = _train(
+        params, dataset, train_idx, val_idx, config, WARMUP_PHASE,
+        range(1, config.max_epochs + 1), submit, stopper,
     )
+    return WarmupResult(best, stopper.best, stopper.best_epoch, records[-1].epoch, records)
 
 
 def train_cape(
-    start_params: ModelParams,
-    dataset: Dataset,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-    config: TrainConfig,
-    start_epoch: int,
-    submit=run_now,
+    start_params: ModelParams, dataset: Dataset, train_idx: np.ndarray, val_idx: np.ndarray,
+    config: TrainConfig, start_epoch: int, submit=run_now,
 ) -> tuple[ModelParams, list[EpochRecord]]:
-    """Resume from the warm-up checkpoint with the combined loss.
+    """Resume from the warm-up checkpoint with the combined loss (see `_train`).
 
-    Runs for the remaining shared epoch budget (or the configured
-    override) with a fresh Adam state. Records continue the warm-up epoch
-    numbering and carry the "cape" phase tag; `submit` computes them (see
-    `run_now`), and they are collected in epoch order at the end.
+    Runs for the remaining shared epoch budget (or the configured override).
+    Records continue the warm-up epoch numbering and carry the "cape" phase tag.
     """
-    shuffle_rng = Rng(config.seed).child(_STREAM_CONTINUE_BATCHES)
-    params = start_params
-    adam = AdamState.init(params.flat.size, lr=config.lr)
-    train_idx = np.asarray(train_idx)
-    if config.cape_epochs_override is not None:
-        n_epochs = config.cape_epochs_override
-    else:
+    n_epochs = config.cape_epochs_override
+    if n_epochs is None:
         n_epochs = max(0, config.cape_epochs - start_epoch)
-    futures = []
-    p_emp = np.zeros_like(dataset.outcomes)  # rows at train_idx refilled each epoch
-
-    try:
-        for epoch in range(start_epoch + 1, start_epoch + n_epochs + 1):
-            # Refresh empirical targets over the full training set with the
-            # current model, then freeze them for this epoch's updates.
-            train_preds = probabilities(_predict_split(params, dataset, train_idx))
-            assignment = bin_assignment(train_preds, config.bins)
-            table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
-            p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
-            del train_preds, assignment  # not held beside the next refresh
-
-            order = train_idx[shuffle_rng.permutation(len(train_idx))]
-            params, adam, train_loss = _run_epoch(
-                params, adam, dataset, order, config.batch_size, p_emp, config.cal_weight
-            )
-            futures.append(submit(
-                _epoch_record, epoch, CAPE_PHASE, train_loss, params,
-                dataset=dataset, val_idx=val_idx,
-            ))
-    finally:  # a failed record comes before a failed epoch: its epoch is earlier
-        records = [future.result() for future in futures]
-    return params, records
+    epochs = range(start_epoch + 1, start_epoch + n_epochs + 1)
+    return _train(start_params, dataset, train_idx, val_idx, config, CAPE_PHASE, epochs, submit)
 
 
 def evaluate_arm(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -231,12 +232,17 @@ class TestDatasetRoundTrip:
             storage.read_dataset(path)
 
     @pytest.mark.parametrize(
-        "counts,match", [((0, 3, 8, 8), "empty"), ((1, 3, 70000, 70000), "implausible")]
+        "counts,match",
+        [
+            ((0, 3, 8, 8, 0), "empty"),
+            ((1, 3, 70000, 70000, 0), "implausible"),
+            ((1, 3, 8, 8, storage.FLAG_TRUE_P | 2), "unknown header flags 0x3"),
+        ],
     )
     def test_bad_header_counts_rejected(self, tmp_path, counts, match):
         path = tmp_path / "d.bin"
         path.write_bytes(
-            storage._HEADER.pack(storage.DATASET_MAGIC, storage.DATASET_VERSION, *counts, 0)
+            storage._HEADER.pack(storage.DATASET_MAGIC, storage.DATASET_VERSION, *counts)
         )
         with pytest.raises(storage.FormatError, match=match):
             storage.read_dataset(path)
@@ -496,9 +502,11 @@ class TestRecordHelper:
     """`train` computes its epoch records on a forked helper process when two
     CPUs are usable, and inline otherwise; its outputs are the same."""
 
-    def run_train(self, dataset_dir, tmp_path, monkeypatch, capsys, cpus, name):
-        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        cfg = write_config(tmp_path / "early.cfg", **TRAIN_EARLY_STOP)
+    def run_train(self, dataset_dir, tmp_path, monkeypatch, capsys, cpus, name, **overrides):
+        """`train` with `cpus` usable CPUs (None: as `os` reports them)."""
+        if cpus is not None:
+            monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write_config(tmp_path / "early.cfg", **{**TRAIN_EARLY_STOP, **overrides})
         out = tmp_path / name
         code = main([
             "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
@@ -506,10 +514,10 @@ class TestRecordHelper:
         ])
         return code, out, capsys.readouterr().out
 
-    def slow_helper_records(self, monkeypatch, die_in=None):
-        """Records in the helper take 50 ms (or kill it in phase `die_in`), so
-        the warm-up trains the epoch after its stop before it sees the record that
-        stops it."""
+    def slow_helper_records(self, monkeypatch, die_in=None, fail_at=None):
+        """Records in the helper take 50 ms (or kill it in phase `die_in`, or raise
+        NumericError for epoch `fail_at`), so the warm-up trains the epoch after
+        its stop before it sees the record that stops it."""
         parent, real_record = os.getpid(), pipeline._epoch_record
 
         @functools.wraps(real_record)
@@ -517,6 +525,8 @@ class TestRecordHelper:
             if os.getpid() != parent:
                 if phase == die_in:
                     os._exit(1)
+                if epoch == fail_at:
+                    raise NumericError("injected non-finite record")
                 time.sleep(0.05)
             return real_record(epoch, phase, *args, **kwargs)
 
@@ -585,6 +595,44 @@ class TestRecordHelper:
         for name in TRAIN_OUTPUTS:
             assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
         assert len(calls) > 8 + 2  # the fold ran until the helper died, then again inline
+
+    def test_without_sched_getaffinity_records_run_inline(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        """Where `os` has no `sched_getaffinity` (macOS, Windows), no helper is forked."""
+        self.slow_helper_records(monkeypatch)
+        calls = self.count_epochs(monkeypatch)
+        inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
+        inline_epochs = len(calls)
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+        bare = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, None, "bare")
+        assert inline[0] == bare[0] == 0
+        assert bare[2] == inline[2]
+        for name in TRAIN_OUTPUTS:
+            assert (bare[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
+        assert len(calls) == 2 * inline_epochs  # no speculative epoch: records ran inline
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failed_cape_record_stops_the_fold_within_one_epoch(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, k
+    ):
+        """CaPE records are judged as warm-up records are: a failed record k ends
+        the fold once it is done or once CaPE epoch k + 1 has trained."""
+        self.slow_helper_records(monkeypatch, fail_at=8 + k)  # the warm-up stops at epoch 8
+        cape_epochs, real_run_epoch = [], pipeline._run_epoch
+
+        def run_epoch(*args):
+            if args[-1] > 0:  # cal_weight, 0 in the warm-up
+                cape_epochs.append(args[-1])
+            return real_run_epoch(*args)
+
+        monkeypatch.setattr(pipeline, "_run_epoch", run_epoch)
+        code, out, _ = self.run_train(
+            dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper", cape_epochs_override=6
+        )
+        assert code == 3
+        assert not out.exists()
+        assert k <= len(cape_epochs) <= k + 1
 
     def test_failed_cape_arm_score_leaves_no_out(
         self, dataset_dir, tmp_path, monkeypatch, capsys
@@ -890,15 +938,22 @@ class TestExitCodes:
         assert "non-finite inputs" in capsys.readouterr().err
         assert not (tmp_path / "o" / "bce_arm.ckpt").exists()
 
-    @pytest.mark.parametrize("defect", ["mismatched shapes", "nan bias"])
+    @pytest.mark.parametrize("defect", ["mismatched shapes", "nan bias", "repeated block"])
     def test_bad_checkpoint_is_format_error(self, dataset_dir, tmp_path, defect):
         ckpt = tmp_path / "m.ckpt"
+        params = init_params(3, 4, Rng(8))
         if defect == "mismatched shapes":
             write_mismatched_checkpoint(ckpt)
-        else:
-            params = init_params(3, 4, Rng(8))
+        elif defect == "nan bias":
             params.conv2_b[0] = np.nan
             storage.write_checkpoint(ckpt, params)
+        else:  # a second conv1_b, of 7s, after the four valid blocks
+            storage.write_checkpoint(ckpt, SimpleNamespace(blocks={"conv1_b": np.full(4, 7.0)}))
+            extra = ckpt.read_bytes()[16:]  # after magic, version and block count
+            storage.write_checkpoint(ckpt, params)
+            data = bytearray(ckpt.read_bytes())
+            struct.pack_into("<I", data, 12, len(params.blocks) + 1)
+            ckpt.write_bytes(bytes(data) + extra)
         assert main([
             "evaluate", "--checkpoint", str(ckpt), "--dataset",
             str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),
