@@ -31,7 +31,7 @@ from .. import __version__
 from ..calibration import BinTable, MetricsReport
 from ..fieldgen import Dataset
 from ..model import ModelParams, block_shapes
-from ..pipeline import EpochRecord
+from ..pipeline import CAPE_PHASE, WARMUP_PHASE, EpochRecord
 
 DATASET_MAGIC = b"CAPESEG1"
 DATASET_VERSION = 1
@@ -285,6 +285,18 @@ def finite_float(text: str) -> float:
     return value
 
 
+def _checked(cast, ok, expected: str):
+    """`cast`, refusing a value for which `ok` is false; `expected` says what is allowed."""
+
+    def check(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(f"expected {expected}, got {text.strip()!r}")
+        return value
+
+    return check
+
+
 def _optional(cast):
     return lambda text: cast(text) if text else None
 
@@ -298,13 +310,16 @@ def _write_csv(path, header: list[str], rows) -> Written:
 
 
 # The CSVs read back: per-column casts and the record built from one row.
+_phase = _checked(str, {WARMUP_PHASE, CAPE_PHASE}.__contains__, "warmup or cape")
+_unit = _checked(finite_float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_count = _checked(int, lambda v: v >= 0, "a count >= 0")
 _READ_LAYOUTS = {
     tuple(EPOCH_CSV_HEADER): (
-        (int, str, finite_float, finite_float, finite_float, _optional(finite_float)),
+        (int, _phase, finite_float, finite_float, finite_float, _optional(finite_float)),
         EpochRecord,
     ),
     tuple(RELIABILITY_CSV_HEADER): (
-        (int, finite_float, finite_float, int, finite_float, finite_float),
+        (int, _unit, _unit, _count, _unit, _unit),
         lambda *row: dict(zip(RELIABILITY_CSV_HEADER, row)),
     ),
 }
@@ -313,8 +328,9 @@ _READ_LAYOUTS = {
 def read_csv(path, *headers: list[str]) -> tuple[list[str], list]:
     """(header, records) of a CSV report whose header is one of `headers`.
 
-    Undecodable bytes, another header, a wrong field count and a bad or
-    non-finite number are each a FormatError naming the line.
+    Undecodable bytes, another header, a wrong field count, a bad or
+    non-finite number and a value out of its column's range are each a
+    FormatError naming the line.
     """
     try:
         data = Path(path).read_bytes()

@@ -10,7 +10,6 @@ line elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT = 80, 170
@@ -28,20 +27,16 @@ class Series:
     ys: list[float]
     color: str = PALETTE[0]
     dashed: bool = False
-    opacity: float = 1.0
-    stroke_width: float = 2.0
-    in_legend: bool = True
+    raw: bool = False  # faint and thin, and left out of the legend
 
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / n
-    return [lo + i * step for i in range(n + 1)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 5
+    return [lo + i * step for i in range(6)]
 
 
 def _fmt_tick(v: float) -> str:
@@ -52,48 +47,48 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.3g}"
 
 
-def moving_average(values: list[float], window: int = 3) -> list[float]:
-    """Centered moving average; edges average over the available neighbors."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    half = (window - 1) // 2
-    out = []
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + window - half)
-        seg = values[lo:hi]
-        out.append(sum(seg) / len(seg))
-    return out
+def _line(x1, y1, x2, y2, stroke: str, width, dash: str = "") -> str:
+    """A line element; float coordinates are written with two decimals."""
+    c = [f"{v:.2f}" if isinstance(v, float) else v for v in (x1, y1, x2, y2)]
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{c[0]}" y1="{c[1]}" x2="{c[2]}" y2="{c[3]}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+    )
 
 
-def line_chart(
-    series: list[Series],
-    title: str,
-    x_label: str,
-    y_label: str,
-    vlines: Optional[list[tuple[float, str]]] = None,
-    diagonal: bool = False,
-    points: Optional[list[tuple[float, float]]] = None,
-    x_range: Optional[tuple[float, float]] = None,
-    y_range: Optional[tuple[float, float]] = None,
-) -> str:
-    """Build an 800x600 SVG chart; one polyline per series."""
-    xs = [x for s in series for x in s.xs]
-    ys = [y for s in series for y in s.ys]
-    if points:
-        xs += [p[0] for p in points]
-        ys += [p[1] for p in points]
-    if not xs:
-        raise ValueError("nothing to plot")
-    x_lo, x_hi = x_range if x_range else (min(xs), max(xs))
-    y_lo, y_hi = y_range if y_range else (min(ys), max(ys))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    if y_range is None:
+def _text(x, y, body: str, size: int, anchor: str = "", extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+        f'font-family="sans-serif"{extra}>{_escape(body)}</text>'
+    )
+
+
+def moving_average(values: list[float]) -> list[float]:
+    """Centered 3-point moving average; the two ends average over two points."""
+    segments = (values[max(0, i - 1) : i + 2] for i in range(len(values)))
+    return [sum(seg) / len(seg) for seg in segments]
+
+
+def _chart(title, x_label, y_label, series: list[Series], box=None, marks=lambda px, py: ()):
+    """An 800x600 SVG: the frame, then `marks(px, py)`, one polyline per
+    series and the legend. The frame is `box` = (x_lo, x_hi, y_lo, y_hi), or
+    else the series' span with y padded by 5% and a zero-width range widened
+    by 0.5 each way."""
+    if box is None:
+        xs = [x for s in series for x in s.xs]
+        ys = [y for s in series for y in s.ys]
+        if not xs:
+            raise ValueError("nothing to plot")
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        if x_hi == x_lo:
+            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        if y_hi == y_lo:
+            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
         pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+        box = x_lo, x_hi, y_lo - pad, y_hi + pad
+    x_lo, x_hi, y_lo, y_hi = box
 
     def px(x: float) -> float:
         return PLOT_LEFT + (x - x_lo) / (x_hi - x_lo) * (PLOT_RIGHT - PLOT_LEFT)
@@ -101,102 +96,47 @@ def line_chart(
     def py(y: float) -> float:
         return PLOT_BOTTOM - (y - y_lo) / (y_hi - y_lo) * (PLOT_BOTTOM - PLOT_TOP)
 
-    el: list[str] = []
-    el.append(
+    el = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    el.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
-    el.append(
-        f'<text x="{WIDTH / 2}" y="30" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{_escape(title)}</text>'
-    )
-
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        _text(WIDTH / 2, 30, title, 18, "middle"),
+    ]
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        el.append(
-            f'<line x1="{PLOT_LEFT}" y1="{y:.2f}" x2="{PLOT_RIGHT}" y2="{y:.2f}" '
-            f'stroke="#e0e0e0" stroke-width="1"/>'
-        )
-        el.append(
-            f'<text x="{PLOT_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
-            f'font-family="sans-serif">{_fmt_tick(t)}</text>'
-        )
+        el.append(_line(PLOT_LEFT, y, PLOT_RIGHT, y, "#e0e0e0", 1))
+        el.append(_text(PLOT_LEFT - 8, f"{y + 4:.2f}", _fmt_tick(t), 12, "end"))
     for t in _ticks(x_lo, x_hi):
         x = px(t)
-        el.append(
-            f'<line x1="{x:.2f}" y1="{PLOT_BOTTOM}" x2="{x:.2f}" y2="{PLOT_BOTTOM + 6}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        el.append(
-            f'<text x="{x:.2f}" y="{PLOT_BOTTOM + 22}" text-anchor="middle" font-size="12" '
-            f'font-family="sans-serif">{_fmt_tick(t)}</text>'
-        )
-
-    el.append(
-        f'<line x1="{PLOT_LEFT}" y1="{PLOT_BOTTOM}" x2="{PLOT_RIGHT}" y2="{PLOT_BOTTOM}" '
-        f'stroke="#000000" stroke-width="1.5"/>'
-    )
-    el.append(
-        f'<line x1="{PLOT_LEFT}" y1="{PLOT_TOP}" x2="{PLOT_LEFT}" y2="{PLOT_BOTTOM}" '
-        f'stroke="#000000" stroke-width="1.5"/>'
-    )
-    el.append(
-        f'<text x="{(PLOT_LEFT + PLOT_RIGHT) / 2}" y="{HEIGHT - 20}" text-anchor="middle" '
-        f'font-size="14" font-family="sans-serif">{_escape(x_label)}</text>'
-    )
+        el.append(_line(x, PLOT_BOTTOM, x, PLOT_BOTTOM + 6, "#000000", 1))
+        el.append(_text(f"{x:.2f}", PLOT_BOTTOM + 22, _fmt_tick(t), 12, "middle"))
     mid_y = (PLOT_TOP + PLOT_BOTTOM) / 2
-    el.append(
-        f'<text x="24" y="{mid_y}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif" transform="rotate(-90 24 {mid_y})">{_escape(y_label)}</text>'
-    )
-
-    if diagonal:
-        el.append(
-            f'<line x1="{px(max(x_lo, y_lo)):.2f}" y1="{py(max(x_lo, y_lo)):.2f}" '
-            f'x2="{px(min(x_hi, y_hi)):.2f}" y2="{py(min(x_hi, y_hi)):.2f}" '
-            f'stroke="#888888" stroke-width="1" stroke-dasharray="4,4"/>'
-        )
-    for xv, label in vlines or []:
-        el.append(
-            f'<line x1="{px(xv):.2f}" y1="{PLOT_TOP}" x2="{px(xv):.2f}" y2="{PLOT_BOTTOM}" '
-            f'stroke="#555555" stroke-width="1" stroke-dasharray="2,3"/>'
-        )
-        el.append(
-            f'<text x="{px(xv) + 4:.2f}" y="{PLOT_TOP + 14}" font-size="11" '
-            f'font-family="sans-serif" fill="#555555">{_escape(label)}</text>'
-        )
+    el += [
+        _line(PLOT_LEFT, PLOT_BOTTOM, PLOT_RIGHT, PLOT_BOTTOM, "#000000", 1.5),
+        _line(PLOT_LEFT, PLOT_TOP, PLOT_LEFT, PLOT_BOTTOM, "#000000", 1.5),
+        _text((PLOT_LEFT + PLOT_RIGHT) / 2, HEIGHT - 20, x_label, 14, "middle"),
+        _text(24, mid_y, y_label, 14, "middle", f' transform="rotate(-90 24 {mid_y})"'),
+        *marks(px, py),
+    ]
 
     for s in series:
         if len(s.xs) != len(s.ys):
             raise ValueError(f"series {s.label!r} has mismatched x/y lengths")
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
+        width, opacity = (1.0, 0.25) if s.raw else (2.0, 1.0)
         dash = ' stroke-dasharray="7,5"' if s.dashed else ""
         el.append(
-            f'<polyline fill="none" stroke="{s.color}" stroke-width="{s.stroke_width}" '
-            f'stroke-opacity="{s.opacity}" points="{pts}"{dash}/>'
+            f'<polyline fill="none" stroke="{s.color}" stroke-width="{width}" '
+            f'stroke-opacity="{opacity}" points="{pts}"{dash}/>'
         )
 
-    for x, y in points or []:
-        el.append(
-            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="4" fill="{PALETTE[0]}"/>'
-        )
-
-    legend_y = PLOT_TOP + 10
+    lx, legend_y = PLOT_RIGHT + 14, PLOT_TOP + 10
     for s in series:
-        if not s.in_legend:
-            continue
-        lx = PLOT_RIGHT + 14
-        dash = ' stroke-dasharray="7,5"' if s.dashed else ""
-        el.append(
-            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 26}" y2="{legend_y}" '
-            f'stroke="{s.color}" stroke-width="{s.stroke_width}"{dash}/>'
-        )
-        el.append(
-            f'<text x="{lx + 32}" y="{legend_y + 4}" font-size="12" '
-            f'font-family="sans-serif">{_escape(s.label)}</text>'
-        )
-        legend_y += 20
+        if not s.raw:
+            dash = "7,5" if s.dashed else ""
+            el.append(_line(lx, legend_y, lx + 26, legend_y, s.color, 2.0, dash))
+            el.append(_text(lx + 32, legend_y + 4, s.label, 12))
+            legend_y += 20
 
     el.append("</svg>")
     return "\n".join(el) + "\n"
@@ -221,10 +161,10 @@ def sweep_chart(rows: list[dict], metric: str, title: str, y_label: str) -> str:
             ys = [sum(per_rate[x]) / len(per_rate[x]) for x in xs]
             label = f"n={n} {'CaPE' if arm == 'cape' else 'early stop'}"
             series.append(Series(label=label, xs=xs, ys=ys, color=color, dashed=dashed))
-    return line_chart(series, title, "event rate", y_label)
+    return _chart(title, "event rate", y_label, series)
 
 
-def learning_curve_chart(records, title: str, smooth_window: int = 3) -> str:
+def learning_curve_chart(records, title: str) -> str:
     """Per-epoch metric curves, raw at low opacity plus smoothed, with a
     vertical marker where the calibrated phase begins."""
     epochs = [r.epoch for r in records]
@@ -238,33 +178,34 @@ def learning_curve_chart(records, title: str, smooth_window: int = 3) -> str:
     series = []
     for i, (name, values) in enumerate(metrics):
         color = PALETTE[i % len(PALETTE)]
-        series.append(
-            Series(
-                label=f"{name} (raw)", xs=epochs, ys=values, color=color,
-                opacity=0.25, stroke_width=1.0, in_legend=False,
-            )
-        )
-        series.append(
-            Series(label=name, xs=epochs, ys=moving_average(values, smooth_window), color=color)
-        )
-    vlines = []
+        series.append(Series(f"{name} (raw)", epochs, values, color, raw=True))
+        series.append(Series(name, epochs, moving_average(values), color))
     cape_epochs = [r.epoch for r in records if r.phase == "cape"]
-    if cape_epochs:
-        vlines.append((min(cape_epochs), "CaPE start"))
-    return line_chart(series, title, "epoch", "value", vlines=vlines)
+
+    def cape_start(px, py):
+        if not cape_epochs:
+            return []
+        x = px(min(cape_epochs))
+        return [
+            _line(x, PLOT_TOP, x, PLOT_BOTTOM, "#555555", 1, "2,3"),
+            _text(f"{x + 4:.2f}", PLOT_TOP + 14, "CaPE start", 11, extra=' fill="#555555"'),
+        ]
+
+    return _chart(title, "epoch", "value", series, marks=cape_start)
 
 
 def reliability_chart(rows: list[dict], title: str) -> str:
     """Reliability diagram: per-bin (mean prediction, empirical frequency)
     points against the diagonal of perfect calibration."""
-    pts = [(row["prob_pred"], row["prob_true"]) for row in rows]
-    return line_chart(
-        [],
-        title,
-        "mean predicted probability",
-        "empirical frequency",
-        diagonal=True,
-        points=pts,
-        x_range=(0.0, 1.0),
-        y_range=(0.0, 1.0),
+
+    def diagonal_and_points(px, py):
+        return [_line(px(0.0), py(0.0), px(1.0), py(1.0), "#888888", 1, "4,4")] + [
+            f'<circle cx="{px(row["prob_pred"]):.2f}" cy="{py(row["prob_true"]):.2f}" '
+            f'r="4" fill="{PALETTE[0]}"/>'
+            for row in rows
+        ]
+
+    return _chart(
+        title, "mean predicted probability", "empirical frequency", [],
+        box=(0.0, 1.0, 0.0, 1.0), marks=diagonal_and_points,
     )

@@ -123,7 +123,6 @@ class EarlyStopper:
 @dataclass
 class WarmupResult:
     best_params: ModelParams
-    best_val_loss: float
     best_epoch: int
     stop_epoch: int
     records: list[EpochRecord]
@@ -367,7 +366,7 @@ def train_warmup(
         params, dataset, train_idx, val_idx, config, WARMUP_PHASE,
         range(1, config.max_epochs + 1), submit, stopper,
     )
-    return WarmupResult(best, stopper.best, stopper.best_epoch, records[-1].epoch, records)
+    return WarmupResult(best, stopper.best_epoch, records[-1].epoch, records)
 
 
 def train_cape(
@@ -510,12 +509,15 @@ def run_experiment(
     Every cell derives its data, split and training seeds from the master
     seed and its grid position, so cells are independent and the sweep is
     deterministic regardless of worker count. Failed cells are recorded
-    and do not abort the sweep. An empty grid, a rate outside (0, 1), a
-    size below 1 and a bin count that some cell's smallest fold cannot fill
-    are rejected before any cell starts.
+    and do not abort the sweep. An empty grid, a repeated rate or size, a
+    rate outside (0, 1), a size below 1 and a bin count that some cell's
+    smallest fold cannot fill are rejected before any cell starts.
     """
     if not rates or not sizes:
         raise ValueError("a sweep needs at least one rate and one size")
+    for name, values in (("rate", rates), ("size", sizes)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated sweep {name} in {values}")
     for rho in rates:
         replace(field_base, target_rate=rho)  # FieldConfig rejects a rate outside (0, 1)
     for n in sizes:

@@ -836,7 +836,107 @@ class TestSweep:
         assert "BrokenProcessPool" in failures[0][2]
 
 
+def sweep_rows(sizes, rates, kl_for_bce=True, constant=False):
+    """Two folds of both arms per (rate, size) cell, with metrics that vary by cell."""
+    rows = []
+    for rho in rates:
+        for n in sizes:
+            for fold in range(2):
+                for arm in ("bce", "cape"):
+                    ece = 0.5 if constant else rho / n + 0.01 * fold + (arm == "bce") * 0.02
+                    kl = rho * (fold + 1) / 7 if kl_for_bce or arm == "cape" else None
+                    rows.append(dict(rho=rho, n=n, fold=fold, arm=arm, ece=ece, kl=kl))
+    return rows
+
+
+def epoch_records(n_epochs, cape_from=None, kl=True):
+    return [
+        pipeline.EpochRecord(
+            e, "cape" if cape_from and e >= cape_from else "warmup", 1.0 / e,
+            1.2 / e + 0.01 * (e % 3), 0.25 - 0.001 * e, 0.3 / e if kl else None,
+        )
+        for e in range(1, n_epochs + 1)
+    ]
+
+
+def reliability_rows(n_bins):
+    return [
+        dict(
+            bin=b, edge_lo=b / n_bins, edge_hi=(b + 1) / n_bins, count=b + 1,
+            prob_pred=(b + 0.5) / n_bins, prob_true=((7 * b) % n_bins + 0.5) / n_bins,
+        )
+        for b in range(n_bins)
+    ]
+
+
+# Each chart shape from fixed inputs, with the SHA-256 of the SVG it must render.
+CHART_CASES = {
+    "sweep-1-size": (
+        lambda: svg.sweep_chart(sweep_rows([18], [0.2, 0.3]), "ece", "ECE <&> rate", "ECE"),
+        "5aacc673279784e3561bbfdc449ac3e911ab2ba1459737a819a03844d2785564",
+    ),
+    "sweep-7-sizes": (
+        lambda: svg.sweep_chart(
+            sweep_rows([9, 18, 27, 36, 45, 54, 63], [0.07, 0.2, 0.3]), "ece", "ECE", "ECE"
+        ),
+        "142aafa7a5b5e9f3856ad46d514b2782113e0bff66e08faae36d303e57ad6b4c",
+    ),
+    "sweep-kl-none-for-one-arm": (
+        lambda: svg.sweep_chart(
+            sweep_rows([18, 36], [0.2, 0.3], kl_for_bce=False), "kl", "KL", "KL (nats)"
+        ),
+        "ff89c6fa9bedcc0842a5e5e042050b442eb3be724a409f243ce95ee37164630b",
+    ),
+    "sweep-constant-metric": (
+        lambda: svg.sweep_chart(sweep_rows([18, 36], [0.2, 0.3], constant=True), "ece", "c", "e"),
+        "7af2275f97ca422e77893cca3916062f15f155a5efe8319e02b32606f1977f8d",
+    ),
+    "sweep-1-rate": (
+        lambda: svg.sweep_chart(sweep_rows([18], [0.2]), "kl", "KL", "KL (nats)"),
+        "03c17c240fd6673de000df89a88c2091300ef3cf277ca5614ec2e03b3791dc86",
+    ),
+    "curves-1-epoch-no-kl": (
+        lambda: svg.learning_curve_chart(epoch_records(1, kl=False), "t"),
+        "6bcfe14589a629ac62977cdb2dcae1654613b2a50ace7f537c60cef10ba82dd8",
+    ),
+    "curves-1-epoch-cape": (
+        lambda: svg.learning_curve_chart(epoch_records(1, 1), "t"),
+        "72b0870d54e34b9de3647d0286b7aa573149ac63c62c336d131519221ae2ff34",
+    ),
+    "curves-12-epochs-no-kl": (
+        lambda: svg.learning_curve_chart(epoch_records(12, 9, kl=False), "Curves & <kl>"),
+        "e1cb09c28349acd551a7185584b96de413add10b235460f2b0edba7337ff8822",
+    ),
+    "curves-60-epochs": (
+        lambda: svg.learning_curve_chart(epoch_records(60, 41), "t"),
+        "d533f0af9c02e851c8679ea79a9c9d648bd4539b1d2278df3215f47d40f2e239",
+    ),
+    "curves-60-warmup-epochs": (
+        lambda: svg.learning_curve_chart(epoch_records(60), "t"),
+        "972992b2699957ddceb203102a2579f54849f912d945ce2ad7ee626cd233698d",
+    ),
+    "reliability-1-bin": (
+        lambda: svg.reliability_chart(reliability_rows(1), "r"),
+        "404fa51fa389dde6023691018d0c8e981d31bd836fd041f96b114c75f4161ec1",
+    ),
+    "reliability-10-bins": (
+        lambda: svg.reliability_chart(reliability_rows(10), "r"),
+        "a6aea64edf442e85bde3e354772dee49148464933eae0091c6ad0b53145c4913",
+    ),
+    "reliability-50-bins": (
+        lambda: svg.reliability_chart(reliability_rows(50), "r"),
+        "3e44ee3cefbbb9b40fa74eef04e86ebac11f91af66da0d49a2b70fe4dd3580df",
+    ),
+}
+
+
 class TestPlot:
+    @pytest.mark.parametrize("case", list(CHART_CASES))
+    def test_chart_bytes_are_pinned(self, case):
+        render, digest = CHART_CASES[case]
+        assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
+
+
     def test_learning_curves_from_epoch_csv(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
         run = tmp_path / "run"
@@ -877,7 +977,7 @@ class TestPlot:
             assert abs(gx - ex) < 0.01 and abs(gy - ey) < 0.01
 
     def test_moving_average_of_constant(self):
-        assert svg.moving_average([2.5] * 7, 3) == [2.5] * 7
+        assert svg.moving_average([2.5] * 7) == [2.5] * 7
 
     @pytest.mark.parametrize(
         "header, row",
@@ -897,6 +997,30 @@ class TestPlot:
         out = tmp_path / "p"
         assert main(["plot", "--input", str(bad), "--out", str(out)]) == 2
         assert f"{bad}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b"1,-0.1,1.0,4,0.25,0.5",
+            b"1,0.0,1.5,4,0.25,0.5",
+            b"1,0.0,1.0,-1,0.25,0.5",
+            b"1,0.0,1.0,4,1.7,0.5",
+            b"1,0.0,1.0,4,0.25,-3",
+            b"2,bogus,0.25,0.5,0.2,",
+        ],
+        ids=["edge_lo", "edge_hi", "count", "prob_pred", "prob_true", "phase"],
+    )
+    def test_out_of_range_value_reports_line(self, tmp_path, capsys, bad):
+        epochs = b"bogus" in bad
+        header = storage.EPOCH_CSV_HEADER if epochs else storage.RELIABILITY_CSV_HEADER
+        # the good row sits on the range's bounds: a count of 0, probabilities 0 and 1
+        good = b"1,cape,0.25,0.5,0.2," if epochs else b"0,0.0,1.0,0,0.0,1.0"
+        report = tmp_path / "report.csv"
+        report.write_bytes(b"\n".join([",".join(header).encode(), good, bad, b""]))
+        out = tmp_path / "p"
+        assert main(["plot", "--input", str(report), "--out", str(out)]) == 2
+        assert f"{report}:3: expected " in capsys.readouterr().err
         assert not out.exists()
 
     def test_forced_plot_of_the_other_chart_removes_the_first(self, trained, tmp_path):
@@ -1046,6 +1170,8 @@ class TestExitCodes:
             ({"sizes": "18,0"}, "sweep sizes must be >= 1"),
             ({"rates": ""}, "at least one rate and one size"),
             ({"hidden_channels": 0}, "hidden_channels must be >= 1"),
+            ({"rates": "0.2,0.2"}, "repeated sweep rate in [0.2, 0.2]"),
+            ({"sizes": "18,18"}, "repeated sweep size in [18, 18]"),
         ],
     )
     def test_unrunnable_sweep_grid_fails_before_any_cell(

@@ -123,8 +123,7 @@ class TestTrainWarmup:
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
         result = train_warmup(small_dataset, train_idx, val_idx, small_config())
         val_losses = [r.val_loss for r in result.records]
-        assert result.best_val_loss == min(val_losses)
-        assert result.records[result.best_epoch - 1].val_loss == result.best_val_loss
+        assert result.records[result.best_epoch - 1].val_loss == min(val_losses)
         assert all(r.phase == "warmup" for r in result.records)
         assert result.stop_epoch == len(result.records)
 
