@@ -1,10 +1,12 @@
 """Command-line entry points: generate, train, evaluate, sweep, plot.
 
-Every command reads a flat key=value config (where one applies), checks
-its inputs, writes its artifacts into --out (created by the first
-write), and finishes with a manifest listing each output file and its
-digest. Exit codes: 0 success, 1 usage/config error, 2 data/format
-error, 3 numeric failure, 4 partial sweep failure.
+Each command is declared once, in `build_parser`, with the names of its
+outputs and the schema of the flat key=value config it reads (where one
+applies). It checks its inputs, writes its outputs into --out (created
+by the first write), and returns its exit code and what its manifest
+records; `main` then publishes the manifest, which lists each output
+file and its digest. Exit codes: 0 success, 1 usage/config error,
+2 data/format error, 3 numeric failure, 4 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from ..pipeline import (
 # Not called here, but perfbench/tracing.py wraps these two names in this module.
 from ..pipeline import train_cape, train_warmup  # noqa: F401
 from . import configfile, storage, svg
-from .configfile import ConfigError
 from .storage import FormatError
 
 EXIT_OK = 0
@@ -54,49 +55,44 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _prepare_outdir(outdir: str, names: list[str], force: bool) -> Path:
-    """Check --out for clashing outputs and manifest; the first write creates --out."""
-    out = Path(outdir)
+def _load_config(args) -> dict:
+    """The command's config file, read against its schema; a flag named like a key overrides it."""
+    cfg = configfile.load_config(args.config, args.schema)
+    return {**cfg, **{k: v for k, v in vars(args).items() if k in cfg and v is not None}}
+
+
+def _prepare_outdir(args) -> list[Path]:
+    """Paths of the command's declared outputs, once --out is checked for clashing
+    outputs and manifest; the first write creates --out."""
+    out = Path(args.out)
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
         raise UsageError(f"output path {blocker} exists and is not a directory")
-    clashes = [n for n in [*names, storage.MANIFEST_NAME] if (out / n).exists()]
-    if clashes and not force:
+    names = [*args.outputs, storage.MANIFEST_NAME]
+    clashes = [n for n in names if (out / n).exists()]
+    if clashes and not args.force:
         raise UsageError(
             f"output file(s) already exist in {out}: {', '.join(clashes)} (use --force)"
         )
-    return out
+    if args.force:
+        storage.remove_temporaries(out, names)
+    return [out / name for name in args.outputs]
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    cfg = dict(cfg)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "bins", None) is not None:
-        cfg["bins"] = args.bins
-    if getattr(args, "cal_weight", None) is not None:
-        cfg["lambda"] = args.cal_weight
-    return cfg
-
-
-def cmd_generate(args) -> int:
-    cfg = configfile.load_config(args.config, configfile.GENERATE_SCHEMA)
-    cfg = _apply_overrides(cfg, args)
-    out = _prepare_outdir(args.out, ["dataset.bin"], args.force)
-    field_cfg = configfile.field_config_from(cfg)
-    dataset = generate_dataset(field_cfg, cfg["n_samples"])
-    written = storage.write_dataset(out / "dataset.bin", dataset)
+def cmd_generate(args) -> tuple[int, dict, int, list]:
+    cfg = _load_config(args)
+    (path,) = _prepare_outdir(args)
+    dataset = generate_dataset(configfile.field_config_from(cfg), cfg["n_samples"])
+    written = storage.write_dataset(path, dataset)
     rate = float(dataset.outcomes.mean(axis=(1, 2)).mean())
     print(f"wrote {written.path} ({len(dataset)} samples, event rate {rate:.4f})")
-    storage.write_manifest(out, "generate", cfg, cfg["seed"], [written], args.started_utc)
-    return EXIT_OK
+    return EXIT_OK, cfg, cfg["seed"], [written]
 
 
-def cmd_train(args) -> int:
-    cfg = configfile.load_config(args.config, configfile.TRAIN_KEYS)
-    cfg = _apply_overrides(cfg, args)
+def cmd_train(args) -> tuple[int, dict, int, list]:
+    cfg = _load_config(args)
     train_cfg = configfile.train_config_from(cfg)
-    out = _prepare_outdir(args.out, ["bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv"], args.force)
+    bce_path, cape_path, epochs_path = _prepare_outdir(args)
     dataset = storage.read_dataset(args.dataset)
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
@@ -108,26 +104,27 @@ def cmd_train(args) -> int:
         run = run_fold(dataset, folds, 0, train_cfg)
     warm = run.warmup
     files = [
-        storage.write_checkpoint(out / "bce_arm.ckpt", warm.best_params),
-        storage.write_checkpoint(out / "cape_arm.ckpt", run.cape_params),
-        storage.write_epoch_csv(out / "epochs.csv", warm.records + run.cape_records),
+        storage.write_checkpoint(bce_path, warm.best_params),
+        storage.write_checkpoint(cape_path, run.cape_params),
+        storage.write_epoch_csv(epochs_path, warm.records + run.cape_records),
     ]
     print(
         f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); "
         f"test ECE bce={run.bce_metrics.ece:.4f} cape={run.cape_metrics.ece:.4f}"
     )
-    storage.write_manifest(out, "train", cfg, train_cfg.seed, files, args.started_utc)
-    return EXIT_OK
+    return EXIT_OK, cfg, train_cfg.seed, files
 
 
-def cmd_evaluate(args) -> int:
-    out = _prepare_outdir(args.out, ["metrics.csv", "reliability.csv"], args.force)
+def cmd_evaluate(args) -> tuple[int, dict, int, list]:
+    metrics_path, reliability_path = _prepare_outdir(args)
     dataset = storage.read_dataset(args.dataset)
 
     if args.oracle:
         if not dataset.has_true_p:
             raise FormatError("--oracle requires a dataset with true probabilities")
         true_p = dataset.true_p.ravel()
+        if not (true_p.min() > 0.0 and true_p.max() < 1.0):
+            raise FormatError(f"{args.dataset}: --oracle needs true probabilities inside (0, 1)")
         report = evaluate_predictions(true_p, dataset.outcomes.ravel(), true_p, args.bins)
     else:
         if not args.checkpoint:
@@ -140,63 +137,55 @@ def cmd_evaluate(args) -> int:
             )
         report = evaluate_arm(params, dataset, np.arange(len(dataset)), args.bins)
 
-    files = [storage.write_metrics_csv(out / "metrics.csv", report)]
-    files.append(storage.write_reliability_csv(out / "reliability.csv", report.bin_table))
+    files = [storage.write_metrics_csv(metrics_path, report)]
+    files.append(storage.write_reliability_csv(reliability_path, report.bin_table))
     kl_text = f"{report.kl_true:.6f}" if report.kl_true is not None else "n/a"
     print(
         f"ece={report.ece:.4f} brier={report.brier:.4f} kl={kl_text} "
         f"({report.bin_table.n_pixels} pixels, {args.bins} bins)"
     )
     config_echo = {"dataset": str(args.dataset), "bins": args.bins, "oracle": bool(args.oracle)}
-    storage.write_manifest(out, "evaluate", config_echo, 0, files, args.started_utc)
-    return EXIT_OK
+    return EXIT_OK, config_echo, 0, files
 
 
-def cmd_sweep(args) -> int:
-    cfg = configfile.load_config(args.config, configfile.SWEEP_SCHEMA)
-    cfg = _apply_overrides(cfg, args)
-    outputs = ["sweep.csv", "ece_vs_rate.svg", "kl_vs_rate.svg", "failures.csv"]
-    out = _prepare_outdir(args.out, outputs, args.force)
+def cmd_sweep(args) -> tuple[int, dict, int, list]:
+    cfg = _load_config(args)
+    csv_path, ece_path, kl_path, failures_path = _prepare_outdir(args)
     field_cfg = configfile.field_config_from({**cfg, "target_rate": 0.5})
     train_cfg = configfile.train_config_from(cfg)
 
     result = run_experiment(field_cfg, cfg["rates"], cfg["sizes"], train_cfg, args.threads)
     rows = result.rows()
 
-    files = [storage.write_sweep_csv(out / "sweep.csv", rows)]
+    files = [storage.write_sweep_csv(csv_path, rows)]
     if rows:
         ece = svg.sweep_chart(rows, "ece", "Calibration error vs event rate", "ECE")
         kl = svg.sweep_chart(rows, "kl", "KL divergence vs event rate", "KL (nats)")
-        files.append(storage.publish(out / "ece_vs_rate.svg", [ece.encode("utf-8")]))
-        files.append(storage.publish(out / "kl_vs_rate.svg", [kl.encode("utf-8")]))
+        files.append(storage.publish(ece_path, [ece.encode("utf-8")]))
+        files.append(storage.publish(kl_path, [kl.encode("utf-8")]))
     if result.failures:
-        files.append(storage.write_failures_csv(out / "failures.csv", result.failures))
+        files.append(storage.write_failures_csv(failures_path, result.failures))
         for cell in result.failures:
             print(
                 f"cell (rate={cell.target_rate}, n={cell.n_samples}) failed:\n{cell.error}",
                 file=sys.stderr,
             )
     print(f"wrote {files[0].path} ({len(rows)} rows, {len(result.failures)} failed cells)")
-    storage.write_manifest(out, "sweep", cfg, train_cfg.seed, files, args.started_utc, outputs)
-    return EXIT_PARTIAL if result.failures else EXIT_OK
+    return (EXIT_PARTIAL if result.failures else EXIT_OK), cfg, train_cfg.seed, files
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> tuple[int, dict, int, list]:
     epoch, reliability = storage.EPOCH_CSV_HEADER, storage.RELIABILITY_CSV_HEADER
     header, rows = storage.read_csv(args.input, epoch, reliability)
     if not rows:
         raise FormatError(f"{args.input}: no rows to plot")
-    names = ["learning_curves.svg", "reliability.svg"]
-    if header == epoch:
-        name, content = names[0], svg.learning_curve_chart(rows, "Training and validation curves")
+    if header == epoch:  # the first of the two declared charts
+        chart, content = 0, svg.learning_curve_chart(rows, "Training and validation curves")
     else:
-        name, content = names[1], svg.reliability_chart(rows, "Reliability diagram")
-    out = _prepare_outdir(args.out, names, args.force)
-    written = storage.publish(out / name, [content.encode("utf-8")])
+        chart, content = 1, svg.reliability_chart(rows, "Reliability diagram")
+    written = storage.publish(_prepare_outdir(args)[chart], [content.encode("utf-8")])
     print(f"wrote {written.path}")
-    config_echo = {"input": str(args.input)}
-    storage.write_manifest(out, "plot", config_echo, 0, [written], args.started_utc, names)
-    return EXIT_OK
+    return EXIT_OK, {"input": str(args.input)}, 0, [written]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,54 +195,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, training=False):
-        p.add_argument("--config", required=True, help="flat key=value config file")
+    def command(name, func, help, outputs, schema=None):
+        """A subcommand that writes `outputs` into --out; one that reads a config
+        `schema` takes --config, and a flag per key it may override."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, outputs=outputs, schema=schema)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if training:
-            p.add_argument("--bins", type=positive_int, default=None, help="override bin count")
-            p.add_argument(
-                "--lambda", dest="cal_weight", type=float, default=None,
-                help="override the calibration loss weight",
-            )
+        if schema is not None:
+            p.add_argument("--config", required=True, help="flat key=value config file")
+            p.add_argument("--seed", type=int, help="override the config seed")
+            if {"bins", "lambda"} <= schema.keys():
+                p.add_argument("--bins", type=positive_int, help="override bin count")
+                p.add_argument("--lambda", type=float, help="override the calibration loss weight")
+        return p
 
-    p_gen = sub.add_parser("generate", help="generate a synthetic dataset")
-    common(p_gen)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_train = sub.add_parser("train", help="two-phase training on a dataset file")
-    common(p_train, training=True)
-    p_train.add_argument("--dataset", required=True, help="dataset file to train on")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="metrics and reliability table for a checkpoint")
-    p_eval.add_argument("--checkpoint", default=None, help="model checkpoint to evaluate")
-    p_eval.add_argument("--dataset", required=True, help="dataset file to evaluate on")
-    p_eval.add_argument("--out", required=True, help="output directory")
-    p_eval.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_eval.add_argument(
+    command(
+        "generate", cmd_generate, "generate a synthetic dataset",
+        ("dataset.bin",), configfile.GENERATE_SCHEMA,
+    )
+    p = command(
+        "train", cmd_train, "two-phase training on a dataset file",
+        ("bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv"), configfile.TRAIN_KEYS,
+    )
+    p.add_argument("--dataset", required=True, help="dataset file to train on")
+    p = command(
+        "evaluate", cmd_evaluate, "metrics and reliability table for a checkpoint",
+        ("metrics.csv", "reliability.csv"),
+    )
+    p.add_argument("--checkpoint", help="model checkpoint to evaluate")
+    p.add_argument("--dataset", required=True, help="dataset file to evaluate on")
+    p.add_argument(
         "--bins", type=positive_int, default=TrainConfig.bins, help="bin count (default %(default)s)"
     )
-    p_eval.add_argument(
+    p.add_argument(
         "--oracle", action="store_true",
         help="score the stored true probabilities instead of a checkpoint",
     )
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_sweep = sub.add_parser("sweep", help="event-rate x dataset-size experiment grid")
-    common(p_sweep, training=True)
-    p_sweep.add_argument(
+    p = command(
+        "sweep", cmd_sweep, "event-rate x dataset-size experiment grid",
+        ("sweep.csv", "ece_vs_rate.svg", "kl_vs_rate.svg", "failures.csv"),
+        configfile.SWEEP_SCHEMA,
+    )
+    p.add_argument(
         "--threads", type=positive_int, default=1, help="parallel cells, >= 1 (default 1)"
     )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_plot = sub.add_parser("plot", help="render an emitted CSV as an SVG chart")
-    p_plot.add_argument("--input", required=True, help="epoch or reliability CSV")
-    p_plot.add_argument("--out", required=True, help="output directory")
-    p_plot.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_plot.set_defaults(func=cmd_plot)
-
+    p = command(
+        "plot", cmd_plot, "render an emitted CSV as an SVG chart",
+        ("learning_curves.svg", "reliability.svg"),
+    )
+    p.add_argument("--input", required=True, help="epoch or reliability CSV")
     return parser
 
 
@@ -265,18 +256,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.started_utc = datetime.now(timezone.utc)
     try:
-        return args.func(args)
-    except (ConfigError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, config_echo, seed, files = args.func(args)
+        storage.write_manifest(
+            args.out, args.command, config_echo, seed, files, args.started_utc, args.outputs
+        )
+        return code
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # parameter validation raised past the config layer (bad shapes,
-        # kernel larger than the field, ...)
+    except ValueError as exc:  # ConfigError, UsageError and the configs' own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

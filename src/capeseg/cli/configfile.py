@@ -112,10 +112,7 @@ def load_config(path: str, schema: dict) -> dict:
 
 def _build(config_class, cfg: dict):
     names = [f.name for f in fields(config_class)]
-    try:
-        return config_class(**{n: cfg[_key(n)] for n in names if _key(n) in cfg})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return config_class(**{n: cfg[_key(n)] for n in names if _key(n) in cfg})
 
 
 def field_config_from(cfg: dict) -> FieldConfig:

@@ -247,9 +247,17 @@ def publish(path, chunks) -> Written:
     return Written(path, size, digest.hexdigest())
 
 
+def remove_temporaries(outdir, names) -> None:
+    """Remove the temporaries of `names` that `publish` left in `outdir` when its
+    process was killed outright."""
+    for path in Path(outdir).glob(".*.tmp"):
+        name, _, pid = path.name[1:-4].rpartition(".")
+        if name in names and pid.isdigit():
+            path.unlink()
+
+
 def write_manifest(
-    outdir, command: str, config_echo: dict, seed: int, outputs, started_utc: datetime,
-    declared=(),
+    outdir, command: str, config_echo: dict, seed: int, outputs, started_utc: datetime, declared
 ) -> Written:
     """Inventory of a command's outputs from their `Written` records; published last.
 

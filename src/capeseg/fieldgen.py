@@ -48,10 +48,18 @@ class FieldConfig:
             raise ValueError(f"target_rate must be in (0, 1), got {self.target_rate}")
         if self.length_scale <= 0.0:
             raise ValueError("length_scale must be positive")
+        taps = 2 * math.ceil(3.0 * self.length_scale) + 1  # the size of _gaussian_kernel
+        if taps > min(self.height, self.width):
+            raise ValueError(
+                f"smoothing kernel ({taps} px at length_scale="
+                f"{self.length_scale}) exceeds the {self.height}x{self.width} field"
+            )
         if self.gain <= 0.0:
             raise ValueError("gain must be positive")
         if self.obs_noise < 0.0:
             raise ValueError("obs_noise must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -75,15 +83,10 @@ class Dataset:
 
 
 def _gaussian_kernel(config: FieldConfig) -> np.ndarray:
-    """Normalized taps truncated at 3 length scales; the kernel must fit inside the field."""
+    """Normalized taps truncated at 3 length scales; FieldConfig checks that they fit the field."""
     radius = math.ceil(3.0 * config.length_scale)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     w = np.exp(-0.5 * (offsets / config.length_scale) ** 2)
-    if w.size > config.height or w.size > config.width:
-        raise ValueError(
-            f"smoothing kernel ({w.size} px at length_scale="
-            f"{config.length_scale}) exceeds the {config.height}x{config.width} field"
-        )
     return w / w.sum()
 
 

@@ -82,8 +82,8 @@ class TrainConfig:
             raise ValueError("cal_weight must be in [0, 1]")
         if min(self.batch_size, self.max_epochs, self.patience, self.hidden_channels) < 1:
             raise ValueError("batch_size, max_epochs, patience and hidden_channels must be >= 1")
-        if min(self.cape_epochs, self.cape_epochs_override or 0) < 0:
-            raise ValueError("cape_epochs and cape_epochs_override must be >= 0")
+        if min(self.cape_epochs, self.cape_epochs_override or 0, self.seed) < 0:
+            raise ValueError("cape_epochs, cape_epochs_override and seed must be >= 0")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
 
@@ -531,7 +531,7 @@ def run_experiment(
     if threads > 1 and len(tasks) > 1:
         # Largest cells first (Graham's LPT rule), so a big cell does not start last and run alone.
         order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             futures = {ci: pool.submit(_run_cell, tasks[ci]) for ci in order}
             cells = [_pooled_cell(futures[ci], t) for ci, t in enumerate(tasks)]
     else:

@@ -20,7 +20,7 @@ from oracles import bce_continuation, read_epoch_csv, read_reliability_csv
 import capeseg
 import capeseg.cli as cli_module
 from capeseg import pipeline
-from capeseg.cli import main
+from capeseg.cli import build_parser, main
 from capeseg.cli import configfile, storage, svg
 from capeseg.fieldgen import FieldConfig, generate_dataset
 from capeseg.model import init_params
@@ -73,6 +73,24 @@ def replace_fails_after(monkeypatch, n, exc=None):
         real_replace(src, dst)
 
     monkeypatch.setattr(storage.os, "replace", replace)
+
+
+# What each command needs besides --out to parse, for reading its declaration.
+REQUIRED_ARGS = {
+    "generate": ["--config", "c"],
+    "train": ["--config", "c", "--dataset", "d"],
+    "evaluate": ["--dataset", "d"],
+    "sweep": ["--config", "c"],
+    "plot": ["--input", "i"],
+}
+
+
+def assert_declared(out):
+    """Every output that `out`'s manifest lists is one its command declares."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    command = manifest["command"]
+    args = build_parser().parse_args([command, *REQUIRED_ARGS[command], "--out", "o"])
+    assert {e["path"] for e in manifest["outputs"]} <= set(args.outputs)
 
 
 def write_config(path, **kv):
@@ -321,6 +339,7 @@ class TestWritePath:
     @pytest.mark.parametrize("outputs", ["dataset_dir", "trained", "swept"])
     def test_out_holds_exactly_the_manifest_listing(self, request, outputs):
         out = request.getfixturevalue(outputs)
+        assert_declared(out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(os.listdir(out)) == sorted(
             [e["path"] for e in manifest["outputs"]] + ["manifest.json"]
@@ -341,6 +360,23 @@ class TestWritePath:
         assert (out / "dataset.bin").read_bytes() == (fresh / "dataset.bin").read_bytes()
         assert json.loads((out / "manifest.json").read_text())["master_seed"] == 99
         assert sorted(os.listdir(out)) == ["dataset.bin", "manifest.json"]
+
+    def test_force_removes_stale_temporaries_of_declared_outputs(self, dataset_dir, tmp_path):
+        out = tmp_path / "ev"
+        dataset = str(dataset_dir / "dataset.bin")
+        argv = ["evaluate", "--oracle", "--dataset", dataset, "--out", str(out)]
+        assert main(argv) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        stale = [".metrics.csv.4242.tmp", ".manifest.json.17.tmp"]
+        # not a temporary of an evaluate output, or not in publish's naming
+        kept = [".dataset.bin.4242.tmp", ".metrics.csv.x.tmp", "metrics.csv.4242.tmp", "notes"]
+        for name in stale + kept:
+            (out / name).write_bytes(b"left over")
+        assert main([*argv, "--force"]) == 0
+        assert sorted(os.listdir(out)) == sorted([*before, *kept])
+        assert all((out / name).read_bytes() == b"left over" for name in kept)
+        assert (out / "metrics.csv").read_bytes() == before["metrics.csv"]
+        (out / ".dataset.bin.4242.tmp").unlink()
 
     def test_forced_rerun_failing_partway_leaves_no_manifest(
         self, trained, dataset_dir, tmp_path, monkeypatch, capsys
@@ -660,6 +696,7 @@ class TestEvaluate:
             "--out", str(out), "--bins", "10",
         ])
         assert code == 0
+        assert_declared(out)
         rows = read_reliability_csv(out / "reliability.csv")
         assert len(rows) == 10
         assert sum(r["count"] for r in rows) == 24 * 16 * 16
@@ -680,6 +717,22 @@ class TestEvaluate:
         ])
         assert code == 0
         assert (out / "metrics.csv").exists()
+        assert_declared(out)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_oracle_on_a_certain_pixel_is_format_error(self, dataset_dir, tmp_path, capsys, p):
+        """A true_p of 0 or 1 is valid data, but not a prediction the oracle can
+        score; a checkpoint's predictions on the same file are scored."""
+        data = poke_dataset(dataset_dir / "dataset.bin", tmp_path / "certain.bin", "true_p", p)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--oracle", "--dataset", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: ")
+        assert not out.exists()
+        ckpt = tmp_path / "m.ckpt"
+        storage.write_checkpoint(ckpt, init_params(3, 4, Rng(8)))
+        argv = ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)]
+        assert main(argv) == 0
+        assert "kl=n/a" not in capsys.readouterr().out
 
     def test_overflowing_checkpoint_is_numeric_failure(self, dataset_dir, tmp_path, capsys):
         params = init_params(3, 4, Rng(8))
@@ -768,6 +821,7 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 4
         assert (out / "failures.csv").exists()
+        assert_declared(out)
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 3 * 2  # only the healthy cell contributes rows
 
@@ -946,6 +1000,7 @@ class TestPlot:
         ]) == 0
         out = tmp_path / "plots"
         assert main(["plot", "--input", str(run / "epochs.csv"), "--out", str(out)]) == 0
+        assert_declared(out)
         root = ET.fromstring((out / "learning_curves.svg").read_text())
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 8  # 4 metrics x (raw + smoothed)
@@ -960,6 +1015,7 @@ class TestPlot:
         storage.write_reliability_csv(rel, table)
         out = tmp_path / "plots"
         assert main(["plot", "--input", str(rel), "--out", str(out)]) == 0
+        assert_declared(out)
         root = ET.fromstring((out / "reliability.svg").read_text())
         ns = "{http://www.w3.org/2000/svg}"
         circles = root.findall(f".//{ns}circle")
@@ -1172,6 +1228,8 @@ class TestExitCodes:
             ({"hidden_channels": 0}, "hidden_channels must be >= 1"),
             ({"rates": "0.2,0.2"}, "repeated sweep rate in [0.2, 0.2]"),
             ({"sizes": "18,18"}, "repeated sweep size in [18, 18]"),
+            ({"length_scale": 3.0}, "exceeds"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_unrunnable_sweep_grid_fails_before_any_cell(

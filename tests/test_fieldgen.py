@@ -54,8 +54,8 @@ class TestSmoothField:
         assert np.mean(acs) > 0.5
 
     def test_oversized_kernel_rejected(self):
-        cfg = FieldConfig(height=16, width=16, length_scale=4.0, target_rate=0.3)
         with pytest.raises(ValueError, match="exceeds"):
+            cfg = FieldConfig(height=16, width=16, length_scale=4.0, target_rate=0.3)
             gen_smooth_field(cfg, Rng(0))
 
     def test_latent_field_zero_gain_limit(self):
@@ -180,6 +180,8 @@ class TestFieldConfigValidation:
             {"target_rate": 0.5, "gain": -1.0},
             {"target_rate": 0.5, "obs_noise": -0.1},
             {"target_rate": 0.5, "height": 0},
+            {"target_rate": 0.5, "seed": -1},
+            {"target_rate": 0.5, "length_scale": 6.0},  # 37 taps on the 32x32 default field
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -241,9 +243,8 @@ class TestStackedErrorPaths:
 
         monkeypatch.setattr(Rng, "normal", recording(Rng.normal))
         monkeypatch.setattr(Rng, "uniform", recording(Rng.uniform))
-        cfg = FieldConfig(height=16, width=16, length_scale=4.0, target_rate=0.3)
         with pytest.raises(ValueError, match="exceeds"):
-            generate_dataset(cfg, 3)
+            generate_dataset(FieldConfig(height=16, width=16, length_scale=4.0, target_rate=0.3), 3)
         assert draws == []
 
     def test_constant_field_is_degenerate(self, monkeypatch):

@@ -1,5 +1,6 @@
 from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import math
 
@@ -310,14 +311,15 @@ class TestRunExperiment:
         assert result.cells[1].error is None
         assert len(result.failures) == 1
 
-    def test_pool_gets_largest_cells_first_and_returns_grid_order(self, monkeypatch):
-        submitted = []
+    @pytest.fixture
+    def sync_pool(self, monkeypatch):
+        """A pool that starts no process: it records its `max_workers` and each
+        submitted cell's (rate, size), and runs a stub of the cell at once."""
+        pool = SimpleNamespace(workers=[], submitted=[])
 
         class SyncExecutor:
-            """Runs each submitted cell at once, in submission order."""
-
             def __init__(self, max_workers):
-                pass
+                pool.workers.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -326,7 +328,7 @@ class TestRunExperiment:
                 return False
 
             def submit(self, fn, task):
-                submitted.append(task[1:3])
+                pool.submitted.append(task[1:3])
                 future = Future()
                 future.set_result(fn(task))
                 return future
@@ -335,11 +337,23 @@ class TestRunExperiment:
         monkeypatch.setattr(
             pipeline, "_run_cell", lambda task: CellResult(target_rate=task[1], n_samples=task[2])
         )
+        return pool
+
+    def test_pool_gets_largest_cells_first_and_returns_grid_order(self, sync_pool):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
         result = run_experiment(field, [0.1, 0.2], [10, 30, 20], small_config(), threads=2)
-        assert submitted == [(0.1, 30), (0.2, 30), (0.1, 20), (0.2, 20), (0.1, 10), (0.2, 10)]
+        assert sync_pool.submitted == [
+            (0.1, 30), (0.2, 30), (0.1, 20), (0.2, 20), (0.1, 10), (0.2, 10)
+        ]
         grid = [(rho, n) for rho in (0.1, 0.2) for n in (10, 30, 20)]
         assert [(c.target_rate, c.n_samples) for c in result.cells] == grid
+
+    @pytest.mark.parametrize("threads, workers", [(3, 3), (4, 4), (500, 4)])
+    def test_pool_has_at_most_one_worker_per_cell(self, sync_pool, threads, workers):
+        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
+        result = run_experiment(field, [0.1, 0.2], [10, 20], small_config(), threads=threads)
+        assert sync_pool.workers == [workers]
+        assert len(result.cells) == len(sync_pool.submitted) == 4
 
     def test_rerun_bit_identical(self):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
@@ -372,6 +386,7 @@ class TestTrainConfigValidation:
             {"patience": -3},
             {"cape_epochs": -1},
             {"cape_epochs_override": -2},
+            {"seed": -1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
