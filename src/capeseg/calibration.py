@@ -135,9 +135,7 @@ def brier_score(predictions: np.ndarray, outcomes: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def kl_to_true(
-    predictions: np.ndarray, true_p: Optional[np.ndarray], eps: float = KL_EPS
-) -> float:
+def kl_to_true(predictions: np.ndarray, true_p: Optional[np.ndarray]) -> float:
     """Mean per-pixel Bernoulli KL of the true probability against the prediction.
 
     Computable only on synthetic data where the latent probability is
@@ -149,7 +147,7 @@ def kl_to_true(
     true_p = as_f64(true_p).ravel()
     if predictions.size != true_p.size:
         raise ValueError("predictions and true probabilities differ in length")
-    f = np.clip(predictions, eps, 1.0 - eps)
+    f = np.clip(predictions, KL_EPS, 1.0 - KL_EPS)
     p, q = true_p, 1.0 - true_p
     # Both terms everywhere, summed from +0.0; where p is 0 or 1 the 0*log(0) term is dropped.
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..calibration import evaluate_predictions
-from ..fieldgen import generate_dataset
+from ..fieldgen import FieldConfig, generate_dataset
 from ..numerics import NumericError
 from ..pipeline import (
     TrainConfig,
@@ -82,7 +82,7 @@ def _prepare_outdir(args) -> list[Path]:
 def cmd_generate(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
     (path,) = _prepare_outdir(args)
-    dataset = generate_dataset(configfile.field_config_from(cfg), cfg["n_samples"])
+    dataset = generate_dataset(configfile.build(FieldConfig, cfg), cfg["n_samples"])
     written = storage.write_dataset(path, dataset)
     rate = float(dataset.outcomes.mean(axis=(1, 2)).mean())
     print(f"wrote {written.path} ({len(dataset)} samples, event rate {rate:.4f})")
@@ -91,7 +91,7 @@ def cmd_generate(args) -> tuple[int, dict, int, list]:
 
 def cmd_train(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
-    train_cfg = configfile.train_config_from(cfg)
+    train_cfg = configfile.build(TrainConfig, cfg)
     bce_path, cape_path, epochs_path = _prepare_outdir(args)
     dataset = storage.read_dataset(args.dataset)
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
@@ -127,8 +127,6 @@ def cmd_evaluate(args) -> tuple[int, dict, int, list]:
             raise FormatError(f"{args.dataset}: --oracle needs true probabilities inside (0, 1)")
         report = evaluate_predictions(true_p, dataset.outcomes.ravel(), true_p, args.bins)
     else:
-        if not args.checkpoint:
-            raise UsageError("evaluate needs --checkpoint (or --oracle)")
         params = storage.read_checkpoint(args.checkpoint)
         if params.in_channels != dataset.shape[0]:
             raise FormatError(
@@ -151,8 +149,8 @@ def cmd_evaluate(args) -> tuple[int, dict, int, list]:
 def cmd_sweep(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
     csv_path, ece_path, kl_path, failures_path = _prepare_outdir(args)
-    field_cfg = configfile.field_config_from({**cfg, "target_rate": 0.5})
-    train_cfg = configfile.train_config_from(cfg)
+    field_cfg = configfile.build(FieldConfig, {**cfg, "target_rate": 0.5})
+    train_cfg = configfile.build(TrainConfig, cfg)
 
     result = run_experiment(field_cfg, cfg["rates"], cfg["sizes"], train_cfg, args.threads)
     rows = result.rows()
@@ -223,14 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", cmd_evaluate, "metrics and reliability table for a checkpoint",
         ("metrics.csv", "reliability.csv"),
     )
-    p.add_argument("--checkpoint", help="model checkpoint to evaluate")
+    scored = p.add_mutually_exclusive_group(required=True)
+    scored.add_argument("--checkpoint", help="model checkpoint to evaluate")
+    scored.add_argument(
+        "--oracle", action="store_true",
+        help="score the stored true probabilities instead of a checkpoint",
+    )
     p.add_argument("--dataset", required=True, help="dataset file to evaluate on")
     p.add_argument(
         "--bins", type=positive_int, default=TrainConfig.bins, help="bin count (default %(default)s)"
-    )
-    p.add_argument(
-        "--oracle", action="store_true",
-        help="score the stored true probabilities instead of a checkpoint",
     )
     p = command(
         "sweep", cmd_sweep, "event-rate x dataset-size experiment grid",

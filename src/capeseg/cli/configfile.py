@@ -110,14 +110,7 @@ def load_config(path: str, schema: dict) -> dict:
     return coerce(parse_kv_text(text, source=path), schema, source=path)
 
 
-def _build(config_class, cfg: dict):
+def build(config_class, cfg: dict):
+    """A `config_class` (FieldConfig or TrainConfig) from the keys of `cfg` that name its fields."""
     names = [f.name for f in fields(config_class)]
     return config_class(**{n: cfg[_key(n)] for n in names if _key(n) in cfg})
-
-
-def field_config_from(cfg: dict) -> FieldConfig:
-    return _build(FieldConfig, cfg)
-
-
-def train_config_from(cfg: dict) -> TrainConfig:
-    return _build(TrainConfig, cfg)

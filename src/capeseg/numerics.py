@@ -90,7 +90,6 @@ class Conv2dCache:
     padded: np.ndarray  # C x (H+2p+spare) x (W+2p): zero borders plus spare zero rows
     shifts: np.ndarray | None  # the input shifts, if the forward shifted the input
     kernels: np.ndarray  # F x C x k x k
-    pad: int
     out_shape: tuple[int, int, int]
 
 
@@ -144,7 +143,7 @@ def conv2d_forward(
         grid = np.add.reduce(np.ndarray((k, k, f, h * wp), np.float64, z, 0, st), axis=(0, 1))
     grid += bias[:, None]  # on the Wp-wide grid, so the crop is the only copy
     out = np.ascontiguousarray(grid.reshape(f, -1, wp)[:, :h, :w])
-    return out, Conv2dCache(padded, shifts, kernels, p, (f, h, w))
+    return out, Conv2dCache(padded, shifts, kernels, (f, h, w))
 
 
 def conv2d_backward(
@@ -156,9 +155,9 @@ def conv2d_backward(
         raise ValueError(
             f"upstream shape {upstream.shape} does not match forward output {cache.out_shape}"
         )
-    kernels, p = cache.kernels, cache.pad
-    f, h, w = cache.out_shape
-    c, k, wp = kernels.shape[1], kernels.shape[2], w + 2 * p
+    kernels, (f, h, w) = cache.kernels, cache.out_shape
+    c, k, p = kernels.shape[1], kernels.shape[2], kernels.shape[2] // 2  # the forward's padding
+    wp = w + 2 * p
 
     # Both kernel-gradient matmuls sum over H*Wp padded with zeros to a multiple of 32: off
     # one, OpenBLAS's SkylakeX core rounds them differently under different thread counts.
@@ -178,6 +177,9 @@ def conv2d_backward(
     return grad_input, grad_kernels, grad_bias
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment estimates for one flat parameter vector."""
@@ -186,13 +188,10 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, n_params: int, lr: float = 1e-4, **kwargs) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr, **kwargs)
+    def init(cls, n_params: int, lr: float = 1e-4) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
 def adam_step(
@@ -208,11 +207,11 @@ def adam_step(
         bad = int(np.flatnonzero(~np.isfinite(grads))[0])
         raise NumericError(f"non-finite gradient in {label} (first at flat index {bad})")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     require_finite("adam update", new_params)
     return new_params, replace(state, m=m, v=v, t=t)
 

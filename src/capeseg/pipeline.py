@@ -528,12 +528,14 @@ def run_experiment(
     tasks = [
         (field_base, rho, n, train_config, ci) for ci, (rho, n) in enumerate(grid)
     ]
-    if threads > 1 and len(tasks) > 1:
-        # Largest cells first (Graham's LPT rule), so a big cell does not start last and run alone.
-        order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            futures = {ci: pool.submit(_run_cell, tasks[ci]) for ci in order}
-            cells = [_pooled_cell(futures[ci], t) for ci, t in enumerate(tasks)]
-    else:
-        cells = [_run_cell(t) for t in tasks]
+    # Largest cells first (Graham's LPT rule), so a big cell does not start last and run alone.
+    order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
+    workers = min(threads, len(tasks))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:  # an interrupt or error cancels the cells still queued rather than waiting for them
+        futures = {ci: (pool.submit if pool else run_now)(_run_cell, tasks[ci]) for ci in order}
+        cells = [_pooled_cell(futures[ci], t) for ci, t in enumerate(tasks)]
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return SweepResult(cells=cells)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from capeseg import pipeline
+from capeseg import cli, pipeline
 from capeseg.fieldgen import FieldConfig, generate_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -68,3 +68,23 @@ def test_traced_fold_counts_its_phases_epochs_and_refreshes(tracing):
     assert calls["pipeline.epoch"] == warmup_epochs + cape_epochs
     assert calls["pipeline.refresh"] == cape_epochs
     assert calls["pipeline.train_warmup"] == calls["pipeline.train_cape"] == 1
+
+
+def test_traced_serial_sweep_counts_its_cells(tracing):
+    field = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.5, seed=3)
+    config = pipeline.TrainConfig(
+        lr=0.01, max_epochs=3, patience=2, batch_size=4, bins=4, folds=3,
+        cape_epochs_override=2, hidden_channels=2, seed=5,
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.trace = 1
+        result = cli.run_experiment(field, [0.2, 0.4], [9, 12], config, 1)
+    finally:
+        tracer.uninstall()
+    assert [cell.error for cell in result.cells] == [None] * 4
+    calls = Counter(span[tracing.NAME] for span in tracer.spans)
+    assert calls["pipeline.run_experiment"] == 1
+    assert calls["pipeline.cell"] == 4
+    assert calls["pipeline.train_warmup"] == calls["pipeline.train_cape"] == 12

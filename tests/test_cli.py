@@ -79,7 +79,7 @@ def replace_fails_after(monkeypatch, n, exc=None):
 REQUIRED_ARGS = {
     "generate": ["--config", "c"],
     "train": ["--config", "c", "--dataset", "d"],
-    "evaluate": ["--dataset", "d"],
+    "evaluate": ["--oracle", "--dataset", "d"],
     "sweep": ["--config", "c"],
     "plot": ["--input", "i"],
 }
@@ -111,7 +111,7 @@ TRAIN_SMALL = dict(
 def train_small_config():
     """TRAIN_SMALL as `train` reads it from its config file."""
     text = {k: str(v) for k, v in TRAIN_SMALL.items()}
-    return configfile.train_config_from(configfile.coerce(text, configfile.TRAIN_KEYS))
+    return configfile.build(pipeline.TrainConfig, configfile.coerce(text, configfile.TRAIN_KEYS))
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ class TestConfigFile:
 
     def test_lambda_maps_to_cal_weight(self):
         cfg = configfile.coerce({"lambda": "0.25"}, configfile.TRAIN_KEYS)
-        tc = configfile.train_config_from(cfg)
+        tc = configfile.build(pipeline.TrainConfig, cfg)
         assert tc.cal_weight == 0.25
 
 
@@ -764,6 +764,17 @@ class TestEvaluate:
             "evaluate", "--dataset", str(dataset_dir / "dataset.bin"),
             "--out", str(tmp_path / "ev"),
         ]) == 1
+
+    def test_checkpoint_and_oracle_together_is_usage_error(self, dataset_dir, tmp_path):
+        params = init_params(3, 4, Rng(8))
+        ckpt = tmp_path / "m.ckpt"
+        storage.write_checkpoint(ckpt, params)
+        out = tmp_path / "ev"
+        assert main([
+            "evaluate", "--checkpoint", str(ckpt), "--oracle", "--dataset",
+            str(dataset_dir / "dataset.bin"), "--out", str(out),
+        ]) == 1
+        assert not out.exists()
 
     def test_train_vs_other_dataset_differ(self, dataset_dir, tmp_path):
         params = init_params(3, 4, Rng(8))

@@ -313,9 +313,10 @@ class TestRunExperiment:
 
     @pytest.fixture
     def sync_pool(self, monkeypatch):
-        """A pool that starts no process: it records its `max_workers` and each
-        submitted cell's (rate, size), and runs a stub of the cell at once."""
-        pool = SimpleNamespace(workers=[], submitted=[])
+        """A pool that starts no process: it records its `max_workers`, each
+        submitted cell's (rate, size) and each shutdown's `cancel_futures`, and
+        runs a stub of the cell at once."""
+        pool = SimpleNamespace(workers=[], submitted=[], shutdowns=[])
 
         class SyncExecutor:
             def __init__(self, max_workers):
@@ -332,6 +333,9 @@ class TestRunExperiment:
                 future = Future()
                 future.set_result(fn(task))
                 return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pool.shutdowns.append(cancel_futures)
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SyncExecutor)
         monkeypatch.setattr(
@@ -354,6 +358,18 @@ class TestRunExperiment:
         result = run_experiment(field, [0.1, 0.2], [10, 20], small_config(), threads=threads)
         assert sync_pool.workers == [workers]
         assert len(result.cells) == len(sync_pool.submitted) == 4
+
+    def test_interrupt_cancels_queued_cells(self, sync_pool, monkeypatch):
+        def interrupted(task):
+            if len(sync_pool.submitted) == 2:
+                raise KeyboardInterrupt
+            return CellResult(target_rate=task[1], n_samples=task[2])
+
+        monkeypatch.setattr(pipeline, "_run_cell", interrupted)
+        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(field, [0.1, 0.2], [10, 20], small_config(), threads=2)
+        assert sync_pool.shutdowns == [True]
 
     def test_rerun_bit_identical(self):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
