@@ -92,7 +92,7 @@ def cmd_generate(args) -> tuple[int, dict, int, list]:
 def cmd_train(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
     train_cfg = configfile.build(TrainConfig, cfg)
-    bce_path, cape_path, epochs_path = _prepare_outdir(args)
+    *arm_paths, epochs_path = _prepare_outdir(args)
     dataset = storage.read_dataset(args.dataset)
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
@@ -102,16 +102,14 @@ def cmd_train(args) -> tuple[int, dict, int, list]:
             run = run_fold(dataset, folds, 0, train_cfg, submit)
     except BrokenExecutor:  # the helper died; the fold is deterministic, so rerun it here
         run = run_fold(dataset, folds, 0, train_cfg)
-    warm = run.warmup
-    files = [
-        storage.write_checkpoint(bce_path, warm.best_params),
-        storage.write_checkpoint(cape_path, run.cape_params),
-        storage.write_epoch_csv(epochs_path, warm.records + run.cape_records),
-    ]
+    files = [storage.write_checkpoint(path, arm.params) for path, arm in zip(arm_paths, run.arms)]
+    files.append(storage.write_epoch_csv(epochs_path, [r for arm in run.arms for r in arm.records]))
+    warm, eces = run.warmup, " ".join(f"{arm.name}={arm.report.ece:.4f}" for arm in run.arms)
     print(
-        f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); "
-        f"test ECE bce={run.bce_metrics.ece:.4f} cape={run.cape_metrics.ece:.4f}"
+        f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); test ECE {eces}"
     )
+    for name in [arm.name for arm in run.arms if not arm.records]:  # as when cape_epochs ran out
+        print(f"note: the {name} arm trained 0 epochs; it is the warm-up model", file=sys.stderr)
     return EXIT_OK, cfg, train_cfg.seed, files
 
 
@@ -168,6 +166,9 @@ def cmd_sweep(args) -> tuple[int, dict, int, list]:
                 f"cell (rate={cell.target_rate}, n={cell.n_samples}) failed:\n{cell.error}",
                 file=sys.stderr,
             )
+    idle = sum(not arm.records for cell in result.cells for f in cell.folds for arm in f.arms)
+    if idle:  # a warm-up that used up cape_epochs leaves CaPE no epoch
+        print(f"note: {idle} fold(s) ran 0 CaPE epochs (cape arm = bce arm)", file=sys.stderr)
     print(f"wrote {files[0].path} ({len(rows)} rows, {len(result.failures)} failed cells)")
     return (EXIT_PARTIAL if result.failures else EXIT_OK), cfg, train_cfg.seed, files
 

@@ -19,7 +19,7 @@ import math
 import multiprocessing
 import os
 import traceback
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -396,13 +396,18 @@ def evaluate_arm(
 
 
 @dataclass
+class Arm:  # a fold's checkpoint, the records of the epochs that made it, its test metrics
+    name: str
+    params: ModelParams
+    records: list[EpochRecord]
+    report: MetricsReport
+
+
+@dataclass
 class FoldRun:
     fold: int
     warmup: WarmupResult
-    cape_params: ModelParams
-    cape_records: list[EpochRecord]
-    bce_metrics: MetricsReport
-    cape_metrics: MetricsReport
+    arms: list[Arm]  # the bce arm, then the cape arm
 
 
 @dataclass
@@ -422,16 +427,16 @@ class SweepResult:
         out = []
         for cell in self.cells:
             for f in cell.folds:
-                for arm, report in ((ARM_BCE, f.bce_metrics), (ARM_CAPE, f.cape_metrics)):
+                for arm in f.arms:
                     out.append(
                         {
                             "rho": cell.target_rate,
                             "n": cell.n_samples,
                             "fold": f.fold,
-                            "arm": arm,
-                            "ece": report.ece,
-                            "brier": report.brier,
-                            "kl": report.kl_true,
+                            "arm": arm.name,
+                            "ece": arm.report.ece,
+                            "brier": arm.report.brier,
+                            "kl": arm.report.kl_true,
                             "stop_epoch": f.warmup.stop_epoch,
                         }
                     )
@@ -458,11 +463,12 @@ def run_fold(
     bce_job = submit(
         evaluate_arm, warm.best_params, dataset=dataset, test_idx=test_idx, n_bins=config.bins
     )
-    cape_params, cape_records = train_cape(
+    params, records = train_cape(
         warm.best_params, dataset, train_idx, val_idx, config, warm.stop_epoch, submit
     )
-    cape_metrics = evaluate_arm(cape_params, dataset, test_idx, config.bins)
-    return FoldRun(rotation, warm, cape_params, cape_records, bce_job.result(), cape_metrics)
+    cape = Arm(ARM_CAPE, params, records, evaluate_arm(params, dataset, test_idx, config.bins))
+    bce = Arm(ARM_BCE, warm.best_params, warm.records, bce_job.result())
+    return FoldRun(rotation, warm, [bce, cape])
 
 
 def _run_cell(args: tuple) -> CellResult:
@@ -532,8 +538,17 @@ def run_experiment(
     order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
     workers = min(threads, len(tasks))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:  # an interrupt or error cancels the cells still queued rather than waiting for them
-        futures = {ci: (pool.submit if pool else run_now)(_run_cell, tasks[ci]) for ci in order}
+    futures: dict[int, Future] = {}
+    try:  # a cell is submitted once a worker is free, so an interrupt leaves none queued
+        for ci in order:
+            running = [f for f in futures.values() if not f.done()]
+            if len(running) >= workers:
+                wait(running, return_when=FIRST_COMPLETED)
+            try:
+                futures[ci] = (pool.submit if pool else run_now)(_run_cell, tasks[ci])
+            except BrokenExecutor as exc:  # a worker died before this cell was submitted
+                futures[ci] = Future()
+                futures[ci].set_exception(exc)
         cells = [_pooled_cell(futures[ci], t) for ci, t in enumerate(tasks)]
     finally:
         if pool:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from capeseg import cli, pipeline
+from capeseg.cli import storage
 from capeseg.fieldgen import FieldConfig, generate_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,7 +64,7 @@ def test_traced_fold_counts_its_phases_epochs_and_refreshes(tracing):
     finally:
         tracer.uninstall()
     calls = Counter(span[tracing.NAME] for span in tracer.spans)
-    warmup_epochs, cape_epochs = run.warmup.stop_epoch, len(run.cape_records)
+    warmup_epochs, cape_epochs = run.warmup.stop_epoch, len(run.arms[1].records)
     assert cape_epochs == 3
     assert calls["pipeline.epoch"] == warmup_epochs + cape_epochs
     assert calls["pipeline.refresh"] == cape_epochs
@@ -88,3 +89,45 @@ def test_traced_serial_sweep_counts_its_cells(tracing):
     assert calls["pipeline.run_experiment"] == 1
     assert calls["pipeline.cell"] == 4
     assert calls["pipeline.train_warmup"] == calls["pipeline.train_cape"] == 12
+
+
+def test_traced_train_repeats_untraced_outputs_and_counts(tracing, tmp_path, monkeypatch):
+    """As the benchmark's fold32 check does: `train` with the forked record helper
+    writes the same outputs untraced and traced, and two traced runs make the
+    same calls."""
+    dataset = tmp_path / "dataset.bin"
+    storage.write_dataset(dataset, generate_dataset(
+        FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=21), 24
+    ))
+    config = tmp_path / "train.cfg"
+    config.write_text(
+        "lr = 0.01\nmax_epochs = 3\npatience = 2\nbatch_size = 8\nbins = 10\nfolds = 3\n"
+        "cape_epochs_override = 2\nhidden_channels = 4\nseed = 13\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def train(name):
+        out = tmp_path / name
+        argv = ["train", "--config", str(config), "--dataset", str(dataset), "--out", str(out)]
+        assert cli.main(argv) == 0
+        return [(out / n).read_bytes() for n in ("bce_arm.ckpt", "cape_arm.ckpt", "epochs.csv")]
+
+    untraced = train("untraced")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for trace in (1, 2):
+            tracer.trace = trace
+            traced.append(train(f"traced{trace}"))
+    finally:
+        tracer.uninstall()
+    assert traced == [untraced, untraced]
+    calls = [
+        Counter(span[tracing.NAME] for span in tracer.spans if span[tracing.TRACE] == trace)
+        for trace in (1, 2)
+    ]
+    assert calls[0] == calls[1]
+    assert calls[0]["pipeline.epoch"] == 5
+    assert calls[0]["pipeline.evaluate_arm"] == 1  # the bce arm is scored on the helper

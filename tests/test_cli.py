@@ -514,11 +514,29 @@ class TestTrain:
         run = pipeline.run_fold(ds, split_kfold(len(ds), tc.folds, tc.seed), 0, tc)
         written = [
             storage.write_checkpoint(tmp_path / "bce_arm.ckpt", run.warmup.best_params),
-            storage.write_checkpoint(tmp_path / "cape_arm.ckpt", run.cape_params),
-            storage.write_epoch_csv(tmp_path / "epochs.csv", run.warmup.records + run.cape_records),
+            storage.write_checkpoint(tmp_path / "cape_arm.ckpt", run.arms[1].params),
+            storage.write_epoch_csv(tmp_path / "epochs.csv", run.warmup.records + run.arms[1].records),
         ]
         for w in written:
             assert w.path.read_bytes() == (trained / w.path.name).read_bytes(), w.path.name
+
+    @pytest.mark.parametrize("override, notes", [(0, 1), (2, 0)])
+    def test_a_cape_phase_of_zero_epochs_is_noted_on_stderr(
+        self, dataset_dir, tmp_path, capsys, override, notes
+    ):
+        cfg = write_config(
+            tmp_path / "train.cfg", **{**TRAIN_SMALL, "cape_epochs_override": override}
+        )
+        code = main([
+            "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
+            "--out", str(tmp_path / "run"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err.count("note: ") == err.count("note: the cape arm trained 0 epochs") == notes
+        assert len(out.splitlines()) == 1
+        bce, cape = out.split("test ECE bce=")[1].split(" cape=")
+        assert (bce == cape.strip()) == (override == 0)
 
     def test_format_error_on_non_dataset(self, tmp_path):
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
@@ -846,6 +864,18 @@ class TestSweep:
             [e["path"] for e in manifest["outputs"]] + ["manifest.json"]
         )
         assert not (out / "failures.csv").exists()
+
+    @pytest.mark.parametrize("override, notes", [(0, 1), (2, 0)])
+    def test_folds_with_a_cape_phase_of_zero_epochs_are_counted_on_stderr(
+        self, tmp_path, capsys, override, notes
+    ):
+        cfg = write_config(
+            tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "cape_epochs_override": override}
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out, err = capsys.readouterr()
+        assert err.count("note: ") == err.count("note: 3 fold(s) ran 0 CaPE epochs") == notes
+        assert out.startswith("wrote ") and len(out.splitlines()) == 1
 
     def test_threads_flag_gives_identical_csv(self, swept, tmp_path):
         cfg = write_config(tmp_path / "sweep.cfg", **SWEEP_SMALL)

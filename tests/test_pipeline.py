@@ -1,4 +1,5 @@
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -314,9 +315,25 @@ class TestRunExperiment:
     @pytest.fixture
     def sync_pool(self, monkeypatch):
         """A pool that starts no process: it records its `max_workers`, each
-        submitted cell's (rate, size) and each shutdown's `cancel_futures`, and
-        runs a stub of the cell at once."""
-        pool = SimpleNamespace(workers=[], submitted=[], shutdowns=[])
+        submitted cell's (rate, size), how many of its futures are unfinished
+        once a cell is submitted, and each shutdown's `cancel_futures`. A cell
+        runs a stub when the patched `pipeline.wait` picks it as the oldest
+        unfinished one, or when its result is asked for. From call `broken_from`
+        on (never by default), `submit` raises `BrokenProcessPool`."""
+        pool = SimpleNamespace(
+            workers=[], submitted=[], unfinished=[], shutdowns=[], calls=0, broken_from=None
+        )
+        futures = []
+
+        class PendingFuture(Future):
+            def __init__(self, fn, task):
+                super().__init__()
+                self.run = lambda: self.set_result(fn(task))
+
+            def result(self, timeout=None):
+                if not self.done():
+                    self.run()
+                return super().result(timeout)
 
         class SyncExecutor:
             def __init__(self, max_workers):
@@ -329,15 +346,23 @@ class TestRunExperiment:
                 return False
 
             def submit(self, fn, task):
+                pool.calls += 1
+                if pool.broken_from is not None and pool.calls >= pool.broken_from:
+                    raise BrokenProcessPool("a worker died")
                 pool.submitted.append(task[1:3])
-                future = Future()
-                future.set_result(fn(task))
-                return future
+                futures.append(PendingFuture(fn, task))
+                pool.unfinished.append(sum(not f.done() for f in futures))
+                return futures[-1]
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pool.shutdowns.append(cancel_futures)
 
+        def wait(fs, return_when):
+            assert return_when == FIRST_COMPLETED
+            next(f for f in fs if not f.done()).run()
+
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SyncExecutor)
+        monkeypatch.setattr(pipeline, "wait", wait, raising=False)
         monkeypatch.setattr(
             pipeline, "_run_cell", lambda task: CellResult(target_rate=task[1], n_samples=task[2])
         )
@@ -358,6 +383,27 @@ class TestRunExperiment:
         result = run_experiment(field, [0.1, 0.2], [10, 20], small_config(), threads=threads)
         assert sync_pool.workers == [workers]
         assert len(result.cells) == len(sync_pool.submitted) == 4
+
+    def test_a_cell_is_submitted_only_when_a_worker_is_free(self, sync_pool):
+        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
+        result = run_experiment(field, [0.1, 0.2], [10, 30, 20], small_config(), threads=2)
+        assert sync_pool.workers == [2]
+        assert len(sync_pool.unfinished) == 6
+        assert max(sync_pool.unfinished) <= 2
+        assert [c.error for c in result.cells] == [None] * 6
+
+    def test_pool_broken_before_a_submit_fails_the_cells_left(self, sync_pool):
+        sync_pool.broken_from = 3
+        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
+        result = run_experiment(field, [0.1, 0.2], [10, 30, 20], small_config(), threads=2)
+        assert sync_pool.submitted == [(0.1, 30), (0.2, 30)]
+        grid = [(rho, n) for rho in (0.1, 0.2) for n in (10, 30, 20)]
+        assert [(c.target_rate, c.n_samples) for c in result.cells] == grid
+        for cell in result.cells:
+            if cell.n_samples == 30:
+                assert cell.error is None
+            else:
+                assert "BrokenProcessPool" in cell.error
 
     def test_interrupt_cancels_queued_cells(self, sync_pool, monkeypatch):
         def interrupted(task):
@@ -385,7 +431,7 @@ class TestRunExperiment:
         fold = run_fold(small_dataset, folds, 1, cfg)
         assert fold.fold == 1
         assert fold.warmup.stop_epoch == len(fold.warmup.records)
-        assert fold.cape_records[0].epoch == fold.warmup.stop_epoch + 1
+        assert fold.arms[1].records[0].epoch == fold.warmup.stop_epoch + 1
 
 
 class TestTrainConfigValidation:
