@@ -111,9 +111,10 @@ def forward(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, Forwar
     rows = h + KERNEL_SIZE // 2
     tall = np.zeros((c, n, rows, w))
     tall[:, :, :h] = inputs.transpose(1, 0, 2, 3)
-    act, c1 = conv2d_forward(tall.reshape(c, n * rows, w), params.conv1_w, params.conv1_b)
-    np.maximum(act, 0.0, out=act).reshape(-1, n, rows, w)[:, :, h:] = 0.0  # relu, gaps back to 0
-    logits, c2 = conv2d_forward(act, params.conv2_w, params.conv2_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as non-finite logits
+        act, c1 = conv2d_forward(tall.reshape(c, n * rows, w), params.conv1_w, params.conv1_b)
+        np.maximum(act, 0.0, out=act).reshape(-1, n, rows, w)[:, :, h:] = 0.0  # relu, gaps to 0
+        logits, c2 = conv2d_forward(act, params.conv2_w, params.conv2_b)
     return require_finite("logits", logits.reshape(n, rows, w)[:, :h]), ForwardCache(act, c1, c2)
 
 

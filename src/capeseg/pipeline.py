@@ -7,8 +7,8 @@ case with early stopping, and keeps the checkpoint with the best
 validation loss. Phase two resumes from that checkpoint at the
 configured lambda, with the frequencies refreshed once per epoch over
 the full training set and frozen in between. Both phases run in one
-epoch loop, which judges each epoch's record once it is done or once the
-next epoch has trained. Experiments compare the frozen warm-up checkpoint
+epoch loop, which judges a record after the next epoch, or before it if
+it could stop training. Experiments compare the frozen warm-up checkpoint
 ("bce" arm) against the continued model ("cape" arm) on held out test folds.
 """
 
@@ -86,6 +86,8 @@ class TrainConfig:
             raise ValueError("cape_epochs, cape_epochs_override and seed must be >= 0")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
+        if self.min_delta < 0.0:
+            raise ValueError("min_delta must be >= 0")
 
 
 @dataclass
@@ -292,10 +294,10 @@ def _train(
     A warm-up epoch trains on the outcomes at weight 0. A CaPE epoch first
     refreshes the binned targets over the full training split with the current
     model, frozen for its updates. `submit` computes each record (see
-    `run_now`), judged once it is done or once the next epoch has trained.
-    Returns (params, records): with a `stopper`, the params of its best record,
-    and a record that stops training drops the epoch trained meanwhile, with
-    any error it raised; without one, the last epoch's params.
+    `run_now`), judged once the next epoch has trained, or before that epoch
+    trains when the record could stop training (its stopper one bad epoch
+    short of `patience`). Returns (params, records): with a `stopper`, the
+    params of its best record; without one, the last epoch's params.
     """
     cape = phase == CAPE_PHASE
     stream = _STREAM_CONTINUE_BATCHES if cape else _STREAM_WARMUP_BATCHES
@@ -322,25 +324,19 @@ def _train(
         return stop
 
     for epoch in epochs:
-        if pending and pending[0][1].done() and judge():
-            break
-        try:
-            if cape:
-                train_preds = probabilities(_predict_split(params, dataset, train_idx))
-                assignment = bin_assignment(train_preds, config.bins)
-                table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
-                p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
-                del train_preds, assignment  # not held beside the next refresh
-            order = train_idx[shuffle_rng.permutation(len(train_idx))]
-            params, adam, train_loss = _run_epoch(
-                params, adam, dataset, order, config.batch_size, p_emp, cal_weight
-            )
-        except Exception:
-            if judge():
-                break
-            raise
-        if judge():
-            break
+        if stopper and stopper.bad_epochs + 1 >= stopper.patience and judge():
+            break  # the pending record could stop training, so it was waited for
+        if cape:
+            train_preds = probabilities(_predict_split(params, dataset, train_idx))
+            assignment = bin_assignment(train_preds, config.bins)
+            table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
+            p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
+            del train_preds, assignment  # not held beside the next refresh
+        order = train_idx[shuffle_rng.permutation(len(train_idx))]
+        params, adam, train_loss = _run_epoch(
+            params, adam, dataset, order, config.batch_size, p_emp, cal_weight
+        )
+        judge()  # a record left pending above cannot stop training
         pending.append((params, submit(
             _epoch_record, epoch, phase, train_loss, params, dataset=dataset, val_idx=val_idx
         )))

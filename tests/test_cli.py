@@ -538,6 +538,25 @@ class TestTrain:
         bce, cape = out.split("test ECE bce=")[1].split(" cape=")
         assert (bce == cape.strip()) == (override == 0)
 
+    def test_early_stopping_example_stops_before_its_cap(self, tmp_path):
+        """README's small-n, wide-model example: its warm-up stops early (at
+        epoch 14 of 60 when written), so a numerics change that keeps early
+        stopping from firing shows up here."""
+        gen = dict(
+            height=32, width=32, channels=3, length_scale=4.0, gain=2.0,
+            target_rate=0.14, obs_noise=1.0, seed=7, n_samples=30,
+        )
+        assert main(["generate", "--config", write_config(tmp_path / "gen.cfg", **gen),
+                     "--out", str(tmp_path / "data")]) == 0
+        cfg = write_config(
+            tmp_path / "train.cfg", lr=0.01, max_epochs=60, patience=8, hidden_channels=32,
+            folds=3, seed=7, cape_epochs_override=1,
+        )
+        assert main(["train", "--config", cfg, "--dataset", str(tmp_path / "data/dataset.bin"),
+                     "--out", str(tmp_path / "run")]) == 0
+        records = read_epoch_csv(tmp_path / "run" / "epochs.csv")
+        assert max(r.epoch for r in records if r.phase == "warmup") < 60
+
     def test_format_error_on_non_dataset(self, tmp_path):
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
         bogus = tmp_path / "bogus.bin"
@@ -570,8 +589,8 @@ class TestRecordHelper:
 
     def slow_helper_records(self, monkeypatch, die_in=None, fail_at=None):
         """Records in the helper take 50 ms (or kill it in phase `die_in`, or raise
-        NumericError for epoch `fail_at`), so the warm-up trains the epoch after
-        its stop before it sees the record that stops it."""
+        NumericError for epoch `fail_at`), so each record is still running when
+        the loop decides whether to wait for it."""
         parent, real_record = os.getpid(), pipeline._epoch_record
 
         @functools.wraps(real_record)
@@ -599,32 +618,30 @@ class TestRecordHelper:
         monkeypatch.setattr(pipeline, "_run_epoch", run_epoch)
         return calls
 
+    @pytest.mark.parametrize("overrides, stop_line", [
+        ({}, "stopped at epoch 8 (best epoch 7)"),  # patience 1: every record is waited for
+        ({"patience": 3, "max_epochs": 20}, "stopped at epoch 10 (best epoch 7)"),
+    ], ids=["patience1", "patience3"])
     def test_helper_and_inline_outputs_are_byte_identical(
-        self, dataset_dir, tmp_path, monkeypatch, capsys
+        self, dataset_dir, tmp_path, monkeypatch, capsys, overrides, stop_line
     ):
+        """The helper trains exactly the epochs the inline run trains: no epoch
+        runs after the record that stops training."""
         self.slow_helper_records(monkeypatch)
         calls = self.count_epochs(monkeypatch)
-        inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
+        inline = self.run_train(
+            dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline", **overrides
+        )
         inline_epochs = len(calls)
-        helper = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
+        helper = self.run_train(
+            dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper", **overrides
+        )
         assert inline[0] == helper[0] == 0
-        assert "stopped at epoch 8 (best epoch 7)" in inline[2]
+        assert stop_line in inline[2]
         assert helper[2] == inline[2]
         for name in TRAIN_OUTPUTS:
             assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
-        assert len(calls) - inline_epochs == inline_epochs + 1  # epoch 9 ran, then was dropped
-
-    def test_failure_of_the_dropped_epoch_is_discarded(
-        self, dataset_dir, tmp_path, monkeypatch, capsys
-    ):
-        inline = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
-        self.slow_helper_records(monkeypatch)
-        self.count_epochs(monkeypatch, fail_at=9)  # the epoch after the stop at 8
-        helper = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 2, "helper")
-        assert helper[0] == 0
-        assert helper[2] == inline[2]
-        for name in TRAIN_OUTPUTS:
-            assert (helper[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
+        assert len(calls) - inline_epochs == inline_epochs
 
     @pytest.mark.parametrize("fail_at", [1, 8])
     def test_failure_of_a_judged_epoch_exits_3(
@@ -664,7 +681,7 @@ class TestRecordHelper:
         assert bare[2] == inline[2]
         for name in TRAIN_OUTPUTS:
             assert (bare[1] / name).read_bytes() == (inline[1] / name).read_bytes(), name
-        assert len(calls) == 2 * inline_epochs  # no speculative epoch: records ran inline
+        assert len(calls) == 2 * inline_epochs  # the epochs of the inline run, again
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_failed_cape_record_stops_the_fold_within_one_epoch(
@@ -757,16 +774,12 @@ class TestEvaluate:
         params.conv1_w[...] = params.conv2_w[...] = 1e300  # finite, so the loader takes it
         ckpt = tmp_path / "m.ckpt"
         storage.write_checkpoint(ckpt, params)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main([
-                "evaluate", "--checkpoint", str(ckpt), "--dataset",
-                str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),
-            ])
+        code = main([
+            "evaluate", "--checkpoint", str(ckpt), "--dataset",
+            str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),
+        ])
         assert code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("numeric failure:")] == [
-            "numeric failure: non-finite values in logits"
-        ]
+        assert capsys.readouterr().err == "numeric failure: non-finite values in logits\n"
 
     def test_shape_mismatch_is_format_error(self, dataset_dir, tmp_path):
         params = init_params(5, 4, Rng(8))  # dataset has 3 channels

@@ -449,6 +449,7 @@ class TestTrainConfigValidation:
             {"cape_epochs": -1},
             {"cape_epochs_override": -2},
             {"seed": -1},
+            {"min_delta": -0.1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
