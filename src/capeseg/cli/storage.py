@@ -39,6 +39,7 @@ FLAG_TRUE_P = 1
 
 CHECKPOINT_MAGIC = b"CAPECKP1"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<8sII")
 _HEADER = struct.Struct("<8s6I")
 
 EPOCH_CSV_HEADER = ["epoch", "phase", "train_loss", "val_loss", "brier", "kl"]
@@ -139,73 +140,50 @@ def read_dataset(path) -> Dataset:
 # --- checkpoint container ---
 
 
+def _block_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """A checkpoint block's header: name length, ASCII name, ndim and shape."""
+    n = len(name)
+    return struct.pack(f"<H{n}sI{len(shape)}I", n, name.encode("ascii"), len(shape), *shape)
+
+
 def write_checkpoint(path, params: ModelParams) -> Written:
-    blob = bytearray()
-    blob += struct.pack("<8sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(params.blocks))
+    chunks = [_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(params.blocks))]
     for name, block in params.blocks.items():
-        arr = np.ascontiguousarray(block, dtype="<f8")
-        encoded = name.encode("ascii")
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes()
-    return publish(path, [blob])
+        chunks += [_block_header(name, np.shape(block)), np.asarray(block, "<f8").tobytes()]
+    return publish(path, chunks)
 
 
 def read_checkpoint(path) -> ModelParams:
-    """Load parameters, rejecting corrupt, non-finite or mutually inconsistent
-    blocks with FormatError. The block shapes must be the layout that
-    `block_shapes` derives from conv1_w's filter and channel counts."""
+    """Load parameters, accepting exactly what `write_checkpoint` writes: the finite
+    blocks of `block_shapes` in order, for the filter and channel counts in conv1_w's
+    shape header. Anything else, blocks out of order included, is a FormatError."""
     data = Path(path).read_bytes()
-    head = struct.Struct("<8sII")
-    if len(data) < head.size:
+    if len(data) < _CHECKPOINT_HEADER.size:
         raise FormatError(f"{path}: truncated checkpoint header")
-    magic, version, n_blocks = head.unpack_from(data, 0)
+    magic, version, n_blocks = _CHECKPOINT_HEADER.unpack_from(data, 0)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = head.size
-    blocks: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            name = data[offset : offset + name_len].decode("ascii")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{ndim}I", data, offset)
-            offset += 4 * ndim
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            offset += 8 * count
-            if name in blocks:
-                raise ValueError(f"{name} appears twice")
-            blocks[name] = arr.reshape(shape)
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint block: {exc}") from exc
+    offset = _CHECKPOINT_HEADER.size
+    at = offset + len(_block_header("conv1_w", ()))  # where conv1_w's shape starts
+    f, c = struct.unpack_from("<2I", data.ljust(at + 8, b"\0"), at)
+    layout = block_shapes(c, f)
+    if n_blocks != len(layout) or 0 in (f, c):
+        raise FormatError(f"{path}: expected {', '.join(layout)} with >= 1 filter and channel")
+    values = []
+    for name, shape in layout.items():
+        header = _block_header(name, shape)
+        end = offset + len(header) + 8 * math.prod(shape)
+        if data[offset : offset + len(header)] != header or end > len(data):
+            raise FormatError(f"{path}: expected block {name} of shape {shape} at byte {offset}")
+        values.append(np.frombuffer(data[offset + len(header) : end], dtype="<f8"))
+        if not np.isfinite(values[-1]).all():
+            raise FormatError(f"{path}: non-finite values in block {name}")
+        offset = end
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
-    conv1_w = blocks.get("conv1_w")
-    if conv1_w is None or conv1_w.ndim != 4 or 0 in conv1_w.shape:
-        raise FormatError(f"{path}: missing or malformed conv1_w block")
-    f, c = conv1_w.shape[:2]
-    layout = block_shapes(c, f)
-    unknown = sorted(set(blocks) - set(layout))
-    if unknown:
-        raise FormatError(f"{path}: unknown parameter blocks: {', '.join(unknown)}")
-    for name, shape in layout.items():
-        if name not in blocks:
-            raise FormatError(f"{path}: missing parameter block {name}")
-        if blocks[name].shape != shape:
-            raise FormatError(
-                f"{path}: block {name} has shape {blocks[name].shape}, expected {shape} "
-                f"for {c} input channels and {f} filters"
-            )
-        if not np.isfinite(blocks[name]).all():
-            raise FormatError(f"{path}: non-finite values in block {name}")
-    return ModelParams(c, f, np.concatenate([blocks[name].ravel() for name in layout]))
+    return ModelParams(c, f, np.concatenate(values))
 
 
 # --- publishing and the manifest ---

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..pipeline import ARM_BCE, ARM_CAPE, CAPE_PHASE
+
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT = 80, 170
 MARGIN_TOP, MARGIN_BOTTOM = 60, 70
@@ -149,7 +151,7 @@ def sweep_chart(rows: list[dict], metric: str, title: str, y_label: str) -> str:
     series = []
     for i, n in enumerate(sizes):
         color = PALETTE[i % len(PALETTE)]
-        for arm, dashed in (("cape", False), ("bce", True)):
+        for arm, dashed in ((ARM_CAPE, False), (ARM_BCE, True)):
             per_rate: dict[float, list[float]] = {}
             for row in rows:
                 if row["n"] != n or row["arm"] != arm or row[metric] is None:
@@ -159,7 +161,7 @@ def sweep_chart(rows: list[dict], metric: str, title: str, y_label: str) -> str:
                 continue
             xs = sorted(per_rate)
             ys = [sum(per_rate[x]) / len(per_rate[x]) for x in xs]
-            label = f"n={n} {'CaPE' if arm == 'cape' else 'early stop'}"
+            label = f"n={n} {'CaPE' if arm == ARM_CAPE else 'early stop'}"
             series.append(Series(label=label, xs=xs, ys=ys, color=color, dashed=dashed))
     return _chart(title, "event rate", y_label, series)
 
@@ -180,7 +182,7 @@ def learning_curve_chart(records, title: str) -> str:
         color = PALETTE[i % len(PALETTE)]
         series.append(Series(f"{name} (raw)", epochs, values, color, raw=True))
         series.append(Series(name, epochs, moving_average(values), color))
-    cape_epochs = [r.epoch for r in records if r.phase == "cape"]
+    cape_epochs = [r.epoch for r in records if r.phase == CAPE_PHASE]
 
     def cape_start(px, py):
         if not cape_epochs:

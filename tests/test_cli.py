@@ -22,8 +22,8 @@ import capeseg.cli as cli_module
 from capeseg import pipeline
 from capeseg.cli import build_parser, main
 from capeseg.cli import configfile, storage, svg
-from capeseg.fieldgen import FieldConfig, generate_dataset
-from capeseg.model import init_params
+from capeseg.fieldgen import Dataset, FieldConfig, generate_dataset
+from capeseg.model import ModelParams, init_params
 from capeseg.numerics import NumericError, Rng
 from capeseg.pipeline import (
     kfold_rotation,
@@ -33,12 +33,11 @@ from capeseg.pipeline import (
 
 
 def poke_dataset(src, dst, field, value):
-    """Copy a dataset file with one float32 of sample 0's inputs or true_p replaced."""
+    """Copy a dataset file with the first value of sample 0's `field` replaced."""
     ds = storage.read_dataset(src)
-    c, h, w = ds.shape
-    offset = storage._HEADER.size + (0 if field == "inputs" else 4 * c * h * w + h * w)
     data = bytearray(src.read_bytes())
-    data[offset : offset + 4] = np.float32(value).tobytes()
+    dtype = storage._record_dtype(*ds.shape, ds.has_true_p)
+    np.frombuffer(data, dtype, len(ds), storage._HEADER.size)[field][0].flat[0] = value
     dst.write_bytes(bytes(data))
     return dst
 
@@ -53,6 +52,31 @@ def write_mismatched_checkpoint(path):
     }
     storage.write_checkpoint(path, SimpleNamespace(blocks=blocks))
     return path
+
+
+def write_blocks(path, blocks):
+    """A checkpoint of the (name, array) `blocks`, in any order and with repeats,
+    each block encoded by `write_checkpoint`."""
+    bodies = []
+    for name, block in blocks:
+        storage.write_checkpoint(path, SimpleNamespace(blocks={name: block}))
+        bodies.append(path.read_bytes()[16:])  # after magic, version and block count
+    head = path.read_bytes()[:12]
+    path.write_bytes(head + struct.pack("<I", len(blocks)) + b"".join(bodies))
+    return path
+
+
+CKPT_BLOCKS = list(init_params(3, 4, Rng(2)).blocks.items())
+CKPT_DEFECTS = {  # defect: (blocks written, edit of the file's bytes)
+    "wrong version": (CKPT_BLOCKS, lambda data: data[:8] + struct.pack("<I", 2) + data[12:]),
+    "cut inside a block header": (CKPT_BLOCKS, lambda data: data[: data.index(b"conv1_b") + 3]),
+    "one trailing byte": (CKPT_BLOCKS, lambda data: data + b"\0"),
+    "zero filters": (list(ModelParams(3, 0).blocks.items()), bytes),
+    "missing block": (CKPT_BLOCKS[:3], bytes),
+    "repeated block": (CKPT_BLOCKS + CKPT_BLOCKS[1:2], bytes),
+    "5x5 conv1 kernel": ([("conv1_w", np.zeros((4, 3, 5, 5))), *CKPT_BLOCKS[1:]], bytes),
+    "valid blocks in another order": ([CKPT_BLOCKS[i] for i in (0, 2, 1, 3)], bytes),
+}
 
 
 def csv_rows(path):
@@ -236,6 +260,7 @@ class TestDatasetRoundTrip:
         [
             ("inputs", np.nan, "non-finite inputs"),
             ("inputs", -np.inf, "non-finite inputs"),
+            ("outcomes", 2, "non-binary outcome bytes"),
             ("true_p", np.nan, r"true_p outside \[0, 1\]"),
             ("true_p", 1.5, r"true_p outside \[0, 1\]"),
             ("true_p", -0.25, r"true_p outside \[0, 1\]"),
@@ -283,14 +308,16 @@ class TestCheckpointRoundTrip:
 
     def test_inconsistent_block_shapes_rejected(self, tmp_path):
         path = write_mismatched_checkpoint(tmp_path / "m.ckpt")
-        with pytest.raises(storage.FormatError, match="conv2_w has shape"):
+        with pytest.raises(storage.FormatError, match="expected block conv2_w of shape"):
             storage.read_checkpoint(path)
 
     def test_unknown_block_rejected(self, tmp_path):
         blocks = {**init_params(3, 4, Rng(2)).blocks, "conv3_w": np.zeros(5)}
         path = tmp_path / "m.ckpt"
         storage.write_checkpoint(path, SimpleNamespace(blocks=blocks))
-        with pytest.raises(storage.FormatError, match="unknown parameter blocks: conv3_w"):
+        with pytest.raises(
+            storage.FormatError, match="expected conv1_w, conv1_b, conv2_w, conv2_b with"
+        ):
             storage.read_checkpoint(path)
 
     def test_non_finite_block_rejected(self, tmp_path):
@@ -300,6 +327,39 @@ class TestCheckpointRoundTrip:
         storage.write_checkpoint(path, params)
         with pytest.raises(storage.FormatError, match="non-finite values in block conv1_b"):
             storage.read_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", CKPT_DEFECTS)
+    def test_structural_defects_rejected(self, tmp_path, defect):
+        blocks, edit = CKPT_DEFECTS[defect]
+        path = write_blocks(tmp_path / "m.ckpt", blocks)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(storage.FormatError):
+            storage.read_checkpoint(path)
+
+
+class TestBinaryFormatsArePinned:
+    """The readers check each file against the writers' own encoding, so a
+    changed encoding would still round-trip: pin the bytes written."""
+
+    def test_checkpoint_bytes(self, tmp_path):
+        flat = (np.arange(ModelParams(3, 4).flat.size) - 60) / 8
+        written = storage.write_checkpoint(tmp_path / "m.ckpt", ModelParams(3, 4, flat))
+        assert hashlib.sha256(written.path.read_bytes()).hexdigest() == (
+            "f38f3b1cbbc2838188a5c245421dd9c8aa41d0ee02300b0a61ea4dd5dd434041"
+        )
+
+    @pytest.mark.parametrize("with_true_p,sha256", [
+        (True, "4e8b7712682c254bf877b8052e9445f7781732b382b3924038bb8d5077193ccd"),
+        (False, "9ad1da9d8a3927fb15ebd6a11a28591dc4f19365804342ef19208ce668da95c5"),
+    ])
+    def test_dataset_bytes(self, tmp_path, with_true_p, sha256):
+        dataset = Dataset(
+            inputs=((np.arange(24) - 10) / 4).reshape(2, 2, 2, 3),
+            outcomes=np.arange(12).reshape(2, 2, 3) % 2 * 1.0,
+            true_p=np.arange(12).reshape(2, 2, 3) / 11 if with_true_p else None,
+        )
+        written = storage.write_dataset(tmp_path / "d.bin", dataset)
+        assert hashlib.sha256(written.path.read_bytes()).hexdigest() == sha256
 
 
 class TestWritePath:
@@ -1182,12 +1242,7 @@ class TestExitCodes:
             params.conv2_b[0] = np.nan
             storage.write_checkpoint(ckpt, params)
         else:  # a second conv1_b, of 7s, after the four valid blocks
-            storage.write_checkpoint(ckpt, SimpleNamespace(blocks={"conv1_b": np.full(4, 7.0)}))
-            extra = ckpt.read_bytes()[16:]  # after magic, version and block count
-            storage.write_checkpoint(ckpt, params)
-            data = bytearray(ckpt.read_bytes())
-            struct.pack_into("<I", data, 12, len(params.blocks) + 1)
-            ckpt.write_bytes(bytes(data) + extra)
+            write_blocks(ckpt, [*params.blocks.items(), ("conv1_b", np.full(4, 7.0))])
         assert main([
             "evaluate", "--checkpoint", str(ckpt), "--dataset",
             str(dataset_dir / "dataset.bin"), "--out", str(tmp_path / "ev"),

@@ -1,4 +1,5 @@
-"""Property tests: every storage format reads back what was written."""
+"""Property tests: every storage format reads back what was written, and a
+binary reader accepts only files its writer could have written."""
 
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from capeseg.pipeline import EpochRecord
 
 # Bounded and derandomized: the same examples on every run, no example database.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+MUTATIONS = settings(PROPERTY, max_examples=300)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FLOAT32_RANGE = st.floats(-3e38, 3e38, allow_nan=False)
 
@@ -35,6 +37,43 @@ def datasets(draw):
     outcomes = draw(arrays(np.float64, (n, h, w), elements=st.sampled_from([0.0, 1.0])))
     true_p = draw(st.none() | arrays(np.float64, (n, h, w), elements=st.floats(0.0, 1.0)))
     return Dataset(inputs=inputs, outcomes=outcomes, true_p=true_p)
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """`data` with one byte bit-flipped, overwritten or inserted, or cut short at one byte."""
+    kind = draw(st.sampled_from(["flip", "overwrite", "insert", "truncate"]))
+    pos = draw(st.integers(0, len(data) - (kind != "insert")))  # insert may append
+    byte = draw(st.integers(0, 255))
+    out = bytearray(data)
+    if kind == "flip":
+        out[pos] ^= 1 << byte % 8
+    elif kind == "overwrite":
+        out[pos] = byte
+    elif kind == "insert":
+        out.insert(pos, byte)
+    else:
+        del out[pos:]
+    return bytes(out)
+
+
+def small_files():
+    """A 2-channel, 1-filter checkpoint and a 2-sample 2x3 dataset, as written."""
+    flat = (np.arange(ModelParams(2, 1).flat.size) - 14) / 8  # |x| in [1, 2): one bit from inf
+    dataset = Dataset(
+        inputs=((np.arange(24) - 10) / 4).reshape(2, 2, 2, 3),
+        outcomes=np.arange(12).reshape(2, 2, 3) % 2 * 1.0,
+        true_p=np.arange(12).reshape(2, 2, 3) / 11,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        storage.write_checkpoint(path, ModelParams(2, 1, flat))
+        checkpoint = path.read_bytes()
+        storage.write_dataset(path, dataset)
+        return checkpoint, path.read_bytes()
+
+
+CHECKPOINT_BYTES, DATASET_BYTES = small_files()
 
 
 def as_f32(values):
@@ -92,3 +131,30 @@ class TestStorageRoundTrips:
         assert [r["count"] for r in rows] == table.counts.tolist()
         assert [r["prob_pred"] for r in rows] == table.prob_pred.tolist()
         assert [r["prob_true"] for r in rows] == table.prob_true.tolist()
+
+
+class TestReadersAcceptOnlyWhatTheirWritersWrite:
+    """A mutated file either fails with FormatError or reads as a value that
+    the writer turns back into exactly those bytes; any other error fails."""
+
+    @staticmethod
+    def check(write, read, data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file"
+            path.write_bytes(data)
+            try:
+                value = read(path)
+            except storage.FormatError:
+                return
+            write(path, value)
+            assert path.read_bytes() == data
+
+    @MUTATIONS
+    @given(mutated(CHECKPOINT_BYTES))
+    def test_checkpoint(self, data):
+        self.check(storage.write_checkpoint, storage.read_checkpoint, data)
+
+    @MUTATIONS
+    @given(mutated(DATASET_BYTES))
+    def test_dataset(self, data):
+        self.check(storage.write_dataset, storage.read_dataset, data)
