@@ -108,8 +108,6 @@ def cmd_train(args) -> tuple[int, dict, int, list]:
     print(
         f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); test ECE {eces}"
     )
-    for name in [arm.name for arm in run.arms if not arm.records]:  # as when cape_epochs ran out
-        print(f"note: the {name} arm trained 0 epochs; it is the warm-up model", file=sys.stderr)
     return EXIT_OK, cfg, train_cfg.seed, files
 
 
@@ -166,9 +164,6 @@ def cmd_sweep(args) -> tuple[int, dict, int, list]:
                 f"cell (rate={cell.target_rate}, n={cell.n_samples}) failed:\n{cell.error}",
                 file=sys.stderr,
             )
-    idle = sum(not arm.records for cell in result.cells for f in cell.folds for arm in f.arms)
-    if idle:  # a warm-up that used up cape_epochs leaves CaPE no epoch
-        print(f"note: {idle} fold(s) ran 0 CaPE epochs (cape arm = bce arm)", file=sys.stderr)
     print(f"wrote {files[0].path} ({len(rows)} rows, {len(result.failures)} failed cells)")
     return (EXIT_PARTIAL if result.failures else EXIT_OK), cfg, train_cfg.seed, files
 

@@ -8,7 +8,7 @@ are errors so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 from ..fieldgen import FieldConfig
 from ..pipeline import TrainConfig
@@ -26,11 +26,11 @@ def _list_of(cast):
     return lambda text: [cast(part) for part in text.split(",") if part.strip()]
 
 
-# Caster per field annotation; an Optional[int] key defaults to None.
-_CASTERS = {int: int, float: finite_float, Optional[int]: int}
+# Caster per field annotation.
+_CASTERS = {int: int, float: finite_float}
 
 # Config-file spelling of the fields whose key is not their name.
-_SPELLING = {"cal_weight": "lambda"}
+_SPELLING = {"cal_weight": "lambda", "cape_epochs": "cape_epochs_override"}
 
 
 def _key(name: str) -> str:

@@ -66,8 +66,7 @@ class TrainConfig:
     bins: int = 20
     cal_weight: float = 0.5  # weight on the calibration loss term
     folds: int = 9
-    cape_epochs: int = 50  # total epoch budget shared with the warm-up
-    cape_epochs_override: Optional[int] = None  # explicit phase-two epoch count
+    cape_epochs: int = 10  # phase-two epochs after the warm-up stops
     hidden_channels: int = 8
     seed: int = 0
 
@@ -80,10 +79,13 @@ class TrainConfig:
             raise ValueError("bins must be >= 1")
         if not 0.0 <= self.cal_weight <= 1.0:
             raise ValueError("cal_weight must be in [0, 1]")
-        if min(self.batch_size, self.max_epochs, self.patience, self.hidden_channels) < 1:
-            raise ValueError("batch_size, max_epochs, patience and hidden_channels must be >= 1")
-        if min(self.cape_epochs, self.cape_epochs_override or 0, self.seed) < 0:
-            raise ValueError("cape_epochs, cape_epochs_override and seed must be >= 0")
+        if min(self.batch_size, self.max_epochs, self.patience, self.cape_epochs,
+               self.hidden_channels) < 1:
+            raise ValueError(
+                "batch_size, max_epochs, patience, cape_epochs and hidden_channels must be >= 1"
+            )
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
         if self.min_delta < 0.0:
@@ -371,13 +373,10 @@ def train_cape(
 ) -> tuple[ModelParams, list[EpochRecord]]:
     """Resume from the warm-up checkpoint with the combined loss (see `_train`).
 
-    Runs for the remaining shared epoch budget (or the configured override).
-    Records continue the warm-up epoch numbering and carry the "cape" phase tag.
+    Runs `config.cape_epochs` epochs, numbered on from `start_epoch` (the
+    warm-up's stop epoch), with records tagged with the "cape" phase.
     """
-    n_epochs = config.cape_epochs_override
-    if n_epochs is None:
-        n_epochs = max(0, config.cape_epochs - start_epoch)
-    epochs = range(start_epoch + 1, start_epoch + n_epochs + 1)
+    epochs = range(start_epoch + 1, start_epoch + config.cape_epochs + 1)
     return _train(start_params, dataset, train_idx, val_idx, config, CAPE_PHASE, epochs, submit)
 
 

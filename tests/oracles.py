@@ -241,18 +241,14 @@ def model_loss_fn(template, inputs, loss, target):
     return fn
 
 
-def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_epoch):
+def bce_continuation(start_params, dataset, train_idx, val_idx, config):
     """Plain BCE continuation from a checkpoint on the CaPE schedule.
 
-    Same epoch count, shuffle stream and training stacks as `train_cape`, a
-    fresh Adam state, and no target refresh: what `train_cape` must reproduce
-    bit for bit at weight 0. Validation runs one sample at a time. Returns
+    Same `cape_epochs` epochs, shuffle stream and training stacks as
+    `train_cape`, a fresh Adam state, and no target refresh: what `train_cape`
+    must reproduce bit for bit at weight 0. Validation runs one sample at a time. Returns
     (params, [ContinuationEpoch per epoch]).
     """
-    if config.cape_epochs_override is not None:
-        n_epochs = config.cape_epochs_override
-    else:
-        n_epochs = max(0, config.cape_epochs - start_epoch)
     shuffle_rng = Rng(config.seed).child(_STREAM_CONTINUE_BATCHES)
     c, f = start_params.in_channels, start_params.hidden_channels
     params = start_params
@@ -260,7 +256,7 @@ def bce_continuation(start_params, dataset, train_idx, val_idx, config, start_ep
     train_idx = np.asarray(train_idx)
     val_outcomes = dataset.outcomes[val_idx].ravel()
     records = []
-    for _ in range(n_epochs):
+    for _ in range(config.cape_epochs):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         train_loss = 0.0
         for start in range(0, len(order), config.batch_size):

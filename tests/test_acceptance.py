@@ -146,7 +146,7 @@ def test_criterion_6_cape_efficacy():
         ds = generate_dataset(field_cfg, 600)
         tc = TrainConfig(
             lr=1e-2, max_epochs=12, patience=6, batch_size=16, bins=20,
-            cal_weight=0.5, folds=3, cape_epochs_override=10, hidden_channels=8,
+            cal_weight=0.5, folds=3, cape_epochs=10, hidden_channels=8,
             seed=derive_seed(2024, 61, trial),
         )
         folds = split_kfold(600, tc.folds, derive_seed(2024, 62, trial))
@@ -180,7 +180,7 @@ def test_criterion_7_protocol_reduction():
     ds = generate_dataset(cfg, 36)
     tc = TrainConfig(
         lr=5e-3, max_epochs=4, patience=2, batch_size=8, bins=10, cal_weight=0.0,
-        folds=3, cape_epochs_override=4, hidden_channels=4, seed=70,
+        folds=3, cape_epochs=4, hidden_channels=4, seed=70,
     )
     folds = split_kfold(36, 3, 71)
     train_idx, val_idx, _ = kfold_rotation(folds, 0)
@@ -188,9 +188,7 @@ def test_criterion_7_protocol_reduction():
     cape_params, cape_records = train_cape(
         warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
     )
-    bce_params, bce_records = bce_continuation(
-        warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
-    )
+    bce_params, bce_records = bce_continuation(warm.best_params, ds, train_idx, val_idx, tc)
     assert np.array_equal(cape_params.flat, bce_params.flat)
     assert [r.train_loss for r in cape_records] == [r.train_loss for r in bce_records]
     assert [r.val_loss for r in cape_records] == [r.val_loss for r in bce_records]

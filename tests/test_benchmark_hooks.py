@@ -54,7 +54,7 @@ def test_traced_fold_counts_its_phases_epochs_and_refreshes(tracing):
     )
     config = pipeline.TrainConfig(
         lr=0.01, max_epochs=4, patience=2, batch_size=4, bins=4, folds=3,
-        cape_epochs_override=3, hidden_channels=2, seed=5,
+        cape_epochs=3, hidden_channels=2, seed=5,
     )
     tracer = tracing.Tracer()
     tracer.install()
@@ -75,7 +75,7 @@ def test_traced_serial_sweep_counts_its_cells(tracing):
     field = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.5, seed=3)
     config = pipeline.TrainConfig(
         lr=0.01, max_epochs=3, patience=2, batch_size=4, bins=4, folds=3,
-        cape_epochs_override=2, hidden_channels=2, seed=5,
+        cape_epochs=2, hidden_channels=2, seed=5,
     )
     tracer = tracing.Tracer()
     tracer.install()

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -201,10 +202,44 @@ class TestConfigFile:
         assert cfg["rates"] == [0.011, 0.032, 0.07, 0.14, 0.30, 0.46]
         assert cfg["sizes"] == [200, 600, 1500]
 
-    def test_lambda_maps_to_cal_weight(self):
-        cfg = configfile.coerce({"lambda": "0.25"}, configfile.TRAIN_KEYS)
+    @pytest.mark.parametrize(
+        "key, field, text, value",
+        [("lambda", "cal_weight", "0.25", 0.25), ("cape_epochs_override", "cape_epochs", "6", 6)],
+    )
+    def test_config_key_maps_to_its_field(self, key, field, text, value):
+        cfg = configfile.coerce({key: text}, configfile.TRAIN_KEYS)
         tc = configfile.build(pipeline.TrainConfig, cfg)
-        assert tc.cal_weight == 0.25
+        assert getattr(tc, field) == value
+        # The field's own name is no key: an old config's `cape_epochs`, an
+        # epoch budget shared with the warm-up, fails rather than changing meaning.
+        with pytest.raises(configfile.ConfigError, match=f"unknown config key.*{field}"):
+            configfile.coerce({field: text}, configfile.TRAIN_KEYS)
+
+
+README_CONFIGS = dict(re.findall(
+    r"^cat > (\w+)\.cfg <<EOF\n(.*?)^EOF$",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8"),
+    re.MULTILINE | re.DOTALL,
+))
+
+
+@pytest.mark.parametrize(
+    "name, schema, config_class",
+    [
+        ("gen", configfile.GENERATE_SCHEMA, FieldConfig),
+        ("train", configfile.TRAIN_KEYS, pipeline.TrainConfig),
+        ("early", configfile.TRAIN_KEYS, pipeline.TrainConfig),
+        ("sweep", configfile.SWEEP_SCHEMA, pipeline.TrainConfig),
+    ],
+)
+def test_readme_config_is_valid_for_its_command(name, schema, config_class):
+    """Each `cat > NAME.cfg` block in README reads under its command's schema,
+    so a removed or misspelled key in the documented configs fails here."""
+    assert sorted(README_CONFIGS) == ["early", "gen", "sweep", "train"]
+    cfg = configfile.coerce(
+        configfile.parse_kv_text(README_CONFIGS[name], source=f"README {name}.cfg"), schema
+    )
+    configfile.build(config_class, cfg)
 
 
 class TestDatasetRoundTrip:
@@ -534,7 +569,7 @@ class TestTrain:
         assert started.utcoffset() == finished.utcoffset() == timedelta(0)
         assert started < finished
 
-    def test_rerun_identical_csv(self, trained, dataset_dir, tmp_path):
+    def test_rerun_identical_csv(self, trained, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "train.cfg", **TRAIN_SMALL)
         out = tmp_path / "rerun"
         code = main([
@@ -542,6 +577,8 @@ class TestTrain:
             "--out", str(out),
         ])
         assert code == 0
+        stdout, stderr = capsys.readouterr()
+        assert len(stdout.splitlines()) == 1 and stderr == ""
         assert (out / "epochs.csv").read_bytes() == (trained / "epochs.csv").read_bytes()
 
     def test_lambda_zero_matches_plain_bce_continuation(self, dataset_dir, tmp_path):
@@ -561,9 +598,7 @@ class TestTrain:
         folds = split_kfold(len(ds), tc.folds, tc.seed)
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
         warm = train_warmup(ds, train_idx, val_idx, tc)
-        _, expected = bce_continuation(
-            warm.best_params, ds, train_idx, val_idx, tc, warm.stop_epoch
-        )
+        _, expected = bce_continuation(warm.best_params, ds, train_idx, val_idx, tc)
         assert [r.val_loss for r in cape_rows] == [r.val_loss for r in expected]
         assert [r.train_loss for r in cape_rows] == [r.train_loss for r in expected]
 
@@ -579,24 +614,6 @@ class TestTrain:
         ]
         for w in written:
             assert w.path.read_bytes() == (trained / w.path.name).read_bytes(), w.path.name
-
-    @pytest.mark.parametrize("override, notes", [(0, 1), (2, 0)])
-    def test_a_cape_phase_of_zero_epochs_is_noted_on_stderr(
-        self, dataset_dir, tmp_path, capsys, override, notes
-    ):
-        cfg = write_config(
-            tmp_path / "train.cfg", **{**TRAIN_SMALL, "cape_epochs_override": override}
-        )
-        code = main([
-            "train", "--config", cfg, "--dataset", str(dataset_dir / "dataset.bin"),
-            "--out", str(tmp_path / "run"),
-        ])
-        out, err = capsys.readouterr()
-        assert code == 0
-        assert err.count("note: ") == err.count("note: the cape arm trained 0 epochs") == notes
-        assert len(out.splitlines()) == 1
-        bce, cape = out.split("test ECE bce=")[1].split(" cape=")
-        assert (bce == cape.strip()) == (override == 0)
 
     def test_early_stopping_example_stops_before_its_cap(self, tmp_path):
         """README's small-n, wide-model example: its warm-up stops early (at
@@ -938,22 +955,12 @@ class TestSweep:
         )
         assert not (out / "failures.csv").exists()
 
-    @pytest.mark.parametrize("override, notes", [(0, 1), (2, 0)])
-    def test_folds_with_a_cape_phase_of_zero_epochs_are_counted_on_stderr(
-        self, tmp_path, capsys, override, notes
-    ):
-        cfg = write_config(
-            tmp_path / "sweep.cfg", **{**SWEEP_SMALL, "cape_epochs_override": override}
-        )
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        out, err = capsys.readouterr()
-        assert err.count("note: ") == err.count("note: 3 fold(s) ran 0 CaPE epochs") == notes
-        assert out.startswith("wrote ") and len(out.splitlines()) == 1
-
-    def test_threads_flag_gives_identical_csv(self, swept, tmp_path):
+    def test_threads_flag_gives_identical_csv(self, swept, tmp_path, capsys):
         cfg = write_config(tmp_path / "sweep.cfg", **SWEEP_SMALL)
         out = tmp_path / "threaded"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stdout.startswith("wrote ") and len(stdout.splitlines()) == 1 and stderr == ""
         assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
 
     def test_two_cell_pool_gives_identical_csv(self, tmp_path):
@@ -1350,6 +1357,33 @@ class TestExitCodes:
         monkeypatch.setattr(pipeline, "_run_cell", no_cell)
         cfg = write_config(tmp_path / "sweep.cfg", **{**SWEEP_SMALL, **grid})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("cape_epochs_override", 0, "cape_epochs and hidden_channels must be >= 1"),
+            ("cape_epochs", 6, "unknown config key(s): cape_epochs"),
+        ],
+        ids=["zero-cape-epochs", "old-budget-key"],
+    )
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_cape_epoch_count_fails_before_training(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, command, key, value, message
+    ):
+        """A CaPE phase of 0 epochs would make the cape arm the bce arm, and an
+        old config's epoch budget would now mean a different count."""
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(pipeline, "_train", no_training)
+        if command == "train":
+            base, extra = TRAIN_SMALL, ["--dataset", str(dataset_dir / "dataset.bin")]
+        else:
+            base, extra = SWEEP_SMALL, []
+        cfg = write_config(tmp_path / "c.cfg", **{**base, key: value})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *extra]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

@@ -50,7 +50,7 @@ def small_config(**overrides):
         bins=10,
         cal_weight=0.5,
         folds=3,
-        cape_epochs_override=3,
+        cape_epochs=3,
         hidden_channels=4,
         seed=17,
     )
@@ -169,21 +169,28 @@ class TestTrainCape:
             warm.best_params, small_dataset, train_idx, val_idx, cfg, warm.stop_epoch
         )
         bce_params, bce_records = bce_continuation(
-            warm.best_params, small_dataset, train_idx, val_idx, cfg, warm.stop_epoch
+            warm.best_params, small_dataset, train_idx, val_idx, cfg
         )
         assert np.array_equal(cape_params.flat, bce_params.flat)
         assert [r.train_loss for r in cape_records] == [r.train_loss for r in bce_records]
         assert [r.val_loss for r in cape_records] == [r.val_loss for r in bce_records]
 
-    def test_shared_budget_consumed_by_warmup(self, small_dataset):
+    def test_cape_runs_its_epoch_count_after_any_warmup_stop(self, small_dataset):
+        # patience 1 of 2 stops at epoch 2; patience 4 of 5 cannot stop before 5
         folds = split_kfold(len(small_dataset), 3, seed=4)
         train_idx, val_idx, _ = kfold_rotation(folds, 0)
-        cfg = small_config(cape_epochs_override=None, cape_epochs=6, max_epochs=4, patience=2)
-        warm = train_warmup(small_dataset, train_idx, val_idx, cfg)
-        _, records = train_cape(
-            warm.best_params, small_dataset, train_idx, val_idx, cfg, warm.stop_epoch
-        )
-        assert len(records) == 6 - warm.stop_epoch
+        stops = []
+        for max_epochs, patience in ((2, 1), (5, 4)):
+            cfg = small_config(max_epochs=max_epochs, patience=patience)
+            warm = train_warmup(small_dataset, train_idx, val_idx, cfg)
+            _, records = train_cape(
+                warm.best_params, small_dataset, train_idx, val_idx, cfg, warm.stop_epoch
+            )
+            stop = warm.stop_epoch
+            assert [r.epoch for r in records] == list(range(stop + 1, stop + cfg.cape_epochs + 1))
+            assert {r.phase for r in records} == {"cape"}
+            stops.append(stop)
+        assert stops == [2, 5]
 
     def test_single_bin_pulls_mean_prediction_toward_event_rate(self):
         # Bias-only probe: one logit parameter, constant prediction. With a
@@ -254,7 +261,7 @@ class TestFoldIsolation:
 
         folds = split_kfold(len(small_dataset), 3, seed=9)
         train_idx, val_idx, test_idx = kfold_rotation(folds, 0)
-        cfg = small_config(max_epochs=3, patience=1, cape_epochs_override=2)
+        cfg = small_config(max_epochs=3, patience=1, cape_epochs=2)
 
         def full_run(ds):
             warm = train_warmup(ds, train_idx, val_idx, cfg)
@@ -279,7 +286,7 @@ class TestFoldIsolation:
 class TestRunExperiment:
     def test_one_cell_structure_and_row_count(self):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
-        cfg = small_config(max_epochs=3, patience=1, cape_epochs_override=2, seed=99)
+        cfg = small_config(max_epochs=3, patience=1, cape_epochs=2, seed=99)
         result = run_experiment(field, [0.2], [24], cfg)
         assert len(result.cells) == 1
         cell = result.cells[0]
@@ -305,7 +312,7 @@ class TestRunExperiment:
 
     def test_failed_cell_recorded_without_aborting(self):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
-        cfg = small_config(max_epochs=3, patience=1, cape_epochs_override=2, seed=99)
+        cfg = small_config(max_epochs=3, patience=1, cape_epochs=2, seed=99)
         result = run_experiment(field, [0.2], [2, 24], cfg)  # n=2 < folds -> fails
         assert len(result.cells) == 2
         assert result.cells[0].error is not None
@@ -419,7 +426,7 @@ class TestRunExperiment:
 
     def test_rerun_bit_identical(self):
         field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.5, seed=0)
-        cfg = small_config(max_epochs=3, patience=1, cape_epochs_override=2, seed=7)
+        cfg = small_config(max_epochs=3, patience=1, cape_epochs=2, seed=7)
         a = run_experiment(field, [0.3], [24], cfg)
         b = run_experiment(field, [0.3], [24], cfg)
         for ra, rb in zip(a.rows(), b.rows()):
@@ -427,7 +434,7 @@ class TestRunExperiment:
 
     def test_run_fold_shares_warmup(self, small_dataset):
         folds = split_kfold(len(small_dataset), 3, seed=10)
-        cfg = small_config(max_epochs=3, patience=1, cape_epochs_override=2)
+        cfg = small_config(max_epochs=3, patience=1, cape_epochs=2)
         fold = run_fold(small_dataset, folds, 1, cfg)
         assert fold.fold == 1
         assert fold.warmup.stop_epoch == len(fold.warmup.records)
@@ -446,8 +453,7 @@ class TestTrainConfigValidation:
             {"hidden_channels": 0},
             {"patience": 0},
             {"patience": -3},
-            {"cape_epochs": -1},
-            {"cape_epochs_override": -2},
+            {"cape_epochs": 0},
             {"seed": -1},
             {"min_delta": -0.1},
         ],
