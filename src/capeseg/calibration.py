@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_f64, require_finite, sigmoid
+from .numerics import CHUNK, as_f64, require_finite, sigmoid
 
 KL_EPS = 1e-6  # clamp for predicted probabilities in the KL metric
 
@@ -69,11 +69,13 @@ def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
     openers = ((np.arange(n_bins + 1) * n + n_bins - 1) // n_bins)[1:-1]  # ceil(b*N/B)
     ranked = np.sort(predictions)
     opening = ranked[openers]  # the value at the first rank of bins 1..B-1
+    ties = set(opening[ranked[openers - 1] == opening].tolist())  # np.unique loads numpy.ma
+    first_rank = {value: np.searchsorted(ranked, value) for value in ties}
+    del ranked  # freed before the assignment is allocated
     assignment = np.searchsorted(opening, predictions, side="right")
-    for value in set(opening[ranked[openers - 1] == opening].tolist()):  # np.unique loads numpy.ma
-        tied = np.flatnonzero(predictions == value)
-        ranks = np.searchsorted(ranked, value) + np.arange(tied.size)
-        assignment[tied] = np.searchsorted(openers, ranks, side="right")
+    for value, first in first_rank.items():
+        at = np.flatnonzero(predictions == value)
+        assignment[at] = np.searchsorted(openers, first + np.arange(at.size), side="right")
     return assignment
 
 
@@ -131,8 +133,8 @@ def brier_score(predictions: np.ndarray, outcomes: np.ndarray) -> float:
     outcomes = as_f64(outcomes).ravel()
     if predictions.size != outcomes.size:
         raise ValueError("predictions and outcomes differ in length")
-    diff = predictions - outcomes
-    return float(np.mean(diff * diff))
+    squares = np.subtract(predictions, outcomes)
+    return float(np.mean(np.multiply(squares, squares, out=squares)))
 
 
 def kl_to_true(predictions: np.ndarray, true_p: Optional[np.ndarray]) -> float:
@@ -147,12 +149,15 @@ def kl_to_true(predictions: np.ndarray, true_p: Optional[np.ndarray]) -> float:
     true_p = as_f64(true_p).ravel()
     if predictions.size != true_p.size:
         raise ValueError("predictions and true probabilities differ in length")
-    f = np.clip(predictions, KL_EPS, 1.0 - KL_EPS)
-    p, q = true_p, 1.0 - true_p
+    terms = np.empty(predictions.size)  # filled a chunk at a time, then reduced whole
     # Both terms everywhere, summed from +0.0; where p is 0 or 1 the 0*log(0) term is dropped.
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = 0.0 + np.where(p > 0.0, p * np.log(p / f), 0.0)
-        terms += np.where(p < 1.0, q * np.log(q / (1.0 - f)), 0.0)
+        for i in range(0, terms.size, CHUNK):
+            s = slice(i, i + CHUNK)
+            f = np.clip(predictions[s], KL_EPS, 1.0 - KL_EPS)
+            p, q = true_p[s], 1.0 - true_p[s]
+            terms[s] = 0.0 + np.where(p > 0.0, p * np.log(p / f), 0.0)
+            terms[s] += np.where(p < 1.0, q * np.log(q / (1.0 - f)), 0.0)
     return float(np.mean(terms))
 
 

@@ -7,6 +7,7 @@ are errors so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -113,4 +114,7 @@ def load_config(path: str, schema: dict) -> dict:
 def build(config_class, cfg: dict):
     """A `config_class` (FieldConfig or TrainConfig) from the keys of `cfg` that name its fields."""
     names = [f.name for f in fields(config_class)]
-    return config_class(**{n: cfg[_key(n)] for n in names if _key(n) in cfg})
+    try:
+        return config_class(**{n: cfg[_key(n)] for n in names if _key(n) in cfg})
+    except ValueError as exc:  # the dataclass names its fields; the file knows their keys
+        raise ConfigError(re.sub(r"\w+", lambda word: _key(word[0]), str(exc))) from exc

@@ -36,6 +36,7 @@ from ..pipeline import CAPE_PHASE, WARMUP_PHASE, EpochRecord
 DATASET_MAGIC = b"CAPESEG1"
 DATASET_VERSION = 1
 FLAG_TRUE_P = 1
+RECORD_CHUNK = 1 << 20  # bytes of records that `write_dataset` holds at a time
 
 CHECKPOINT_MAGIC = b"CAPECKP1"
 CHECKPOINT_VERSION = 1
@@ -75,20 +76,28 @@ def _record_dtype(c: int, h: int, w: int, has_true_p: bool) -> np.dtype:
     return np.dtype(fields)
 
 
+def _dataset_chunks(dataset: Dataset):
+    """The header, then the records about RECORD_CHUNK bytes at a time, each chunk
+    filled into one buffer: `publish` writes a chunk before it asks for the next."""
+    c, h, w = dataset.shape
+    flags = FLAG_TRUE_P if dataset.has_true_p else 0
+    yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(dataset), c, h, w, flags)
+    dtype = _record_dtype(c, h, w, dataset.has_true_p)
+    buffer = np.empty(min(len(dataset), max(1, RECORD_CHUNK // dtype.itemsize)), dtype)
+    for start in range(0, len(dataset), len(buffer)):
+        records = buffer[: len(dataset) - start]
+        outcomes = dataset.outcomes[start : start + len(records)]
+        if not np.array_equal(outcomes, outcomes.astype(bool)):
+            raise ValueError("dataset outcomes are not strictly binary")
+        for name in dtype.names:  # inputs, outcomes and true_p, as the dataset names them
+            records[name] = getattr(dataset, name)[start : start + len(records)]
+        yield records.data
+
+
 def write_dataset(path, dataset: Dataset) -> Written:
     if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
-    if not np.isin(dataset.outcomes, (0.0, 1.0)).all():
-        raise ValueError("dataset outcomes are not strictly binary")
-    c, h, w = dataset.shape
-    flags = FLAG_TRUE_P if dataset.has_true_p else 0
-    records = np.empty(len(dataset), _record_dtype(c, h, w, dataset.has_true_p))
-    records["inputs"] = dataset.inputs
-    records["outcomes"] = dataset.outcomes
-    if dataset.has_true_p:
-        records["true_p"] = dataset.true_p
-    header = _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(dataset), c, h, w, flags)
-    return publish(path, [header, records.data])
+    return publish(path, _dataset_chunks(dataset))
 
 
 def _reject_bad_samples(path, what: str, ok: np.ndarray) -> None:

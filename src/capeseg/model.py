@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .numerics import (
+    CHUNK,
     Conv2dCache,
     Rng,
     as_f64,
@@ -88,8 +89,12 @@ def init_params(in_channels: int, hidden_channels: int, rng: Rng) -> ModelParams
 
 
 def probabilities(logits: np.ndarray) -> np.ndarray:
-    """Emitted probabilities: sigmoid kept strictly inside (0,1), as binning needs."""
-    return np.clip(sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    """Emitted probabilities: sigmoid kept strictly inside (0,1), as binning needs,
+    taken a chunk at a time beside the one result array."""
+    flat, out = np.ravel(logits), np.empty(np.size(logits))
+    for i in range(0, flat.size, CHUNK):
+        np.clip(sigmoid(flat[i : i + CHUNK]), PROB_CLAMP, 1.0 - PROB_CLAMP, out=out[i : i + CHUNK])
+    return out.reshape(np.shape(logits))
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:

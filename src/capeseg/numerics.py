@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+CHUNK = 1 << 14  # elements per pass of a per-pixel kernel, which bounds its temporaries
+
 
 class NumericError(ValueError):
     """Raised when an operation produces or receives non-finite values."""

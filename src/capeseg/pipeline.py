@@ -174,9 +174,11 @@ def kfold_rotation(
 def _split_targets(
     dataset: Dataset, idx: np.ndarray
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Flat outcomes and true probabilities (None when withheld) of the samples in idx."""
-    true_p = dataset.true_p[idx].ravel() if dataset.has_true_p else None
-    return dataset.outcomes[idx].ravel(), true_p
+    """Flat outcomes and true probabilities (None when withheld) of the samples in idx:
+    views when idx is every sample in order, as when `evaluate` scores a whole file."""
+    rows = slice(None) if np.array_equal(idx, np.arange(len(dataset))) else idx
+    true_p = dataset.true_p[rows].ravel() if dataset.has_true_p else None
+    return dataset.outcomes[rows].ravel(), true_p
 
 
 def _stacks(idx: np.ndarray, dataset: Dataset) -> list[np.ndarray]:
@@ -187,9 +189,11 @@ def _stacks(idx: np.ndarray, dataset: Dataset) -> list[np.ndarray]:
 
 
 def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    """Flat logits of the samples in idx, predicted stack by stack."""
-    logits = [predict(params, dataset.inputs[stack]) for stack in _stacks(idx, dataset)]
-    return np.concatenate(logits).ravel()
+    """Flat logits of the samples in idx, predicted stack by stack into one array."""
+    logits = np.empty((len(idx), *dataset.shape[1:]))
+    for at in _stacks(np.arange(len(idx)), dataset):
+        logits[at] = predict(params, dataset.inputs[idx[at]])
+    return logits.ravel()
 
 
 def _epoch_record(

@@ -15,7 +15,7 @@ import numpy as np
 from capeseg.calibration import KL_EPS, bce_loss
 from capeseg.cli import storage
 from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
-from capeseg.model import ModelParams, backward, forward, init_params
+from capeseg.model import PROB_CLAMP, ModelParams, backward, forward, init_params
 from capeseg.numerics import (
     AdamState,
     Conv2dCache,
@@ -24,6 +24,7 @@ from capeseg.numerics import (
     as_f64,
     conv2d_backward,
     conv2d_forward,
+    sigmoid,
 )
 from capeseg.pipeline import _STREAM_CONTINUE_BATCHES, _stacks
 
@@ -188,6 +189,47 @@ def kl_to_true_reference(predictions, true_p, eps=KL_EPS):
     neg = p < 1.0
     terms[neg] += (1.0 - p[neg]) * np.log((1.0 - p[neg]) / (1.0 - f[neg]))
     return float(np.mean(terms))
+
+
+# The per-pixel kernels and the dataset writer as they were before they worked a
+# chunk at a time (the former `model.probabilities`, `calibration.kl_to_true`,
+# `calibration.brier_score` and the body of `storage.write_dataset`): each holds
+# all its temporaries at once, and the chunked forms must keep their bytes.
+
+
+def probabilities_one_shot(logits):
+    return np.clip(sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def kl_to_true_one_shot(predictions, true_p):
+    predictions = as_f64(predictions).ravel()
+    true_p = as_f64(true_p).ravel()
+    f = np.clip(predictions, KL_EPS, 1.0 - KL_EPS)
+    p, q = true_p, 1.0 - true_p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = 0.0 + np.where(p > 0.0, p * np.log(p / f), 0.0)
+        terms += np.where(p < 1.0, q * np.log(q / (1.0 - f)), 0.0)
+    return float(np.mean(terms))
+
+
+def brier_score_one_shot(predictions, outcomes):
+    diff = as_f64(predictions).ravel() - as_f64(outcomes).ravel()
+    return float(np.mean(diff * diff))
+
+
+def dataset_bytes_one_shot(dataset):
+    """The bytes of a dataset file, its records built as one array."""
+    c, h, w = dataset.shape
+    flags = storage.FLAG_TRUE_P if dataset.has_true_p else 0
+    records = np.empty(len(dataset), storage._record_dtype(c, h, w, dataset.has_true_p))
+    records["inputs"] = dataset.inputs
+    records["outcomes"] = dataset.outcomes
+    if dataset.has_true_p:
+        records["true_p"] = dataset.true_p
+    header = storage._HEADER.pack(
+        storage.DATASET_MAGIC, storage.DATASET_VERSION, len(dataset), c, h, w, flags
+    )
+    return header + records.tobytes()
 
 
 def finite_diff_check(loss_fn, params: np.ndarray, h: float = 1e-4) -> float:

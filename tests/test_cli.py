@@ -1363,17 +1363,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("cape_epochs_override", 0, "cape_epochs and hidden_channels must be >= 1"),
+            ("cape_epochs_override", 0, "cape_epochs_override and hidden_channels must be >= 1"),
             ("cape_epochs", 6, "unknown config key(s): cape_epochs"),
+            ("lambda", 2, "error: lambda must be in [0, 1]"),
         ],
-        ids=["zero-cape-epochs", "old-budget-key"],
+        ids=["zero-cape-epochs", "old-budget-key", "lambda-out-of-range"],
     )
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_cape_epoch_count_fails_before_training(
         self, dataset_dir, tmp_path, monkeypatch, capsys, command, key, value, message
     ):
         """A CaPE phase of 0 epochs would make the cape arm the bce arm, and an
-        old config's epoch budget would now mean a different count."""
+        old config's epoch budget would now mean a different count. A bad value
+        is named by the key the file spells, not by the field it sets."""
         def no_training(*args):
             raise AssertionError("training started")
 

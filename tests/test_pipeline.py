@@ -18,7 +18,7 @@ from capeseg.calibration import (
     evaluate_predictions,
 )
 from capeseg.fieldgen import FieldConfig, generate_dataset
-from capeseg.model import init_params, sigmoid
+from capeseg.model import init_params, predict, sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
     CellResult,
@@ -223,6 +223,15 @@ class TestPredictSplit:
         want = np.concatenate([sample_forward(params, small_dataset.inputs[i])[0] for i in idx])
         want = want.ravel()
         assert got.shape == (19 * 16 * 16,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 36])
+    def test_one_array_keeps_the_bits_of_per_stack_predict(self, small_dataset, n):
+        params = init_params(small_dataset.shape[0], 4, Rng(5))
+        idx = Rng(n).permutation(36)[:n]
+        got = pipeline._predict_split(params, small_dataset, idx)
+        stacks = pipeline._stacks(idx, small_dataset)
+        want = np.concatenate([predict(params, small_dataset.inputs[s]) for s in stacks])
+        assert got.tobytes() == want.ravel().tobytes()
 
 
 class TestEvaluateArm:
