@@ -14,25 +14,28 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from ..calibration import evaluate_predictions
-from ..fieldgen import FieldConfig, generate_dataset
+from ..fieldgen import FieldConfig, generate_chunks
+from ..model import probabilities
 from ..numerics import NumericError
 from ..pipeline import (
     TrainConfig,
     check_bins,
-    evaluate_arm,
+    predict_split,
     record_helper,
     run_experiment,
     run_fold,
     split_kfold,
 )
-# Not called here, but perfbench/tracing.py wraps these two names in this module.
-from ..pipeline import train_cape, train_warmup  # noqa: F401
+# Not called here, but perfbench/tracing.py wraps these names in this module.
+from ..fieldgen import generate_dataset  # noqa: F401
+from ..pipeline import evaluate_arm, train_cape, train_warmup  # noqa: F401
 from . import configfile, storage, svg
 from .storage import FormatError
 
@@ -82,10 +85,17 @@ def _prepare_outdir(args) -> list[Path]:
 def cmd_generate(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
     (path,) = _prepare_outdir(args)
-    dataset = generate_dataset(configfile.build(FieldConfig, cfg), cfg["n_samples"])
-    written = storage.write_dataset(path, dataset)
-    rate = float(dataset.outcomes.mean(axis=(1, 2)).mean())
-    print(f"wrote {written.path} ({len(dataset)} samples, event rate {rate:.4f})")
+    data = generate_chunks(configfile.build(FieldConfig, cfg), cfg["n_samples"])
+    sample_rates = []  # each sample's event rate, taken as its chunk is written
+
+    def chunks():
+        for chunk in data.chunks:
+            sample_rates.append(chunk.outcomes.mean(axis=(1, 2)))
+            yield chunk
+
+    written = storage.write_dataset(path, replace(data, chunks=chunks()))
+    rate = float(np.concatenate(sample_rates).mean())
+    print(f"wrote {written.path} ({len(data)} samples, event rate {rate:.4f})")
     return EXIT_OK, cfg, cfg["seed"], [written]
 
 
@@ -113,23 +123,33 @@ def cmd_train(args) -> tuple[int, dict, int, list]:
 
 def cmd_evaluate(args) -> tuple[int, dict, int, list]:
     metrics_path, reliability_path = _prepare_outdir(args)
-    dataset = storage.read_dataset(args.dataset)
-
-    if args.oracle:
-        if not dataset.has_true_p:
-            raise FormatError("--oracle requires a dataset with true probabilities")
-        true_p = dataset.true_p.ravel()
-        if not (true_p.min() > 0.0 and true_p.max() < 1.0):
-            raise FormatError(f"{args.dataset}: --oracle needs true probabilities inside (0, 1)")
-        report = evaluate_predictions(true_p, dataset.outcomes.ravel(), true_p, args.bins)
-    else:
+    data = storage.read_chunks(args.dataset)
+    if args.oracle and not data.has_true_p:
+        raise FormatError("--oracle requires a dataset with true probabilities")
+    if not args.oracle:
         params = storage.read_checkpoint(args.checkpoint)
-        if params.in_channels != dataset.shape[0]:
+        if params.in_channels != data.shape[0]:
             raise FormatError(
                 f"checkpoint expects {params.in_channels} input channels, "
-                f"dataset has {dataset.shape[0]}"
+                f"dataset has {data.shape[0]}"
             )
-        report = evaluate_arm(params, dataset, np.arange(len(dataset)), args.bins)
+
+    # The per-pixel arrays, filled a chunk at a time; the oracle scores true_p itself.
+    outcomes = np.empty(len(data) * data.shape[1] * data.shape[2])
+    true_p = np.empty_like(outcomes) if data.has_true_p else None
+    preds = true_p if args.oracle else np.empty_like(outcomes)
+    at = 0
+    for chunk in data.chunks:
+        rows = slice(at, at + chunk.outcomes.size)
+        outcomes[rows] = chunk.outcomes.ravel()
+        if true_p is not None:
+            true_p[rows] = chunk.true_p.ravel()
+        if not args.oracle:
+            preds[rows] = probabilities(predict_split(params, chunk, np.arange(len(chunk))))
+        at = rows.stop
+    if args.oracle and not (true_p.min() > 0.0 and true_p.max() < 1.0):
+        raise FormatError(f"{args.dataset}: --oracle needs true probabilities inside (0, 1)")
+    report = evaluate_predictions(preds, outcomes, true_p, args.bins)
 
     files = [storage.write_metrics_csv(metrics_path, report)]
     files.append(storage.write_reliability_csv(reliability_path, report.bin_table))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import __version__
 from ..calibration import BinTable, MetricsReport
-from ..fieldgen import Dataset
+from ..fieldgen import Dataset, DatasetStream
 from ..model import ModelParams, block_shapes
 from ..pipeline import CAPE_PHASE, WARMUP_PHASE, EpochRecord
 
@@ -76,43 +76,45 @@ def _record_dtype(c: int, h: int, w: int, has_true_p: bool) -> np.dtype:
     return np.dtype(fields)
 
 
-def _dataset_chunks(dataset: Dataset):
-    """The header, then the records about RECORD_CHUNK bytes at a time, each chunk
-    filled into one buffer: `publish` writes a chunk before it asks for the next."""
-    c, h, w = dataset.shape
-    flags = FLAG_TRUE_P if dataset.has_true_p else 0
-    yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(dataset), c, h, w, flags)
-    dtype = _record_dtype(c, h, w, dataset.has_true_p)
-    buffer = np.empty(min(len(dataset), max(1, RECORD_CHUNK // dtype.itemsize)), dtype)
-    for start in range(0, len(dataset), len(buffer)):
-        records = buffer[: len(dataset) - start]
-        outcomes = dataset.outcomes[start : start + len(records)]
-        if not np.array_equal(outcomes, outcomes.astype(bool)):
-            raise ValueError("dataset outcomes are not strictly binary")
-        for name in dtype.names:  # inputs, outcomes and true_p, as the dataset names them
-            records[name] = getattr(dataset, name)[start : start + len(records)]
-        yield records.data
+def _dataset_chunks(data: Dataset | DatasetStream):
+    """The header, then the records of each chunk of `data` about RECORD_CHUNK
+    bytes at a time, each filled into one buffer: `publish` writes a chunk
+    before it asks for the next."""
+    c, h, w = data.shape
+    flags = FLAG_TRUE_P if data.has_true_p else 0
+    yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(data), c, h, w, flags)
+    dtype = _record_dtype(c, h, w, data.has_true_p)
+    buffer = np.empty(min(len(data), max(1, RECORD_CHUNK // dtype.itemsize)), dtype)
+    for chunk in data.chunks:
+        for start in range(0, len(chunk), len(buffer)):
+            records = buffer[: len(chunk) - start]
+            outcomes = chunk.outcomes[start : start + len(records)]
+            if not np.array_equal(outcomes, outcomes.astype(bool)):
+                raise ValueError("dataset outcomes are not strictly binary")
+            for name in dtype.names:  # inputs, outcomes and true_p, as the dataset names them
+                records[name] = getattr(chunk, name)[start : start + len(records)]
+            yield records.data
 
 
-def write_dataset(path, dataset: Dataset) -> Written:
-    if len(dataset) == 0:
+def write_dataset(path, data: Dataset | DatasetStream) -> Written:
+    if len(data) == 0:
         raise ValueError("refusing to write an empty dataset")
-    return publish(path, _dataset_chunks(dataset))
+    return publish(path, _dataset_chunks(data))
 
 
-def _reject_bad_samples(path, what: str, ok: np.ndarray) -> None:
-    """FormatError naming the first sample with any False in `ok` (N x ...)."""
-    bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: sample {bad[0]} has {what}")
+def read_chunks(path) -> DatasetStream:
+    """A dataset file as a stream of float64 chunks, once its header, its size
+    and every record are checked in one streamed pass.
 
-
-def read_dataset(path) -> Dataset:
-    """Load a dataset, rejecting corrupt or out-of-range values with FormatError."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
+    A corrupt file is a FormatError; so is a non-binary outcome, a non-finite
+    input or a true_p outside [0, 1], reported in that order of precedence,
+    each at its first bad sample. The stream reads the file again.
+    """
+    with open(path, "rb") as fh:
+        header, size = fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size
+    if len(header) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    magic, version, n_samples, c, h, w, flags = _HEADER.unpack_from(data, 0)
+    magic, version, n_samples, c, h, w, flags = _HEADER.unpack(header)
     if magic != DATASET_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
     if version != DATASET_VERSION:
@@ -127,23 +129,44 @@ def read_dataset(path) -> Dataset:
     except ValueError as exc:  # a sample too large for one numpy record
         raise FormatError(f"{path}: implausible sample shape {c}x{h}x{w}: {exc}") from exc
     expected = _HEADER.size + n_samples * dtype.itemsize
-    if len(data) != expected:
+    if size != expected:
         raise FormatError(
-            f"{path}: expected {expected} bytes for {n_samples} samples, found {len(data)}"
+            f"{path}: expected {expected} bytes for {n_samples} samples, found {size}"
         )
-    records = np.frombuffer(data, dtype, count=n_samples, offset=_HEADER.size)
-    _reject_bad_samples(path, "non-binary outcome bytes", records["outcomes"] <= 1)
-    _reject_bad_samples(path, "non-finite inputs", np.isfinite(records["inputs"]))
-    true_p = None
+    # Samples per float64 chunk of half a RECORD_CHUNK: a reader holds one while the next is read.
+    step = max(1, RECORD_CHUNK // (16 * (c + 1 + has_p) * h * w))
+
+    def records():
+        with open(path, "rb") as fh:
+            fh.seek(_HEADER.size)
+            for start in range(0, n_samples, step):
+                yield np.fromfile(fh, dtype, min(step, n_samples - start))
+
+    checks = {
+        "non-binary outcome bytes": lambda r: r["outcomes"] <= 1,
+        "non-finite inputs": lambda r: np.isfinite(r["inputs"]),
+    }
     if has_p:
-        raw_p = records["true_p"]
-        _reject_bad_samples(path, "true_p outside [0, 1]", (raw_p >= 0.0) & (raw_p <= 1.0))
-        true_p = raw_p.astype(np.float64)
-    return Dataset(
-        inputs=records["inputs"].astype(np.float64),
-        outcomes=records["outcomes"].astype(np.float64),
-        true_p=true_p,
-    )
+        checks["true_p outside [0, 1]"] = lambda r: (r["true_p"] >= 0.0) & (r["true_p"] <= 1.0)
+    good = {what: [] for what in checks}  # per check and chunk, whether each sample passes
+    for chunk in records():
+        for what, passes in checks.items():
+            good[what].append(passes(chunk).reshape(len(chunk), -1).all(axis=1))
+    for what, per_chunk in good.items():
+        bad = np.flatnonzero(~np.concatenate(per_chunk))
+        if bad.size:
+            raise FormatError(f"{path}: sample {bad[0]} has {what}")
+
+    def chunks():
+        for chunk in records():  # inputs, outcomes and true_p, as the dataset names them
+            yield Dataset(*(chunk[name].astype(np.float64) for name in dtype.names))
+
+    return DatasetStream(n_samples, (c, h, w), has_p, chunks())
+
+
+def read_dataset(path) -> Dataset:
+    """Load a dataset, rejecting corrupt or out-of-range values with FormatError."""
+    return read_chunks(path).assemble()
 
 
 # --- checkpoint container ---

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .numerics import Rng, sigmoid
+from .numerics import CHUNK, Rng, sigmoid
 
 P_CLAMP = 1e-6  # keeps logits finite and KL terms non-degenerate
 OFFSET_LO, OFFSET_HI = -20.0, 20.0
@@ -81,6 +81,39 @@ class Dataset:
     def has_true_p(self) -> bool:
         return self.true_p is not None
 
+    @property
+    def chunks(self) -> tuple[Dataset]:
+        """The dataset as a `DatasetStream` of one chunk."""
+        return (self,)
+
+
+@dataclass
+class DatasetStream:
+    """n_samples samples of one (C, H, W) shape, made or read a chunk at a time:
+    `chunks` yields them once, in order, as Datasets."""
+
+    n_samples: int
+    shape: tuple[int, int, int]
+    has_true_p: bool
+    chunks: Iterable[Dataset]
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    def assemble(self) -> Dataset:
+        """The samples in one Dataset, each chunk copied in as it comes."""
+        n, (c, h, w) = self.n_samples, self.shape
+        true_p = np.empty((n, h, w)) if self.has_true_p else None
+        ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), true_p)
+        at = 0
+        for chunk in self.chunks:
+            rows = slice(at, at + len(chunk))
+            ds.inputs[rows], ds.outcomes[rows] = chunk.inputs, chunk.outcomes
+            if self.has_true_p:
+                ds.true_p[rows] = chunk.true_p
+            at = rows.stop
+        return ds
+
 
 def _gaussian_kernel(config: FieldConfig) -> np.ndarray:
     """Normalized taps truncated at 3 length scales; FieldConfig checks that they fit the field."""
@@ -105,12 +138,11 @@ def _smooth_fields(fields: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         dst[...] = 0.0
         for d in range(-radius, radius + 1):  # this slice is np.roll(fields, d, axis)
             dst += kernel[d + radius] * src[radius - d : radius - d + len(dst)]
-    for field in fields:
-        field -= field.mean()
-        sd = field.std()
-        if sd == 0.0:
-            raise ValueError("degenerate constant field; cannot standardize")
-        field /= sd
+    fields -= fields.mean(axis=(1, 2), keepdims=True)
+    sd = fields.std(axis=(1, 2), keepdims=True)
+    if (sd == 0.0).any():
+        raise ValueError("degenerate constant field; cannot standardize")
+    fields /= sd
     return fields
 
 
@@ -128,9 +160,12 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     for start in range(0, CALIBRATION_FIELDS, CHUNK_FIELDS):
         _smooth_fields(pool[start : start + CHUNK_FIELDS], kernel)
     pool *= config.gain
+    flat, rates = pool.ravel(), np.empty(pool.size)
 
-    def mean_rate(b: float) -> float:
-        return float(np.mean(sigmoid(pool + b)))
+    def mean_rate(b: float) -> float:  # the rates a chunk at a time, then one mean over all
+        for i in range(0, flat.size, CHUNK):
+            rates[i : i + CHUNK] = sigmoid(flat[i : i + CHUNK] + b)
+        return float(np.mean(rates))
 
     lo, hi = OFFSET_LO, OFFSET_HI
     if not mean_rate(lo) < rho < mean_rate(hi):
@@ -149,50 +184,57 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     raise ValueError(f"offset bisection failed to reach tolerance {OFFSET_TOL}")
 
 
-def _fill_samples(config: FieldConfig, rngs: list[Rng], offset: float, ds: Dataset) -> None:
-    """Build sample j of `ds` in place from stream rngs[j], which draws field
-    noise, outcome uniforms, then per-channel input noise. true_p is clamped
-    away from 0 and 1 so logits stay finite."""
-    g = np.empty(ds.outcomes.shape)
+def _make_samples(config: FieldConfig, rngs: list[Rng], offset: float) -> Dataset:
+    """Sample j from stream rngs[j], which draws field noise, outcome uniforms,
+    then per-channel input noise. true_p is clamped away from 0 and 1 so
+    logits stay finite."""
+    n, c, h, w = len(rngs), config.channels, config.height, config.width
+    ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), np.empty((n, h, w)))
+    g = np.empty((n, h, w))
     for j, rng in enumerate(rngs):
-        g[j] = rng.normal(g.shape[1:])
-        ds.outcomes[j] = rng.uniform(g.shape[1:])
-        ds.inputs[j] = rng.normal(ds.inputs.shape[1:])
+        g[j] = rng.normal((h, w))
+        ds.outcomes[j] = rng.uniform((h, w))
+        ds.inputs[j] = rng.normal((c, h, w))
     _smooth_fields(g, _gaussian_kernel(config))
     ds.true_p[...] = sigmoid(config.gain * g + offset)
     np.clip(ds.true_p, P_CLAMP, 1.0 - P_CLAMP, out=ds.true_p)
     np.less(ds.outcomes, ds.true_p, out=ds.outcomes)
     ds.inputs *= config.obs_noise
     ds.inputs += g[:, None]
+    return ds
 
 
 def make_sample(
     config: FieldConfig, rng: Rng, offset: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One sample as (inputs C x H x W, binary outcomes H x W, true_p H x W)."""
-    c, h, w = config.channels, config.height, config.width
-    ds = Dataset(np.empty((1, c, h, w)), np.empty((1, h, w)), np.empty((1, h, w)))
-    _fill_samples(config, [rng], offset, ds)
+    ds = _make_samples(config, [rng], offset)
     return ds.inputs[0], ds.outcomes[0], ds.true_p[0]
 
 
-def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:
-    """n_samples independent samples under one calibrated offset.
+def generate_chunks(config: FieldConfig, n_samples: int) -> DatasetStream:
+    """n_samples independent samples under one calibrated offset, made
+    CHUNK_FIELDS at a time as the stream is read.
 
     Fully determined by config.seed: the offset uses one sub-stream,
     and sample i draws from a sub-stream keyed by i, so generation order
-    (or parallelism) cannot change the result. Samples are built in
-    stacks of CHUNK_FIELDS, straight into the dataset arrays.
+    (or parallelism) cannot change the result. The offset is calibrated
+    before this returns.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     root = Rng(config.seed)
     offset = calibrate_offset(config, root.child(_STREAM_CALIBRATE))
-    c, h, w, n = config.channels, config.height, config.width, n_samples
-    ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), np.empty((n, h, w)))
-    for start in range(0, n, CHUNK_FIELDS):
-        rows = slice(start, start + CHUNK_FIELDS)
-        chunk = Dataset(ds.inputs[rows], ds.outcomes[rows], ds.true_p[rows])
-        streams = [root.child(_STREAM_SAMPLE, i) for i in range(n)[rows]]
-        _fill_samples(config, streams, offset, chunk)
-    return ds
+
+    def chunks():
+        for start in range(0, n_samples, CHUNK_FIELDS):
+            ids = range(start, min(start + CHUNK_FIELDS, n_samples))
+            yield _make_samples(config, [root.child(_STREAM_SAMPLE, i) for i in ids], offset)
+
+    shape = (config.channels, config.height, config.width)
+    return DatasetStream(n_samples, shape, True, chunks())
+
+
+def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:
+    """The samples of `generate_chunks`, in one Dataset."""
+    return generate_chunks(config, n_samples).assemble()

@@ -188,7 +188,7 @@ def _stacks(idx: np.ndarray, dataset: Dataset) -> list[np.ndarray]:
     return [idx[i : i + step] for i in range(0, len(idx), step)]
 
 
-def _predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
+def predict_split(params: ModelParams, dataset: Dataset, idx: np.ndarray) -> np.ndarray:
     """Flat logits of the samples in idx, predicted stack by stack into one array."""
     logits = np.empty((len(idx), *dataset.shape[1:]))
     for at in _stacks(np.arange(len(idx)), dataset):
@@ -205,7 +205,7 @@ def _epoch_record(
     val_idx: np.ndarray,
 ) -> EpochRecord:
     """One epoch's record, with loss, Brier and KL (None without true_p) on val_idx."""
-    logits = _predict_split(params, dataset, val_idx)
+    logits = predict_split(params, dataset, val_idx)
     outs, true_p = _split_targets(dataset, val_idx)
     val_loss, _ = bce_loss(logits, outs)
     preds = probabilities(logits)
@@ -333,7 +333,7 @@ def _train(
         if stopper and stopper.bad_epochs + 1 >= stopper.patience and judge():
             break  # the pending record could stop training, so it was waited for
         if cape:
-            train_preds = probabilities(_predict_split(params, dataset, train_idx))
+            train_preds = probabilities(predict_split(params, dataset, train_idx))
             assignment = bin_assignment(train_preds, config.bins)
             table = build_bins(train_preds, dataset.outcomes[train_idx].ravel(), assignment)
             p_emp[train_idx] = assign_p_emp(assignment, table).reshape(-1, *p_emp.shape[1:])
@@ -389,7 +389,7 @@ def evaluate_arm(
 ) -> MetricsReport:
     """Metrics over all test pixels with a bin table built fresh on them."""
     test_idx = np.asarray(test_idx)
-    preds = probabilities(_predict_split(params, dataset, test_idx))
+    preds = probabilities(predict_split(params, dataset, test_idx))
     outs, true_p = _split_targets(dataset, test_idx)
     return evaluate_predictions(preds, outs, true_p, n_bins)
 

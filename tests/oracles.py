@@ -194,7 +194,8 @@ def kl_to_true_reference(predictions, true_p, eps=KL_EPS):
 # The per-pixel kernels and the dataset writer as they were before they worked a
 # chunk at a time (the former `model.probabilities`, `calibration.kl_to_true`,
 # `calibration.brier_score` and the body of `storage.write_dataset`): each holds
-# all its temporaries at once, and the chunked forms must keep their bytes.
+# all its temporaries at once, and the chunked forms must keep their bytes. So
+# must the standardization of a whole stack, against its former per-field loop.
 
 
 def probabilities_one_shot(logits):
@@ -215,6 +216,17 @@ def kl_to_true_one_shot(predictions, true_p):
 def brier_score_one_shot(predictions, outcomes):
     diff = as_f64(predictions).ravel() - as_f64(outcomes).ravel()
     return float(np.mean(diff * diff))
+
+
+def standardize_per_field(fields):
+    """The former standardization in `fieldgen._smooth_fields`: one field at a time."""
+    for field in fields:
+        field -= field.mean()
+        sd = field.std()
+        if sd == 0.0:
+            raise ValueError("degenerate constant field; cannot standardize")
+        field /= sd
+    return fields
 
 
 def dataset_bytes_one_shot(dataset):
@@ -339,7 +351,8 @@ def smooth_field_reference(config, rng):
 
 
 def calibrate_offset_reference(config, rng):
-    """Offset bisection over a pool of fields made one at a time."""
+    """Offset bisection over a pool of fields made one at a time, each pool
+    rate taken in one shot as float(np.mean(sigmoid(pool + b)))."""
     pool = np.stack([smooth_field_reference(config, rng) for _ in range(CALIBRATION_FIELDS)])
     scaled = config.gain * pool
     lo, hi = OFFSET_LO, OFFSET_HI

@@ -33,12 +33,12 @@ from capeseg.pipeline import (
 )
 
 
-def poke_dataset(src, dst, field, value):
-    """Copy a dataset file with the first value of sample 0's `field` replaced."""
-    ds = storage.read_dataset(src)
+def poke_dataset(src, dst, field, value, sample=0):
+    """Copy a dataset file with the first value of `sample`'s `field` replaced."""
     data = bytearray(src.read_bytes())
-    dtype = storage._record_dtype(*ds.shape, ds.has_true_p)
-    np.frombuffer(data, dtype, len(ds), storage._HEADER.size)[field][0].flat[0] = value
+    _, _, n, c, h, w, flags = storage._HEADER.unpack_from(data)
+    dtype = storage._record_dtype(c, h, w, bool(flags & storage.FLAG_TRUE_P))
+    np.frombuffer(data, dtype, n, storage._HEADER.size)[field][sample].flat[0] = value
     dst.write_bytes(bytes(data))
     return dst
 
@@ -324,6 +324,35 @@ class TestDatasetRoundTrip:
         )
         with pytest.raises(storage.FormatError, match=match):
             storage.read_dataset(path)
+
+
+class TestDefectPrecedenceAcrossChunks:
+    """A non-finite input in sample 0 and a non-binary outcome in a sample past the
+    first RECORD_CHUNK: the outcome is reported, as when the file was checked whole."""
+
+    @pytest.fixture
+    def two_defects(self, tmp_path):
+        n = storage.RECORD_CHUNK // storage._record_dtype(1, 8, 8, True).itemsize + 3
+        rng = Rng(4)
+        dataset = Dataset(rng.normal((n, 1, 8, 8)), np.zeros((n, 8, 8)), rng.uniform((n, 8, 8)))
+        path = storage.write_dataset(tmp_path / "d.bin", dataset).path
+        poke_dataset(path, path, "inputs", np.nan)
+        poke_dataset(path, path, "outcomes", 2, sample=n - 2)
+        return path, f"{path}: sample {n - 2} has non-binary outcome bytes"
+
+    def test_reader_reports_the_outcome(self, two_defects):
+        path, message = two_defects
+        with pytest.raises(storage.FormatError, match=re.escape(message)):
+            storage.read_dataset(path)
+
+    def test_evaluate_exits_before_reading_the_checkpoint(self, two_defects, tmp_path, capsys):
+        path, message = two_defects
+        out = tmp_path / "ev"
+        missing = tmp_path / "missing.ckpt"  # reading it would fail with another message
+        argv = ["evaluate", "--checkpoint", str(missing), "--dataset", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestCheckpointRoundTrip:
@@ -817,6 +846,28 @@ class TestEvaluate:
             (out / "metrics.csv").read_text().strip().splitlines()[1:]
         )
         assert float(metrics["ece"]) < 0.05  # oracle on a small set
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_streamed_scores_are_those_of_the_whole_dataset(self, tmp_path, oracle):
+        """100 samples of 32x32 are read in several chunks; both CSVs keep every byte
+        of the report on the dataset read whole."""
+        cfg = FieldConfig(height=32, width=32, target_rate=0.2, seed=3)
+        data, ckpt, out = tmp_path / "d.bin", tmp_path / "m.ckpt", tmp_path / "ev"
+        storage.write_dataset(data, generate_dataset(cfg, 100))
+        params = init_params(3, 4, Rng(8))
+        storage.write_checkpoint(ckpt, params)
+        scored = ["--oracle"] if oracle else ["--checkpoint", str(ckpt)]
+        argv = ["evaluate", *scored, "--dataset", str(data), "--out", str(out), "--bins", "15"]
+        assert main(argv) == 0
+        ds = storage.read_dataset(data)
+        if oracle:
+            report = pipeline.evaluate_predictions(ds.true_p, ds.outcomes, ds.true_p, 15)
+        else:
+            report = pipeline.evaluate_arm(params, ds, np.arange(len(ds)), 15)
+        storage.write_metrics_csv(tmp_path / "metrics.csv", report)
+        storage.write_reliability_csv(tmp_path / "reliability.csv", report.bin_table)
+        for name in ("metrics.csv", "reliability.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_checkpoint_evaluation(self, dataset_dir, tmp_path):
         params = init_params(3, 4, Rng(8))

@@ -5,6 +5,7 @@ from oracles import (
     generate_dataset_reference,
     sample_reference,
     smooth_field_reference,
+    standardize_per_field,
 )
 
 from capeseg.fieldgen import (
@@ -228,6 +229,27 @@ class TestStackedMatchesPerSampleReference:
     def test_default_config_offset_is_byte_identical(self):
         cfg = FieldConfig(target_rate=0.14, seed=11)
         assert calibrate_offset(cfg, Rng(2)) == calibrate_offset_reference(cfg, Rng(2))
+
+    @pytest.mark.parametrize("size, length_scale", [(32, 4.0), (16, 2.0)])
+    @pytest.mark.parametrize("rate", [0.011, 0.3])
+    def test_chunked_pool_rate_keeps_the_offset(self, size, length_scale, rate):
+        """The pool rate filled a numerics.CHUNK at a time, then one mean over it all."""
+        cfg = FieldConfig(height=size, width=size, length_scale=length_scale, target_rate=rate)
+        assert calibrate_offset(cfg, Rng(5)) == calibrate_offset_reference(cfg, Rng(5))
+
+    @pytest.mark.parametrize("shape", [(32, 16, 16), (7, 13, 29), (32, 64, 64), (1, 1, 2)])
+    def test_stack_standardization_matches_the_per_field_loop(self, shape):
+        """A one-tap kernel smooths nothing, which leaves the standardization alone."""
+        for seed in range(4):
+            fields = Rng(seed).normal(shape) * (1.0 + 50.0 * seed) + 10.0 * seed
+            expected = standardize_per_field(fields.copy())
+            assert same_bytes(_smooth_fields(fields, np.ones(1)), expected)
+
+    def test_stack_standardization_rejects_a_constant_field(self):
+        fields = Rng(0).normal((3, 8, 8))
+        fields[1] = 0.25
+        with pytest.raises(ValueError, match="degenerate constant field"):
+            _smooth_fields(fields, np.ones(1))
 
 
 class TestStackedErrorPaths:

@@ -1,8 +1,9 @@
 """Large datasets in bounded memory, with the bytes of the one-shot forms.
 
 The per-pixel kernels work a chunk at a time but reduce over the same full
-array, `write_dataset` fills one buffer of records at a time, and the
-peaks are counted exactly by `tracemalloc`, which sees numpy's buffers.
+array, `write_dataset` fills one buffer of records at a time, `generate` and
+`evaluate` stream the dataset file a chunk at a time, and the peaks are
+counted exactly by `tracemalloc`, which sees numpy's buffers.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from oracles import (
 )
 
 from capeseg.calibration import KL_EPS, brier_score, kl_to_true
-from capeseg.cli import storage
+from capeseg.cli import main, storage
 from capeseg.fieldgen import Dataset
 from capeseg.model import PROB_CLAMP, init_params, probabilities
 from capeseg.numerics import CHUNK, Rng
@@ -128,3 +129,40 @@ class TestMemoryBound:
         peak = traced_peak(storage.write_dataset, tmp_path / "d.bin", dataset)
         assert (tmp_path / "d.bin").stat().st_size > storage.RECORD_CHUNK + MIB
         assert peak < storage.RECORD_CHUNK + MIB
+
+    def test_read_dataset_holds_the_dataset_and_about_two_chunks(self, dataset, tmp_path):
+        storage.write_dataset(tmp_path / "d.bin", dataset)
+        held = sum(a.nbytes for a in (dataset.inputs, dataset.outcomes, dataset.true_p))
+        peak = traced_peak(storage.read_dataset, tmp_path / "d.bin")
+        assert peak <= held + 2 * storage.RECORD_CHUNK
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_evaluate_peak_does_not_grow_with_the_channels(self, tmp_path, oracle):
+        """400 samples of 32x32 at C = 3 and at C = 12. Whole float64 inputs would add
+        9 * 8 bytes a pixel (28 MiB); a chunk at a time, only one stack's conv scratch grows."""
+        data, ckpt, n, peaks = tmp_path / "d.bin", tmp_path / "m.ckpt", 400, []
+        scored = ["--oracle"] if oracle else ["--checkpoint", str(ckpt)]
+        for c in (3, 12):
+            storage.write_dataset(data, random_dataset(Rng(c), n, c, 32, 32, True))
+            storage.write_checkpoint(ckpt, init_params(c, 8, Rng(1)))
+            out = tmp_path / f"ev{c}"
+            argv = ["evaluate", *scored, "--dataset", str(data), "--out", str(out)]
+            peaks.append(traced_peak(main, argv))
+            assert (out / "metrics.csv").exists()
+        assert peaks[1] - peaks[0] < 9 * 8 * n * 32 * 32 / 8
+
+    def test_generate_peak_does_not_grow_with_the_samples(self, tmp_path):
+        """Written a chunk at a time: only the per-sample event rates grow, 8 bytes a sample."""
+        peaks = []
+        for n in (64, 512):
+            config = tmp_path / "gen.cfg"
+            config.write_text(
+                f"height = 16\nwidth = 16\nlength_scale = 2.0\ntarget_rate = 0.2\n"
+                f"n_samples = {n}\nseed = 3\n",
+                encoding="utf-8",
+            )
+            out = tmp_path / f"gen{n}"
+            argv = ["generate", "--config", str(config), "--out", str(out)]
+            peaks.append(traced_peak(main, argv))
+            assert (out / "dataset.bin").exists()
+        assert peaks[1] - peaks[0] < 64 * 1024

@@ -219,7 +219,7 @@ class TestPredictSplit:
     def test_chunks_keep_the_bits_of_per_sample_forward(self, small_dataset):
         params = init_params(small_dataset.shape[0], 4, Rng(3))
         idx = Rng(4).permutation(36)[:19]  # two chunks of 8 and one of 3
-        got = pipeline._predict_split(params, small_dataset, idx)
+        got = pipeline.predict_split(params, small_dataset, idx)
         want = np.concatenate([sample_forward(params, small_dataset.inputs[i])[0] for i in idx])
         want = want.ravel()
         assert got.shape == (19 * 16 * 16,) and got.tobytes() == want.tobytes()
@@ -228,7 +228,7 @@ class TestPredictSplit:
     def test_one_array_keeps_the_bits_of_per_stack_predict(self, small_dataset, n):
         params = init_params(small_dataset.shape[0], 4, Rng(5))
         idx = Rng(n).permutation(36)[:n]
-        got = pipeline._predict_split(params, small_dataset, idx)
+        got = pipeline.predict_split(params, small_dataset, idx)
         stacks = pipeline._stacks(idx, small_dataset)
         want = np.concatenate([predict(params, small_dataset.inputs[s]) for s in stacks])
         assert got.tobytes() == want.ravel().tobytes()
