@@ -161,20 +161,22 @@ def kl_to_true(predictions: np.ndarray, true_p: Optional[np.ndarray]) -> float:
     return float(np.mean(terms))
 
 
-def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy of sigmoid(logits) against targets in [0,1].
-
-    Computed as log(1 + e^z) - t*z from one exp(-|z|), finite at any finite
-    logit; the returned gradient (sigmoid(z) - t) / n is the gradient of that loss.
-    """
-    logits = as_f64(logits).ravel()
-    targets = as_f64(targets).ravel()
+def bce_mean(logits: np.ndarray, targets: np.ndarray, e: np.ndarray | None = None) -> float:
+    """Mean BCE of sigmoid(logits) against targets in [0,1]: log(1 + e^z) - t*z taken as
+    max(z, 0) + log1p(e) - t*z from e = exp(-|z|), which `bce_loss` passes."""
+    logits, targets = as_f64(logits).ravel(), as_f64(targets).ravel()
     if logits.size != targets.size:
         raise ValueError("logits and targets differ in length")
-    n = logits.size
-    e = np.exp(-np.abs(logits))  # log(1 + e^z) = max(z, 0) + log1p(e), and sigmoid(z, e)
-    loss = float(np.add.reduce(np.maximum(logits, 0.0) + np.log1p(e) - targets * logits) / n)
-    return loss, (sigmoid(logits, e) - targets) / n
+    e = np.exp(-np.abs(logits)) if e is None else e
+    return float(np.add.reduce(np.maximum(logits, 0.0) + np.log1p(e) - targets * logits) / e.size)
+
+
+def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """`bce_mean` and its logit gradient (sigmoid(z) - t) / n, both from one
+    exp(-|z|), finite at any finite logit."""
+    logits, targets = as_f64(logits).ravel(), as_f64(targets).ravel()
+    e = np.exp(-np.abs(logits))
+    return bce_mean(logits, targets, e), (sigmoid(logits, e) - targets) / e.size
 
 
 def combined_loss(

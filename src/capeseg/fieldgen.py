@@ -101,7 +101,7 @@ class DatasetStream:
         return self.n_samples
 
     def assemble(self) -> Dataset:
-        """The samples in one Dataset, each chunk copied in as it comes."""
+        """The samples in one Dataset, each chunk copied in and let go before the next."""
         n, (c, h, w) = self.n_samples, self.shape
         true_p = np.empty((n, h, w)) if self.has_true_p else None
         ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), true_p)
@@ -112,6 +112,7 @@ class DatasetStream:
             if self.has_true_p:
                 ds.true_p[rows] = chunk.true_p
             at = rows.stop
+            del chunk
         return ds
 
 

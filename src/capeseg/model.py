@@ -1,11 +1,11 @@
 """Small convolutional probability estimator: conv3x3 -> relu -> conv3x3 -> sigmoid.
 
 Maps N samples (N x C x H x W) to N x H x W event logits, preserving
-spatial size, run as one tall image: `forward` for training (with the
-cache `backward` takes), `predict` without the cache; `probabilities`
-turns logits into emitted probabilities. All parameters live in one flat
-float64 vector, so the optimizer and gradient checker can treat the model
-as one function; the named blocks are reshaped views into it.
+spatial size, run as one tall image on one padded grid per layer (conv1's
+output grid is conv2's input): `forward` for training, with the cache
+`backward` takes, and `predict` without it; `probabilities` turns logits
+into emitted probabilities. All parameters live in one flat float64 vector,
+so the optimizer and gradient checker can treat the model as one function.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .numerics import (
     as_f64,
     conv2d_backward,
     conv2d_forward,
+    padded_grid,
     require_finite,
     sigmoid,
 )
@@ -72,9 +73,8 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    act: np.ndarray  # F x N*(H+p) x W, after the relu, zero in the gap rows
     conv1: Conv2dCache
-    conv2: Conv2dCache
+    conv2: Conv2dCache  # its padded input is the activation: relu'd, zero in gaps and pads
 
 
 def init_params(in_channels: int, hidden_channels: int, rng: Rng) -> ModelParams:
@@ -97,13 +97,19 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(logits))
 
 
+def _blocks(grid: np.ndarray, n: int, h: int) -> np.ndarray:
+    """C x N x (H+p) x Wp view of a stacked grid: each sample's H rows, then p gap rows."""
+    p = KERNEL_SIZE // 2
+    return grid[:, p : p + n * (h + p)].reshape(len(grid), n, h + p, -1)
+
+
 def forward(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Logit maps (N x H x W) of N samples (N x C x H x W) plus the backward cache,
     run as one tall image; params, inputs and logits are checked finite.
 
-    Each sample is followed by p zero rows, the zero padding each neighbour
-    sees alone; re-zeroed after the relu, they keep every logit bit-identical
-    to the sample run alone.
+    The samples are written once into conv1's padded grid, each followed by p zero rows,
+    the padding each neighbour sees alone. conv1's output grid is conv2's input: relu'd in
+    place, gap rows re-zeroed, every logit keeps the bits of its sample run alone.
     """
     inputs = as_f64(inputs)
     require_finite("model parameters", params.flat)
@@ -113,24 +119,25 @@ def forward(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, Forwar
         )
     require_finite("model input", inputs)
     n, c, h, w = inputs.shape
-    rows = h + KERNEL_SIZE // 2
-    tall = np.zeros((c, n, rows, w))
-    tall[:, :, :h] = inputs.transpose(1, 0, 2, 3)
+    p = KERNEL_SIZE // 2
+    padded = padded_grid(c, n * (h + p), w, p)
+    _blocks(padded, n, h)[:, :, :h, p : p + w] = inputs.transpose(1, 0, 2, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as non-finite logits
-        act, c1 = conv2d_forward(tall.reshape(c, n * rows, w), params.conv1_w, params.conv1_b)
-        np.maximum(act, 0.0, out=act).reshape(-1, n, rows, w)[:, :, h:] = 0.0  # relu, gaps to 0
-        logits, c2 = conv2d_forward(act, params.conv2_w, params.conv2_b)
-    return require_finite("logits", logits.reshape(n, rows, w)[:, :h]), ForwardCache(act, c1, c2)
+        act, c1 = conv2d_forward(padded, params.conv1_w, params.conv1_b)
+        _blocks(np.maximum(act, 0.0, out=act), n, h)[:, :, h:] = 0.0  # relu, gaps to 0
+        out, c2 = conv2d_forward(act, params.conv2_w, params.conv2_b)
+    return require_finite("logits", _blocks(out, n, h)[0, :, :h, p : p + w]), ForwardCache(c1, c2)
 
 
 def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Gradient of all parameter blocks from the logit gradient (N x H x W) of one
     `forward` call, one vector like `params.flat`."""
     n, h, w = dlogits.shape
-    upstream = np.zeros((n, h + KERNEL_SIZE // 2, w))
-    upstream[:, :h] = dlogits  # the gap rows' logits are dropped
-    dact, grad_w2, grad_b2 = conv2d_backward(cache.conv2, upstream.reshape(1, -1, w))
-    dact *= cache.act > 0.0  # relu subgradient, 0 at the kink and in the gap rows
+    p = KERNEL_SIZE // 2
+    upstream = padded_grid(1, n * (h + p), w, p)
+    _blocks(upstream, n, h)[0, :, :h, p : p + w] = dlogits  # the gap rows' logits are dropped
+    dact, grad_w2, grad_b2 = conv2d_backward(cache.conv2, upstream)
+    dact *= cache.conv2.padded > 0.0  # relu subgradient, 0 at the kink, in the gaps and pads
     _, grad_w1, grad_b1 = conv2d_backward(cache.conv1, dact, input_grad=False)  # input: data
     return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
 

@@ -1,18 +1,18 @@
 """Dense float64 numerics: the logistic sigmoid, same-padded 2-D convolution
 with an analytic backward pass, Adam, and seedable random streams.
 
-Each conv copies the k*k shifts of the side with fewer channels: the input
-when C <= F (one matmul), else the weighed taps (one matmul, then a strided
-sum). Spare zero rows under the padding make each shift one contiguous run
-of a flat channel; outputs are W+2p wide, take the bias, then one crop copy.
-Input shifts run one row past the output, so the last columns of the matmul,
-which OpenBLAS rounds its own way, hold no output: a sample keeps its bits
-when stacked under others (`model.forward`). Backward shifts the padded
-upstream for both gradients; without the input gradient (conv1, whose input
-is data) it weighs the input shifts the forward kept instead. The kernel
-gradients sum over H*Wp padded with zeros to a multiple of 32, the rule that
-kept their bits under 1, 2 and 4 OpenBLAS threads on its SkylakeX core
-(`tests/test_cli.py::TestBlasThreadCount` checks two shapes).
+The convs read and write `padded_grid`s (zero borders of p, spare zero rows), so
+one conv's output is the next one's input. Each copies the k*k shifts of the
+side with fewer channels, each a contiguous run of a flat channel: the input
+when C <= F (one matmul), else the weighed taps (one matmul, a strided sum).
+The Wp-wide result is written from the interior's first pixel, takes the bias
+there, and has its wrapped pad columns zeroed. Input shifts run one row past
+the output, so the last matmul columns, which OpenBLAS rounds its own way,
+hold no output: a sample keeps its bits when stacked (`model.forward`).
+Backward shifts the padded upstream for both gradients; without the input
+gradient (conv1's input is data) it weighs the forward's input shifts. Kernel
+gradients sum over H*Wp zero-padded to a multiple of 32, which kept their bits
+under 1, 2 and 4 OpenBLAS threads on SkylakeX (`tests/test_cli.py::TestBlasThreadCount`).
 
 All public operations take and return C-contiguous float64 numpy arrays.
 `model.forward` and `model.predict` check finiteness, not the convs.
@@ -89,20 +89,18 @@ def derive_seed(master: int, *keys: int) -> int:
 
 @dataclass
 class Conv2dCache:
-    padded: np.ndarray  # C x (H+2p+spare) x (W+2p): zero borders plus spare zero rows
+    padded: np.ndarray  # the input grid, C x rows x (W+2p) (see `padded_grid`)
     shifts: np.ndarray | None  # the input shifts, if the forward shifted the input
     kernels: np.ndarray  # F x C x k x k
-    out_shape: tuple[int, int, int]
+    out_shape: tuple[int, int, int]  # F x H x W, the interior of the output grid
 
 
-def _pad(arr: np.ndarray, p: int) -> np.ndarray:
-    """C x H x W array zero-padded by p, plus spare zero rows so every shifted run of
-    (H+1)*Wp + 31 fits: the forward's, or H*Wp rounded up to 32 for the kernel gradients."""
-    c, h, w = arr.shape
+def padded_grid(channels: int, h: int, w: int, p: int) -> np.ndarray:
+    """Zero C x (H+2p+spare) x (W+2p) grid, its H x W interior from row p, column p; the
+    spare zero rows let every shifted run of (H+1)*Wp + 31 fit: the forward's, or H*Wp
+    rounded up to 32 for the kernel gradients."""
     wp = w + 2 * p
-    padded = np.zeros((c, h + 2 * p + 1 - (-(2 * p + 31) // wp), wp))
-    padded[:, p : p + h, p : p + w] = arr
-    return padded
+    return np.zeros((channels, h + 2 * p + 1 - (-(2 * p + 31) // wp), wp))
 
 
 def _shifts(padded: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -111,21 +109,34 @@ def _shifts(padded: np.ndarray, k: int, n: int) -> np.ndarray:
     return np.ndarray((len(padded), k, k, n), np.float64, padded, 0, st + st[2:]).reshape(-1, n)
 
 
-def conv2d_forward(
-    inp: np.ndarray, kernels: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, Conv2dCache]:
-    """Same-size 2-D convolution with zero padding, shifting the side with fewer channels.
+def _interior_run(grid: np.ndarray, p: int, n: int) -> np.ndarray:
+    """F x n view of each flat channel from p*Wp + p, where a Wp-wide result fits the grid."""
+    at = p * grid.shape[2] + p
+    return grid.reshape(len(grid), -1)[:, at : at + n]
 
-    inp: C x H x W, kernels: F x C x k x k (k odd), bias: F.
-    Returns (out F x H x W, cache for the backward pass).
+
+def _zero_border(grid: np.ndarray, h: int, p: int) -> np.ndarray:
+    """The grid zeroed outside its H x W interior, where `_interior_run` results wrap."""
+    grid[:, :p] = grid[:, p + h :] = grid[:, :, :p] = grid[:, :, grid.shape[2] - p :] = 0.0
+    return grid
+
+
+def conv2d_forward(
+    padded: np.ndarray, kernels: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, Conv2dCache]:
+    """Same-size 2-D convolution on the padded grid, shifting the side with fewer channels.
+
+    padded: a C-channel `padded_grid` (C x H x W input), kernels: F x C x k x k (k odd,
+    p = k // 2), bias: F. Returns (F x H x W output on an F-channel grid of the same
+    rows and width, cache for the backward pass).
     """
-    inp, kernels, bias = as_f64(inp), as_f64(kernels), as_f64(bias)
-    if inp.ndim != 3 or kernels.ndim != 4 or bias.ndim != 1:
+    padded, kernels, bias = as_f64(padded), as_f64(kernels), as_f64(bias)
+    if padded.ndim != 3 or kernels.ndim != 4 or bias.ndim != 1:
         raise ValueError(
-            f"expected input CxHxW, kernels FxCxkxk, bias F; got "
-            f"{inp.shape}, {kernels.shape}, {bias.shape}"
+            f"expected padded input C x rows x Wp, kernels FxCxkxk, bias F; got "
+            f"{padded.shape}, {kernels.shape}, {bias.shape}"
         )
-    c, h, w = inp.shape
+    c, rows, wp = padded.shape
     f, kc, k, k2 = kernels.shape
     if kc != c:
         raise ValueError(f"kernel channels ({kc}) do not match input channels ({c})")
@@ -134,49 +145,51 @@ def conv2d_forward(
     if bias.shape[0] != f:
         raise ValueError(f"bias length {bias.shape[0]} does not match {f} filters")
     p = (k - 1) // 2
-    padded = _pad(inp, p)
-    wp, lp = w + 2 * p, padded[0].size
+    w = wp - 2 * p
+    if w < 1 or (h := rows - padded_grid(0, 0, w, p).shape[1]) < 1:  # rows besides H
+        raise ValueError(f"padded input {padded.shape} is no padded grid for a {k}x{k} kernel")
+    out, lp = np.empty((f, rows, wp)), rows * wp
     shifts = _shifts(padded, k, (h + 1) * wp + 31) if c <= f else None  # 31 for conv1 backward
     if shifts is not None:  # shift the input, then weigh: F x (C*k*k) @ (C*k*k) x ((H+1)*Wp)
-        grid = kernels.reshape(f, c * k * k) @ shifts[:, : (h + 1) * wp]
+        run = _interior_run(out, p, (h + 1) * wp)
+        np.matmul(kernels.reshape(f, c * k * k), shifts[:, : (h + 1) * wp], out=run)
     else:  # weigh every tap, then shift: z row (di, dj, f) read from di*Wp + dj
         z = kernels.transpose(2, 3, 0, 1).reshape(k * k * f, c) @ padded.reshape(c, lp)
         st = tuple(8 * s for s in (k * f * lp + wp, f * lp + 1, lp, 1))
-        grid = np.add.reduce(np.ndarray((k, k, f, h * wp), np.float64, z, 0, st), axis=(0, 1))
-    grid += bias[:, None]  # on the Wp-wide grid, so the crop is the only copy
-    out = np.ascontiguousarray(grid.reshape(f, -1, wp)[:, :h, :w])
-    return out, Conv2dCache(padded, shifts, kernels, (f, h, w))
+        run = _interior_run(out, p, h * wp)
+        np.add.reduce(np.ndarray((k, k, f, h * wp), np.float64, z, 0, st), axis=(0, 1), out=run)
+    run += bias[:, None]
+    return _zero_border(out, h, p), Conv2dCache(padded, shifts, kernels, (f, h, w))
 
 
 def conv2d_backward(
     cache: Conv2dCache, upstream: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of sum(out * upstream) w.r.t. input (None if not `input_grad`), kernels, bias."""
+    """Gradients of sum(out * upstream) w.r.t. input (None if not `input_grad`), kernels, bias;
+    upstream and the input gradient on the grids of the output and the input."""
     upstream = as_f64(upstream)
-    if upstream.shape != cache.out_shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match forward output {cache.out_shape}"
-        )
     kernels, (f, h, w) = cache.kernels, cache.out_shape
     c, k, p = kernels.shape[1], kernels.shape[2], kernels.shape[2] // 2  # the forward's padding
+    if upstream.shape != (f, *cache.padded.shape[1:]):
+        raise ValueError(f"upstream {upstream.shape} is off the {f}-channel output grid")
     wp = w + 2 * p
 
     # Both kernel-gradient matmuls sum over H*Wp padded with zeros to a multiple of 32: off
     # one, OpenBLAS's SkylakeX core rounds them differently under different thread counts.
     n = -(-h * wp // 32) * 32
-    grad_bias = np.add.reduce(upstream, axis=(1, 2))
+    inner = np.ascontiguousarray(upstream[:, p : p + h, p : p + w])  # its pairwise sum order
+    grad_bias = np.add.reduce(inner, axis=(1, 2))
     if not input_grad:  # weigh the forward's input shifts by upstream on the Wp-wide grid
-        u = np.zeros((f, n))
-        u[:, : h * wp].reshape(f, h, wp)[:, :, :w] = upstream  # 0 at the wrapped reads
         xs = _shifts(cache.padded, k, n) if cache.shifts is None else cache.shifts[:, :n]
-        return None, (u @ xs.T).reshape(kernels.shape), grad_bias
-    ushifts = _shifts(_pad(upstream, p), k, n)  # both gradients come from these rows
+        return None, (_interior_run(upstream, p, n) @ xs.T).reshape(kernels.shape), grad_bias
+    ushifts = _shifts(upstream, k, n)  # both gradients come from these rows
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
-    grad_input = np.ascontiguousarray((flipped @ ushifts[:, : h * wp]).reshape(c, h, wp)[:, :, :w])
-    x_grid = cache.padded.reshape(c, -1)[:, p * wp + p :][:, :n]  # 0 at pad columns, past H*Wp
+    grad_input = np.empty_like(cache.padded)
+    np.matmul(flipped, ushifts[:, : h * wp], out=_interior_run(grad_input, p, h * wp))
+    x_grid = _interior_run(cache.padded, p, n)  # 0 at pad columns, past H*Wp
     by_shift = (ushifts @ x_grid.T).reshape(f, k, k, c)[:, ::-1, ::-1]
     grad_kernels = np.ascontiguousarray(by_shift.transpose(0, 3, 1, 2))
-    return grad_input, grad_kernels, grad_bias
+    return _zero_border(grad_input, h, p), grad_kernels, grad_bias
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -28,7 +28,8 @@ import numpy as np
 from .calibration import (
     MetricsReport,
     assign_p_emp,
-    bce_loss,
+    bce_loss,  # noqa: F401  not called here, but perfbench/tracing.py wraps this name here
+    bce_mean,
     bin_assignment,
     brier_score,
     build_bins,
@@ -207,7 +208,7 @@ def _epoch_record(
     """One epoch's record, with loss, Brier and KL (None without true_p) on val_idx."""
     logits = predict_split(params, dataset, val_idx)
     outs, true_p = _split_targets(dataset, val_idx)
-    val_loss, _ = bce_loss(logits, outs)
+    val_loss = bce_mean(logits, outs)
     preds = probabilities(logits)
     kl = kl_to_true(preds, true_p) if true_p is not None else None
     return EpochRecord(epoch, phase, train_loss, val_loss, brier_score(preds, outs), kl)

@@ -24,6 +24,7 @@ from capeseg.numerics import (
     as_f64,
     conv2d_backward,
     conv2d_forward,
+    padded_grid,
     sigmoid,
 )
 from capeseg.pipeline import _STREAM_CONTINUE_BATCHES, _stacks
@@ -92,6 +93,30 @@ def conv2d_backward_reference(inp, kernels, upstream):
     return grad_padded[:, p : p + h, p : p + w], grad_kernels, upstream.sum(axis=(1, 2))
 
 
+def on_grid(arr, p):
+    """C x H x W array in the interior of a zero `padded_grid`, as the convs take it."""
+    c, h, w = arr.shape
+    grid = padded_grid(c, h, w, p)
+    grid[:, p : p + h, p : p + w] = arr
+    return grid
+
+
+def conv_forward(inp, kernels, bias):
+    """`numerics.conv2d_forward` on one C x H x W input, padded alone, with its
+    output cropped to F x H x W."""
+    (_, h, w), p = inp.shape, kernels.shape[2] // 2
+    out, cache = conv2d_forward(on_grid(inp, p), kernels, bias)
+    return np.ascontiguousarray(out[:, p : p + h, p : p + w]), cache
+
+
+def conv_backward(cache, upstream, input_grad=True):
+    """`numerics.conv2d_backward` from an F x H x W upstream gradient, with the input
+    gradient cropped to C x H x W."""
+    (_, h, w), p = cache.out_shape, cache.kernels.shape[2] // 2
+    gi, gk, gb = conv2d_backward(cache, on_grid(upstream, p), input_grad)
+    return None if gi is None else np.ascontiguousarray(gi[:, p : p + h, p : p + w]), gk, gb
+
+
 @dataclass
 class ForwardCache:
     pre1: np.ndarray  # F x H x W, before relu
@@ -101,18 +126,19 @@ class ForwardCache:
 
 def sample_forward(params, inp):
     """Logit map (H x W) of one C x H x W sample plus its backward cache, the
-    sample run alone (the former per-sample `model.forward`)."""
-    pre1, c1 = conv2d_forward(inp, params.conv1_w, params.conv1_b)
-    logits, c2 = conv2d_forward(np.maximum(pre1, 0.0), params.conv2_w, params.conv2_b)
+    sample run alone and each conv's output cropped and padded again (the
+    former per-sample `model.forward`)."""
+    pre1, c1 = conv_forward(inp, params.conv1_w, params.conv1_b)
+    logits, c2 = conv_forward(np.maximum(pre1, 0.0), params.conv2_w, params.conv2_b)
     return logits[0], ForwardCache(pre1=pre1, conv1=c1, conv2=c2)
 
 
 def sample_backward(params, cache, dlogits):
     """Flat parameter gradient of one sample from its H x W logit gradient (the
     former per-sample `model.backward`)."""
-    dact1, grad_w2, grad_b2 = conv2d_backward(cache.conv2, dlogits[None])
+    dact1, grad_w2, grad_b2 = conv_backward(cache.conv2, dlogits[None])
     dpre1 = dact1 * (cache.pre1 > 0.0)  # relu subgradient, 0 at the kink
-    _, grad_w1, grad_b1 = conv2d_backward(cache.conv1, dpre1, input_grad=False)
+    _, grad_w1, grad_b1 = conv_backward(cache.conv1, dpre1, input_grad=False)
     return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
 
 

@@ -15,6 +15,7 @@ from oracles import (
 from capeseg.calibration import (
     assign_p_emp,
     bce_loss,
+    bce_mean,
     bin_assignment,
     brier_score,
     build_bins,
@@ -363,6 +364,12 @@ class TestOneExpLossMatchesLogaddexpReference:
         for zi, ti, scale in zip(z, t, scales):
             got, want = bce_loss([zi], [ti])[0], bce_loss_reference([zi], [ti])[0]
             assert abs(got - want) <= 4 * scale
+
+    @PROPERTY
+    @given(logits_and_targets())
+    def test_loss_without_gradient_keeps_its_bits(self, case):
+        z, t = np.array(case[0]), np.array(case[1])
+        assert bce_mean(z, t) == bce_loss(z, t)[0]  # the validation loss of each epoch record
 
     @pytest.mark.parametrize("z", [-800.0, -40.0, 40.0, 800.0])
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -271,6 +272,40 @@ class TestStackedTraining:
         y = (Rng(555).uniform(inputs[:, 0].shape) < 0.4).astype(float).ravel()
         err = finite_diff_check(model_loss_fn(params, inputs, bce_loss, y), params.flat)
         assert err < 1e-5
+
+
+class TestKernelBits:
+    """SHA-256 of a stack's logits and flat gradient, pinned, so a kernel change that
+    moves any bit fails here, not first in a compared checkpoint. Taken with numpy 2.4.6
+    and scipy-openblas 0.3.31 on a SkylakeX core, under 1 and 2 BLAS threads alike;
+    another BLAS build or core may round differently and needs its own digests."""
+
+    DIGESTS = {
+        (4, 3, 8, 32, 32): ("8870aa2167f2c989bd79bcbf7499728f1437467d9d0838e8c6f4888ecc76bcb2",
+                            "be0a4d7ca79fece18a5239685d074d1baaf3a38f35481e7a77d83b194dd841d0"),
+        (8, 3, 8, 16, 16): ("3e7cfd263760c22266fdffb887ab8a291983191fd22260e0d16d09e236de08d1",
+                            "5cf80fc8d8de943e5d63d021716dfc078d56948bb85fcf36e5daa6c3d63b9b19"),
+        (3, 4, 2, 5, 6): ("152faac59af1256f259343f1028748c91c0ebfa8b8a3a1ef121a48d492ad4c05",
+                          "ff65684a804ac2cc5d4a11a9d5d2f0f04326e499d6ccb12d85c0160bafbd36fb"),
+        (5, 3, 1, 1, 1): ("a3c6fadc8dddf59d2fbae31119ead7354b119f1d869debcdea2f0f0b440593c6",
+                          "d9d8aff7504c364d692cfb7c8d30d0dd5d0732078a25cee087e5366737aa03f7"),
+        (17, 2, 3, 1, 4): ("3fc147a49f5a0df1460e7ab0dabdc4cce6a0eab4ac7582212550debfeae73efe",
+                           "084a5f7dd5730540100abbf4807e8d9d9af4d3b1d61a28ab7c7bfcad312becac"),
+        # 130 x 64 rows a channel: past numpy's 8192-element buffer for a strided reduction
+        (2, 3, 4, 64, 64): ("a7fae1358d8075e2e794aa7c635d218db5e7d9be761b6e5d019e0104a95f3585",
+                            "4414f0f4ef952b59d1cb9573a6b94baf166a845a9b630805ad881dc96a1c4735"),
+    }
+
+    @pytest.mark.parametrize("n, c, f, h, w", list(DIGESTS))
+    def test_logits_and_gradient_digests(self, n, c, f, h, w):
+        rng = Rng(derive_seed(63, n, c, f, h, w))
+        params = init_params(c, f, rng)
+        params.conv1_b[...] = rng.normal((f,))
+        params.conv2_b[...] = rng.normal((1,))
+        logits, cache = forward(params, rng.normal((n, c, h, w)))
+        grads = backward(params, cache, rng.normal((n, h, w)))
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (logits, grads))
+        assert got == self.DIGESTS[n, c, f, h, w]
 
 
 class TestFlatVector:

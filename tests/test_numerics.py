@@ -6,7 +6,10 @@ from oracles import (
     conv2d_backward_reference,
     conv2d_forward_reference,
     conv2d_reference,
+    conv_backward,
+    conv_forward,
     finite_diff_check,
+    on_grid,
     sigmoid_reference,
 )
 
@@ -61,14 +64,14 @@ class TestSigmoidMatchesMaskedReference:
 class TestConv2d:
     def test_identity_kernel(self):
         inp = np.arange(9.0).reshape(1, 3, 3)
-        out, _ = conv2d_forward(inp, np.ones((1, 1, 1, 1)), np.zeros(1))
+        out, _ = conv_forward(inp, np.ones((1, 1, 1, 1)), np.zeros(1))
         assert np.array_equal(out, inp)
 
     def test_zero_input_gives_bias(self):
         rng = Rng(0)
         kernels = rng.normal((4, 2, 3, 3))
         bias = np.array([1.0, -2.0, 0.5, 3.0])
-        out, _ = conv2d_forward(np.zeros((2, 5, 5)), kernels, bias)
+        out, _ = conv_forward(np.zeros((2, 5, 5)), kernels, bias)
         for fi in range(4):
             assert np.allclose(out[fi], bias[fi])
 
@@ -77,7 +80,7 @@ class TestConv2d:
         inp = rng.normal((2, 4, 4))
         kernels = rng.normal((3, 2, 3, 3))
         bias = rng.normal((3,))
-        out, _ = conv2d_forward(inp, kernels, bias)
+        out, _ = conv_forward(inp, kernels, bias)
         ref = conv2d_reference(inp, kernels, bias)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -91,7 +94,7 @@ class TestConv2d:
         inp = rng.normal((c, h, w))
         kernels = rng.normal((f, c, k, k))
         bias = rng.normal((f,))
-        out, _ = conv2d_forward(inp, kernels, bias)
+        out, _ = conv_forward(inp, kernels, bias)
         assert np.max(np.abs(out - conv2d_reference(inp, kernels, bias))) < 1e-12
 
     def test_linearity(self):
@@ -101,33 +104,33 @@ class TestConv2d:
         x = rng.normal((3, 6, 6))
         y = rng.normal((3, 6, 6))
         a, b = 1.7, -0.3
-        mixed, _ = conv2d_forward(a * x + b * y, kernels, bias)
-        ox, _ = conv2d_forward(x, kernels, bias)
-        oy, _ = conv2d_forward(y, kernels, bias)
+        mixed, _ = conv_forward(a * x + b * y, kernels, bias)
+        ox, _ = conv_forward(x, kernels, bias)
+        oy, _ = conv_forward(y, kernels, bias)
         assert np.max(np.abs(mixed - (a * ox + b * oy))) < 1e-12
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):
-            conv2d_forward(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+            conv_forward(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            conv2d_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
+            conv_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
 
 
 class TestConv2dBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = Rng(3)
-        out, cache = conv2d_forward(rng.normal((2, 4, 4)), rng.normal((3, 2, 3, 3)), rng.normal((3,)))
-        gi, gk, gb = conv2d_backward(cache, np.zeros_like(out))
+        out, cache = conv_forward(rng.normal((2, 4, 4)), rng.normal((3, 2, 3, 3)), rng.normal((3,)))
+        gi, gk, gb = conv_backward(cache, np.zeros_like(out))
         assert not gi.any() and not gk.any() and not gb.any()
 
     def test_1x1_kernel_grad_is_dot_product(self):
         rng = Rng(4)
         inp = rng.normal((1, 5, 5))
-        out, cache = conv2d_forward(inp, np.full((1, 1, 1, 1), 2.0), np.zeros(1))
+        out, cache = conv_forward(inp, np.full((1, 1, 1, 1), 2.0), np.zeros(1))
         upstream = rng.normal(out.shape)
-        _, gk, gb = conv2d_backward(cache, upstream)
+        _, gk, gb = conv_backward(cache, upstream)
         assert np.isclose(gk[0, 0, 0, 0], np.sum(inp * upstream))
         assert np.isclose(gb[0], upstream.sum())
 
@@ -147,8 +150,8 @@ class TestConv2dBackward:
             xi = flat[: sizes[0]].reshape(inp.shape)
             ki = flat[sizes[0] : sizes[0] + sizes[1]].reshape(kernels.shape)
             bi = flat[sizes[0] + sizes[1] :].reshape(bias.shape)
-            out, cache = conv2d_forward(xi, ki, bi)
-            gi, gk, gb = conv2d_backward(cache, upstream)
+            out, cache = conv_forward(xi, ki, bi)
+            gi, gk, gb = conv_backward(cache, upstream)
             loss = float(np.sum(out * upstream))
             return loss, np.concatenate([gi.ravel(), gk.ravel(), gb.ravel()])
 
@@ -164,8 +167,8 @@ def assert_conv_matches_reference(c, f, k, h, w):
     kernels = rng.normal((f, c, k, k))
     bias = rng.normal((f,))
     upstream = rng.normal((f, h, w))
-    out, cache = conv2d_forward(inp, kernels, bias)
-    got = (out, *conv2d_backward(cache, upstream))
+    out, cache = conv_forward(inp, kernels, bias)
+    got = (out, *conv_backward(cache, upstream))
     want = (
         conv2d_forward_reference(inp, kernels, bias),
         *conv2d_backward_reference(inp, kernels, upstream),
@@ -247,15 +250,51 @@ class TestConv2dBackwardWithoutInputGradient:
         inp = rng.normal((c, h, w))
         kernels = rng.normal((f, c, k, k))
         upstream = rng.normal((f, h, w))
-        _, cache = conv2d_forward(inp, kernels, rng.normal((f,)))
-        padded, up = cache.padded.copy(), upstream.copy()
-        gi, gk, gb = conv2d_backward(cache, upstream, input_grad=False)
+        _, cache = conv_forward(inp, kernels, rng.normal((f,)))
+        grid = on_grid(upstream, k // 2)
+        padded, up = cache.padded.copy(), grid.copy()
+        gi, gk, gb = conv2d_backward(cache, grid, input_grad=False)
         assert gi is None
         _, want_k, want_b = conv2d_backward_reference(inp, kernels, upstream)
         for got, want in ((gk, want_k), (gb, want_b)):
             assert got.shape == want.shape and got.dtype == np.float64 and got.flags.c_contiguous
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert same_bits(cache.padded, padded) and same_bits(upstream, up)
+        assert same_bits(cache.padded, padded) and same_bits(grid, up)
+
+
+class TestConv2dOnThePaddedGrid:
+    """Each conv takes its input on a `padded_grid` and returns its output, and the
+    backward its input gradient, on a grid of the same rows and width, zero outside
+    the interior, so the model hands one layer's grid to the next without a copy."""
+
+    @pytest.mark.parametrize(
+        "c, f, k, h, w", [(3, 8, 3, 12, 7), (8, 1, 3, 9, 5), (2, 3, 5, 4, 6), (3, 2, 1, 3, 2)]
+    )
+    def test_outputs_zero_outside_the_interior_and_inputs_unwritten(self, c, f, k, h, w):
+        rng, p = Rng(derive_seed(79, c, f, k, h, w)), k // 2
+        grid = on_grid(rng.normal((c, h, w)), p)
+        kernels, bias = rng.normal((f, c, k, k)), rng.normal((f,))
+        upstream = on_grid(rng.normal((f, h, w)), p)
+        before = grid.copy(), upstream.copy()
+        out, cache = conv2d_forward(grid, kernels, bias)
+        gi, _, _ = conv2d_backward(cache, upstream)
+        for got, channels in ((out, f), (gi, c)):
+            assert got.shape == (channels, *grid.shape[1:]) and got.flags.c_contiguous
+            border = np.ones(got.shape, bool)
+            border[:, p : p + h, p : p + w] = False
+            assert not got[border].any()
+        assert same_bits(grid, before[0]) and same_bits(upstream, before[1])
+
+    def test_an_array_too_small_to_be_a_grid_rejected(self):
+        with pytest.raises(ValueError, match="padded grid"):
+            conv2d_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match="padded grid"):
+            conv2d_forward(np.zeros((1, 40, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+
+    def test_upstream_off_the_output_grid_rejected(self):
+        _, cache = conv_forward(np.zeros((2, 4, 4)), np.zeros((3, 2, 3, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="output grid"):
+            conv2d_backward(cache, np.zeros((3, 4, 4)))
 
 
 class TestAdam:
