@@ -119,7 +119,7 @@ def assign_p_emp(assignment: np.ndarray, table: BinTable) -> np.ndarray:
     assignment = np.asarray(assignment)
     if assignment.size and (assignment.min() < 0 or assignment.max() >= table.n_bins):
         raise ValueError("bin assignment indices out of range for this table")
-    return table.prob_true[assignment].copy()
+    return table.prob_true[assignment]
 
 
 def ece(table: BinTable) -> float:

@@ -36,7 +36,7 @@ from ..pipeline import CAPE_PHASE, WARMUP_PHASE, EpochRecord
 DATASET_MAGIC = b"CAPESEG1"
 DATASET_VERSION = 1
 FLAG_TRUE_P = 1
-RECORD_CHUNK = 1 << 20  # bytes of records that `write_dataset` holds at a time
+RECORD_CHUNK = 1 << 20  # `read_chunks` yields float64 chunks of about half this many bytes
 
 CHECKPOINT_MAGIC = b"CAPECKP1"
 CHECKPOINT_VERSION = 1
@@ -76,27 +76,23 @@ def _record_dtype(c: int, h: int, w: int, has_true_p: bool) -> np.dtype:
     return np.dtype(fields)
 
 
-def _dataset_chunks(data: Dataset | DatasetStream):
-    """The header, then the records of each chunk of `data` about RECORD_CHUNK
-    bytes at a time, each filled into one buffer: `publish` writes a chunk
-    before it asks for the next."""
+def _dataset_chunks(data: DatasetStream):
+    """The header, then each chunk of `data` as one record array: `publish`
+    writes a chunk before it asks for the next."""
     c, h, w = data.shape
     flags = FLAG_TRUE_P if data.has_true_p else 0
     yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(data), c, h, w, flags)
     dtype = _record_dtype(c, h, w, data.has_true_p)
-    buffer = np.empty(min(len(data), max(1, RECORD_CHUNK // dtype.itemsize)), dtype)
     for chunk in data.chunks:
-        for start in range(0, len(chunk), len(buffer)):
-            records = buffer[: len(chunk) - start]
-            outcomes = chunk.outcomes[start : start + len(records)]
-            if not np.array_equal(outcomes, outcomes.astype(bool)):
-                raise ValueError("dataset outcomes are not strictly binary")
-            for name in dtype.names:  # inputs, outcomes and true_p, as the dataset names them
-                records[name] = getattr(chunk, name)[start : start + len(records)]
-            yield records.data
+        if not np.array_equal(chunk.outcomes, chunk.outcomes.astype(bool)):
+            raise ValueError("dataset outcomes are not strictly binary")
+        records = np.empty(len(chunk), dtype)
+        for name in dtype.names:  # inputs, outcomes and true_p, as the dataset names them
+            records[name] = getattr(chunk, name)
+        yield records.data
 
 
-def write_dataset(path, data: Dataset | DatasetStream) -> Written:
+def write_dataset(path, data: DatasetStream) -> Written:
     if len(data) == 0:
         raise ValueError("refusing to write an empty dataset")
     return publish(path, _dataset_chunks(data))

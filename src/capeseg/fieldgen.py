@@ -81,11 +81,6 @@ class Dataset:
     def has_true_p(self) -> bool:
         return self.true_p is not None
 
-    @property
-    def chunks(self) -> tuple[Dataset]:
-        """The dataset as a `DatasetStream` of one chunk."""
-        return (self,)
-
 
 @dataclass
 class DatasetStream:

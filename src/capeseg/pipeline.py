@@ -175,11 +175,9 @@ def kfold_rotation(
 def _split_targets(
     dataset: Dataset, idx: np.ndarray
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Flat outcomes and true probabilities (None when withheld) of the samples in idx:
-    views when idx is every sample in order, as when `evaluate` scores a whole file."""
-    rows = slice(None) if np.array_equal(idx, np.arange(len(dataset))) else idx
-    true_p = dataset.true_p[rows].ravel() if dataset.has_true_p else None
-    return dataset.outcomes[rows].ravel(), true_p
+    """Flat outcomes and true probabilities (None when withheld) of the samples in idx."""
+    true_p = dataset.true_p[idx].ravel() if dataset.has_true_p else None
+    return dataset.outcomes[idx].ravel(), true_p
 
 
 def _stacks(idx: np.ndarray, dataset: Dataset) -> list[np.ndarray]:

@@ -14,7 +14,15 @@ import numpy as np
 
 from capeseg.calibration import KL_EPS, bce_loss
 from capeseg.cli import storage
-from capeseg.fieldgen import CALIBRATION_FIELDS, OFFSET_HI, OFFSET_LO, OFFSET_TOL, P_CLAMP, Dataset
+from capeseg.fieldgen import (
+    CALIBRATION_FIELDS,
+    OFFSET_HI,
+    OFFSET_LO,
+    OFFSET_TOL,
+    P_CLAMP,
+    Dataset,
+    DatasetStream,
+)
 from capeseg.model import PROB_CLAMP, ModelParams, backward, forward, init_params
 from capeseg.numerics import (
     AdamState,
@@ -253,6 +261,11 @@ def standardize_per_field(fields):
             raise ValueError("degenerate constant field; cannot standardize")
         field /= sd
     return fields
+
+
+def one_chunk(dataset):
+    """A whole Dataset as a `DatasetStream` of one chunk, as `write_dataset` takes it."""
+    return DatasetStream(len(dataset), dataset.shape, dataset.has_true_p, (dataset,))
 
 
 def dataset_bytes_one_shot(dataset):

@@ -5,15 +5,17 @@ caller that stops looking one up silently zeroes its counters; these tests
 make both show up in the test suite instead.
 """
 
+import ast
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import capeseg
 from capeseg import cli, pipeline
 from capeseg.cli import storage
-from capeseg.fieldgen import FieldConfig, generate_dataset
+from capeseg.fieldgen import FieldConfig, generate_chunks, generate_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +48,31 @@ def test_tracer_targets_exist_and_workloads_import(tracing):
     import workloads
 
     assert set(workloads.WORKLOADS) == {"fold32", "sweep16", "data1m"}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names a module's import statements bind that its code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_names_imported_only_for_the_tracer_are_its_targets(tracing):
+    """A capeseg module imports a name it never uses only so that the tracer can
+    wrap it there; a name the tracer no longer wraps is a stale import."""
+    package = Path(capeseg.__file__).parent
+    targets = {(module.__name__, attr) for module, attr, *_ in tracing._targets()}
+    unused = set()
+    for path in package.rglob("*.py"):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        unused |= {(module, name) for name in unused_imports(path)}
+    assert unused - targets == set()
 
 
 def test_traced_fold_counts_its_phases_epochs_and_refreshes(tracing):
@@ -96,7 +123,7 @@ def test_traced_train_repeats_untraced_outputs_and_counts(tracing, tmp_path, mon
     writes the same outputs untraced and traced, and two traced runs make the
     same calls."""
     dataset = tmp_path / "dataset.bin"
-    storage.write_dataset(dataset, generate_dataset(
+    storage.write_dataset(dataset, generate_chunks(
         FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=21), 24
     ))
     config = tmp_path / "train.cfg"

@@ -16,14 +16,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import bce_continuation, read_epoch_csv, read_reliability_csv
+from oracles import bce_continuation, one_chunk, read_epoch_csv, read_reliability_csv
 
 import capeseg
 import capeseg.cli as cli_module
 from capeseg import pipeline
 from capeseg.cli import build_parser, main
 from capeseg.cli import configfile, storage, svg
-from capeseg.fieldgen import Dataset, FieldConfig, generate_dataset
+from capeseg.fieldgen import Dataset, FieldConfig, generate_chunks, generate_dataset
 from capeseg.model import ModelParams, init_params
 from capeseg.numerics import NumericError, Rng
 from capeseg.pipeline import (
@@ -247,7 +247,7 @@ class TestDatasetRoundTrip:
         cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
         ds = generate_dataset(cfg, 3)
         path = tmp_path / "d.bin"
-        storage.write_dataset(path, ds)
+        storage.write_dataset(path, one_chunk(ds))
         back = storage.read_dataset(path)
         assert len(back) == 3
         assert np.array_equal(ds.outcomes, back.outcomes)
@@ -256,9 +256,8 @@ class TestDatasetRoundTrip:
 
     def test_header_echoes_shape(self, tmp_path):
         cfg = FieldConfig(height=8, width=10, channels=2, length_scale=1.0, target_rate=0.3, seed=5)
-        ds = generate_dataset(cfg, 2)
         path = tmp_path / "d.bin"
-        storage.write_dataset(path, ds)
+        storage.write_dataset(path, generate_chunks(cfg, 2))
         back = storage.read_dataset(path)
         assert back.shape == (2, 8, 10)
         assert back.has_true_p
@@ -271,9 +270,8 @@ class TestDatasetRoundTrip:
 
     def test_truncated_body_rejected(self, tmp_path):
         cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
-        ds = generate_dataset(cfg, 2)
         path = tmp_path / "d.bin"
-        storage.write_dataset(path, ds)
+        storage.write_dataset(path, generate_chunks(cfg, 2))
         data = path.read_bytes()
         path.write_bytes(data[:-7])
         with pytest.raises(storage.FormatError, match="bytes"):
@@ -281,9 +279,8 @@ class TestDatasetRoundTrip:
 
     def test_unsupported_version_rejected(self, tmp_path):
         cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
-        ds = generate_dataset(cfg, 1)
         path = tmp_path / "d.bin"
-        storage.write_dataset(path, ds)
+        storage.write_dataset(path, generate_chunks(cfg, 1))
         data = bytearray(path.read_bytes())
         data[8] = 99  # version field follows the 8-byte magic
         path.write_bytes(bytes(data))
@@ -304,7 +301,7 @@ class TestDatasetRoundTrip:
     def test_bad_values_rejected(self, tmp_path, field, value, match):
         cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
         path = tmp_path / "d.bin"
-        storage.write_dataset(path, generate_dataset(cfg, 2))
+        storage.write_dataset(path, generate_chunks(cfg, 2))
         poke_dataset(path, path, field, value)
         with pytest.raises(storage.FormatError, match=f"sample 0 has {match}"):
             storage.read_dataset(path)
@@ -335,7 +332,7 @@ class TestDefectPrecedenceAcrossChunks:
         n = storage.RECORD_CHUNK // storage._record_dtype(1, 8, 8, True).itemsize + 3
         rng = Rng(4)
         dataset = Dataset(rng.normal((n, 1, 8, 8)), np.zeros((n, 8, 8)), rng.uniform((n, 8, 8)))
-        path = storage.write_dataset(tmp_path / "d.bin", dataset).path
+        path = storage.write_dataset(tmp_path / "d.bin", one_chunk(dataset)).path
         poke_dataset(path, path, "inputs", np.nan)
         poke_dataset(path, path, "outcomes", 2, sample=n - 2)
         return path, f"{path}: sample {n - 2} has non-binary outcome bytes"
@@ -422,7 +419,7 @@ class TestBinaryFormatsArePinned:
             outcomes=np.arange(12).reshape(2, 2, 3) % 2 * 1.0,
             true_p=np.arange(12).reshape(2, 2, 3) / 11 if with_true_p else None,
         )
-        written = storage.write_dataset(tmp_path / "d.bin", dataset)
+        written = storage.write_dataset(tmp_path / "d.bin", one_chunk(dataset))
         assert hashlib.sha256(written.path.read_bytes()).hexdigest() == sha256
 
 
@@ -853,7 +850,7 @@ class TestEvaluate:
         of the report on the dataset read whole."""
         cfg = FieldConfig(height=32, width=32, target_rate=0.2, seed=3)
         data, ckpt, out = tmp_path / "d.bin", tmp_path / "m.ckpt", tmp_path / "ev"
-        storage.write_dataset(data, generate_dataset(cfg, 100))
+        storage.write_dataset(data, generate_chunks(cfg, 100))
         params = init_params(3, 4, Rng(8))
         storage.write_checkpoint(ckpt, params)
         scored = ["--oracle"] if oracle else ["--checkpoint", str(ckpt)]
@@ -958,6 +955,53 @@ SWEEP_SMALL = dict(
     rates="0.2", sizes="18", lr=0.005, max_epochs=3, patience=1, batch_size=8,
     bins=8, folds=3, cape_epochs_override=2, hidden_channels=4, seed=23,
 )
+
+
+@pytest.fixture(scope="module")
+def withheld(dataset_dir, tmp_path_factory):
+    """GEN_SMALL's dataset written without true probabilities, and a `train` run on it."""
+    tmp = tmp_path_factory.mktemp("withheld")
+    ds = storage.read_dataset(dataset_dir / "dataset.bin")
+    data = storage.write_dataset(tmp / "d.bin", one_chunk(Dataset(ds.inputs, ds.outcomes))).path
+    cfg = write_config(tmp / "train.cfg", **TRAIN_SMALL)
+    run = tmp / "run"
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(run)]) == 0
+    return data, run
+
+
+class TestWithoutTrueProbabilities:
+    def test_train_leaves_the_kl_column_empty(self, withheld):
+        _, run = withheld
+        rows = csv_rows(run / "epochs.csv")
+        assert len(rows) > TRAIN_SMALL["cape_epochs_override"]
+        assert [row[storage.EPOCH_CSV_HEADER.index("kl")] for row in rows] == [""] * len(rows)
+
+    def test_plot_draws_no_kl_series(self, withheld, tmp_path):
+        _, run = withheld
+        out = tmp_path / "plots"
+        assert main(["plot", "--input", str(run / "epochs.csv"), "--out", str(out)]) == 0
+        root = ET.fromstring((out / "learning_curves.svg").read_text())
+        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+        assert len(polylines) == 6  # 3 metrics x (raw + smoothed)
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "brier" in labels and "kl" not in labels
+
+    def test_checkpoint_evaluation_reports_no_kl(self, withheld, tmp_path, capsys):
+        data, run = withheld
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--checkpoint", str(run / "cape_arm.ckpt"), "--dataset", str(data)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert " kl=n/a " in capsys.readouterr().out
+        metrics = dict(csv_rows(out / "metrics.csv"))
+        assert metrics["kl_true"] == "" and metrics["ece"] != ""
+
+    def test_oracle_is_format_error(self, withheld, tmp_path, capsys):
+        data, _ = withheld
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--oracle", "--dataset", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --oracle requires a dataset with true probabilities\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -1368,6 +1412,31 @@ class TestExitCodes:
         assert "smallest fold" in capsys.readouterr().err
         assert not (tmp_path / "o" / "epochs.csv").exists()
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scored", ["--checkpoint", "--oracle"])
+    def test_evaluate_bins_past_the_pixel_count_fails_before_any_prediction(
+        self, tmp_path, monkeypatch, capsys, scored
+    ):
+        """3 samples of 8x8 hold 192 pixels: 192 bins are scored, 193 exit 1 with
+        nothing predicted or scored and no --out."""
+        cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
+        data, ckpt = tmp_path / "d.bin", tmp_path / "m.ckpt"
+        storage.write_dataset(data, generate_chunks(cfg, 3))
+        storage.write_checkpoint(ckpt, init_params(3, 4, Rng(8)))
+        calls = []
+        for name in ("predict_split", "evaluate_predictions"):
+            original = getattr(cli_module, name)
+            spy = functools.partial(lambda f, *a, **k: calls.append(f) or f(*a, **k), original)
+            monkeypatch.setattr(cli_module, name, spy)
+        argv = ["evaluate", scored, *([str(ckpt)] if scored == "--checkpoint" else [])]
+        argv += ["--dataset", str(data)]
+        assert main([*argv, "--bins", "192", "--out", str(tmp_path / "ok")]) == 0
+        calls.clear()
+        out = tmp_path / "o"
+        assert main([*argv, "--bins", "193", "--out", str(out)]) == 1
+        assert calls == []
+        assert "--bins 193 exceeds the 192 pixels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_many_bins_for_smallest_sweep_size_fails_before_any_cell(
         self, tmp_path, monkeypatch, capsys

@@ -1,13 +1,14 @@
 """Large datasets in bounded memory, with the bytes of the one-shot forms.
 
 The per-pixel kernels work a chunk at a time but reduce over the same full
-array, `write_dataset` fills one buffer of records at a time, `generate` and
-`evaluate` stream the dataset file a chunk at a time, and the peaks are
-counted exactly by `tracemalloc`, which sees numpy's buffers.
+array, `write_dataset` turns a stream's chunks into records one at a time,
+`generate` and `evaluate` stream the dataset file a chunk at a time, and the
+peaks are counted exactly by `tracemalloc`, which sees numpy's buffers.
 """
 
 import hashlib
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,18 +16,25 @@ from oracles import (
     brier_score_one_shot,
     dataset_bytes_one_shot,
     kl_to_true_one_shot,
+    one_chunk,
     probabilities_one_shot,
 )
 
 from capeseg.calibration import KL_EPS, brier_score, kl_to_true
 from capeseg.cli import main, storage
-from capeseg.fieldgen import CHUNK_FIELDS, Dataset, FieldConfig, generate_chunks, generate_dataset
+from capeseg.fieldgen import (
+    CHUNK_FIELDS,
+    Dataset,
+    DatasetStream,
+    FieldConfig,
+    generate_chunks,
+    generate_dataset,
+)
 from capeseg.model import PROB_CLAMP, init_params, probabilities
 from capeseg.numerics import CHUNK, Rng
 from capeseg.pipeline import evaluate_arm
 
 SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
-MIB = 1 << 20
 
 
 def same_bytes(a, b) -> bool:
@@ -46,6 +54,17 @@ def random_dataset(rng: Rng, n: int, c: int, h: int, w: int, with_true_p: bool) 
     true_p = rng.uniform((n, h, w)) if with_true_p else None
     outcomes = (rng.uniform((n, h, w)) < 0.14).astype(np.float64)
     return Dataset(inputs=rng.normal((n, c, h, w)), outcomes=outcomes, true_p=true_p)
+
+
+def in_chunks(dataset: Dataset, sizes) -> DatasetStream:
+    """`dataset` as a stream of chunks of `sizes` samples, in order."""
+    at = np.cumsum([0, *sizes])
+    assert at[-1] == len(dataset)
+    chunks = [
+        Dataset(*(None if a is None else a[lo:hi] for a in astuple(dataset)))
+        for lo, hi in zip(at, at[1:])
+    ]
+    return DatasetStream(len(dataset), dataset.shape, dataset.has_true_p, chunks)
 
 
 def traced_peak(fn, *args) -> int:
@@ -87,13 +106,13 @@ class TestChunkedKernelsKeepTheirBytes:
 
 class TestDatasetChunks:
     @pytest.mark.parametrize("with_true_p", [True, False])
-    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
-    def test_sample_counts_around_the_record_chunk(self, tmp_path, with_true_p, chunks, extra):
-        """chunks * (the samples in one chunk) + extra samples."""
-        itemsize = storage._record_dtype(1, 8, 8, with_true_p).itemsize
-        n = chunks * (storage.RECORD_CHUNK // itemsize) + extra
-        dataset = random_dataset(Rng(n), n, 1, 8, 8, with_true_p)
-        written = storage.write_dataset(tmp_path / "d.bin", dataset)
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1, 1), (3, 1, 7), (CHUNK_FIELDS, CHUNK_FIELDS, 5)])
+    def test_uneven_chunks_keep_the_one_shot_bytes(self, tmp_path, with_true_p, sizes):
+        """However a stream cuts the samples into chunks, the file is that of the
+        records built as one array."""
+        n = sum(sizes)
+        dataset = random_dataset(Rng(n), n, 2, 8, 8, with_true_p)
+        written = storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset, sizes))
         data = (tmp_path / "d.bin").read_bytes()
         assert data == dataset_bytes_one_shot(dataset)
         assert written.sha256 == hashlib.sha256(data).hexdigest()
@@ -101,16 +120,15 @@ class TestDatasetChunks:
     def test_records_larger_than_a_chunk(self, tmp_path):
         dataset = random_dataset(Rng(2), 2, 1, 350, 350, True)
         assert storage._record_dtype(1, 350, 350, True).itemsize > storage.RECORD_CHUNK
-        storage.write_dataset(tmp_path / "d.bin", dataset)
+        storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset, (1, 1)))
         assert (tmp_path / "d.bin").read_bytes() == dataset_bytes_one_shot(dataset)
 
     def test_non_binary_outcomes_in_a_later_chunk_leave_no_file(self, tmp_path):
-        n = storage.RECORD_CHUNK // storage._record_dtype(1, 8, 8, True).itemsize + 1
-        dataset = random_dataset(Rng(3), n, 1, 8, 8, True)
+        dataset = random_dataset(Rng(3), 40, 1, 8, 8, True)
         dataset.outcomes[-1, 0, 0] = 0.5
         with pytest.raises(ValueError, match="strictly binary"):
-            storage.write_dataset(tmp_path / "d.bin", dataset)
-        assert not (tmp_path / "d.bin").exists()
+            storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset, (CHUNK_FIELDS, 5, 3)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMemoryBound:
@@ -119,19 +137,26 @@ class TestMemoryBound:
         return random_dataset(Rng(11), 200, 3, 32, 32, True)
 
     def test_evaluate_arm_holds_few_per_pixel_arrays(self, dataset):
-        """Predictions and one scratch array at a time, where the one-shot forms
-        held about eight float64 arrays of the pixel count."""
+        """On a shuffled split of all 200 samples, the predictions, the split's gathered
+        outcomes and true_p and one scratch array at a time make four float64 arrays
+        of the split's pixel count; one stack's conv scratch (about a third of one
+        here) stays within the fifth."""
         params = init_params(3, 8, Rng(12))
-        peak = traced_peak(evaluate_arm, params, dataset, np.arange(len(dataset)), 20)
-        assert peak <= 4 * 8 * dataset.outcomes.size
+        peak = traced_peak(evaluate_arm, params, dataset, Rng(13).permutation(len(dataset)), 20)
+        assert peak <= 5 * 8 * dataset.outcomes.size
 
-    def test_write_dataset_holds_one_chunk_of_records(self, dataset, tmp_path):
-        peak = traced_peak(storage.write_dataset, tmp_path / "d.bin", dataset)
-        assert (tmp_path / "d.bin").stat().st_size > storage.RECORD_CHUNK + MIB
-        assert peak < storage.RECORD_CHUNK + MIB
+    def test_write_dataset_holds_the_records_of_two_chunks(self, dataset, tmp_path):
+        """Records are made a chunk at a time, and those of the chunk just written
+        are held until `publish` has the next: two chunks' records, however long
+        the stream."""
+        sizes = [CHUNK_FIELDS] * (len(dataset) // CHUNK_FIELDS) + [len(dataset) % CHUNK_FIELDS]
+        records = CHUNK_FIELDS * storage._record_dtype(*dataset.shape, True).itemsize
+        peak = traced_peak(storage.write_dataset, tmp_path / "d.bin", in_chunks(dataset, sizes))
+        assert (tmp_path / "d.bin").stat().st_size > 6 * records
+        assert peak < 2 * records + 64 * 1024
 
     def test_read_dataset_holds_the_dataset_and_about_two_chunks(self, dataset, tmp_path):
-        storage.write_dataset(tmp_path / "d.bin", dataset)
+        storage.write_dataset(tmp_path / "d.bin", one_chunk(dataset))
         held = sum(a.nbytes for a in (dataset.inputs, dataset.outcomes, dataset.true_p))
         peak = traced_peak(storage.read_dataset, tmp_path / "d.bin")
         assert peak <= held + 2 * storage.RECORD_CHUNK
@@ -143,7 +168,7 @@ class TestMemoryBound:
         data, ckpt, n, peaks = tmp_path / "d.bin", tmp_path / "m.ckpt", 400, []
         scored = ["--oracle"] if oracle else ["--checkpoint", str(ckpt)]
         for c in (3, 12):
-            storage.write_dataset(data, random_dataset(Rng(c), n, c, 32, 32, True))
+            storage.write_dataset(data, one_chunk(random_dataset(Rng(c), n, c, 32, 32, True)))
             storage.write_checkpoint(ckpt, init_params(c, 8, Rng(1)))
             out = tmp_path / f"ev{c}"
             argv = ["evaluate", *scored, "--dataset", str(data), "--out", str(out)]
