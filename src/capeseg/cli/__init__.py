@@ -133,12 +133,11 @@ def cmd_evaluate(args) -> tuple[int, dict, int, list]:
                 f"checkpoint expects {params.in_channels} input channels, "
                 f"dataset has {data.shape[0]}"
             )
-    n_pixels = len(data) * data.shape[1] * data.shape[2]
-    if args.bins > n_pixels:
-        raise UsageError(f"--bins {args.bins} exceeds the {n_pixels} pixels of {args.dataset}")
 
     # The per-pixel arrays, filled a chunk at a time; the oracle scores true_p itself.
-    outcomes = np.empty(n_pixels)
+    outcomes = np.empty(len(data) * data.shape[1] * data.shape[2])
+    if args.bins > outcomes.size:
+        raise UsageError(f"--bins {args.bins} exceeds the {outcomes.size} pixels of {args.dataset}")
     true_p = np.empty_like(outcomes) if data.has_true_p else None
     preds = true_p if args.oracle else np.empty_like(outcomes)
     at = 0

@@ -90,6 +90,7 @@ def _dataset_chunks(data: DatasetStream):
         for name in dtype.names:  # inputs, outcomes and true_p, as the dataset names them
             records[name] = getattr(chunk, name)
         yield records.data
+        del chunk, records  # both go before the stream makes the next chunk
 
 
 def write_dataset(path, data: DatasetStream) -> Written:
@@ -243,6 +244,7 @@ def publish(path, chunks) -> Written:
             for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
+                del chunk  # before the producer makes the next
             size = fh.tell()
         if path.name != MANIFEST_NAME:
             (path.parent / MANIFEST_NAME).unlink(missing_ok=True)

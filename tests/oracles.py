@@ -263,9 +263,16 @@ def standardize_per_field(fields):
     return fields
 
 
-def one_chunk(dataset):
-    """A whole Dataset as a `DatasetStream` of one chunk, as `write_dataset` takes it."""
-    return DatasetStream(len(dataset), dataset.shape, dataset.has_true_p, (dataset,))
+def in_chunks(dataset, sizes=None):
+    """`dataset` as a `DatasetStream`, as `write_dataset` takes it: chunks of
+    `sizes` samples in order, viewing its arrays, or one chunk by default."""
+    at = np.cumsum([0, *(sizes or [len(dataset)])])
+    assert at[-1] == len(dataset)
+    arrays = vars(dataset).values()  # inputs, outcomes and true_p, in the order Dataset takes them
+    chunks = [
+        Dataset(*(None if a is None else a[lo:hi] for a in arrays)) for lo, hi in zip(at, at[1:])
+    ]
+    return DatasetStream(len(dataset), dataset.shape, dataset.has_true_p, chunks)
 
 
 def dataset_bytes_one_shot(dataset):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import bce_continuation, one_chunk, read_epoch_csv, read_reliability_csv
+from oracles import bce_continuation, in_chunks, read_epoch_csv, read_reliability_csv
 
 import capeseg
 import capeseg.cli as cli_module
@@ -247,7 +247,7 @@ class TestDatasetRoundTrip:
         cfg = FieldConfig(height=8, width=8, length_scale=1.0, target_rate=0.3, seed=5)
         ds = generate_dataset(cfg, 3)
         path = tmp_path / "d.bin"
-        storage.write_dataset(path, one_chunk(ds))
+        storage.write_dataset(path, in_chunks(ds))
         back = storage.read_dataset(path)
         assert len(back) == 3
         assert np.array_equal(ds.outcomes, back.outcomes)
@@ -332,7 +332,7 @@ class TestDefectPrecedenceAcrossChunks:
         n = storage.RECORD_CHUNK // storage._record_dtype(1, 8, 8, True).itemsize + 3
         rng = Rng(4)
         dataset = Dataset(rng.normal((n, 1, 8, 8)), np.zeros((n, 8, 8)), rng.uniform((n, 8, 8)))
-        path = storage.write_dataset(tmp_path / "d.bin", one_chunk(dataset)).path
+        path = storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset)).path
         poke_dataset(path, path, "inputs", np.nan)
         poke_dataset(path, path, "outcomes", 2, sample=n - 2)
         return path, f"{path}: sample {n - 2} has non-binary outcome bytes"
@@ -419,7 +419,7 @@ class TestBinaryFormatsArePinned:
             outcomes=np.arange(12).reshape(2, 2, 3) % 2 * 1.0,
             true_p=np.arange(12).reshape(2, 2, 3) / 11 if with_true_p else None,
         )
-        written = storage.write_dataset(tmp_path / "d.bin", one_chunk(dataset))
+        written = storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset))
         assert hashlib.sha256(written.path.read_bytes()).hexdigest() == sha256
 
 
@@ -962,7 +962,7 @@ def withheld(dataset_dir, tmp_path_factory):
     """GEN_SMALL's dataset written without true probabilities, and a `train` run on it."""
     tmp = tmp_path_factory.mktemp("withheld")
     ds = storage.read_dataset(dataset_dir / "dataset.bin")
-    data = storage.write_dataset(tmp / "d.bin", one_chunk(Dataset(ds.inputs, ds.outcomes))).path
+    data = storage.write_dataset(tmp / "d.bin", in_chunks(Dataset(ds.inputs, ds.outcomes))).path
     cfg = write_config(tmp / "train.cfg", **TRAIN_SMALL)
     run = tmp / "run"
     assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(run)]) == 0

@@ -8,28 +8,20 @@ peaks are counted exactly by `tracemalloc`, which sees numpy's buffers.
 
 import hashlib
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 from oracles import (
     brier_score_one_shot,
     dataset_bytes_one_shot,
+    in_chunks,
     kl_to_true_one_shot,
-    one_chunk,
     probabilities_one_shot,
 )
 
 from capeseg.calibration import KL_EPS, brier_score, kl_to_true
 from capeseg.cli import main, storage
-from capeseg.fieldgen import (
-    CHUNK_FIELDS,
-    Dataset,
-    DatasetStream,
-    FieldConfig,
-    generate_chunks,
-    generate_dataset,
-)
+from capeseg.fieldgen import CHUNK_FIELDS, Dataset, FieldConfig, generate_chunks, generate_dataset
 from capeseg.model import PROB_CLAMP, init_params, probabilities
 from capeseg.numerics import CHUNK, Rng
 from capeseg.pipeline import evaluate_arm
@@ -54,17 +46,6 @@ def random_dataset(rng: Rng, n: int, c: int, h: int, w: int, with_true_p: bool) 
     true_p = rng.uniform((n, h, w)) if with_true_p else None
     outcomes = (rng.uniform((n, h, w)) < 0.14).astype(np.float64)
     return Dataset(inputs=rng.normal((n, c, h, w)), outcomes=outcomes, true_p=true_p)
-
-
-def in_chunks(dataset: Dataset, sizes) -> DatasetStream:
-    """`dataset` as a stream of chunks of `sizes` samples, in order."""
-    at = np.cumsum([0, *sizes])
-    assert at[-1] == len(dataset)
-    chunks = [
-        Dataset(*(None if a is None else a[lo:hi] for a in astuple(dataset)))
-        for lo, hi in zip(at, at[1:])
-    ]
-    return DatasetStream(len(dataset), dataset.shape, dataset.has_true_p, chunks)
 
 
 def traced_peak(fn, *args) -> int:
@@ -145,18 +126,26 @@ class TestMemoryBound:
         peak = traced_peak(evaluate_arm, params, dataset, Rng(13).permutation(len(dataset)), 20)
         assert peak <= 5 * 8 * dataset.outcomes.size
 
-    def test_write_dataset_holds_the_records_of_two_chunks(self, dataset, tmp_path):
-        """Records are made a chunk at a time, and those of the chunk just written
-        are held until `publish` has the next: two chunks' records, however long
-        the stream."""
+    def test_write_dataset_holds_one_chunk_of_records(self, dataset, tmp_path):
+        """Records are made a chunk at a time, and each chunk's are let go before
+        the stream gives the next: one chunk's records, however long the stream."""
         sizes = [CHUNK_FIELDS] * (len(dataset) // CHUNK_FIELDS) + [len(dataset) % CHUNK_FIELDS]
         records = CHUNK_FIELDS * storage._record_dtype(*dataset.shape, True).itemsize
         peak = traced_peak(storage.write_dataset, tmp_path / "d.bin", in_chunks(dataset, sizes))
         assert (tmp_path / "d.bin").stat().st_size > 6 * records
-        assert peak < 2 * records + 64 * 1024
+        assert peak < records + 64 * 1024
+
+    def test_write_dataset_lets_each_chunk_go_before_the_next_is_made(self, tmp_path):
+        """Writing 200 generated samples of 3x32x32 peaks at what making one stack
+        takes; keeping a chunk and its records while the next is made would add 1.9 MB."""
+        config = FieldConfig(seed=3)
+        generate_dataset(config, 1)  # the imports of a first call are not the writer's
+        one_stack = traced_peak(next, iter(generate_chunks(config, CHUNK_FIELDS).chunks))
+        peak = traced_peak(storage.write_dataset, tmp_path / "d.bin", generate_chunks(config, 200))
+        assert peak <= one_stack + 64 * 1024
 
     def test_read_dataset_holds_the_dataset_and_about_two_chunks(self, dataset, tmp_path):
-        storage.write_dataset(tmp_path / "d.bin", one_chunk(dataset))
+        storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset))
         held = sum(a.nbytes for a in (dataset.inputs, dataset.outcomes, dataset.true_p))
         peak = traced_peak(storage.read_dataset, tmp_path / "d.bin")
         assert peak <= held + 2 * storage.RECORD_CHUNK
@@ -168,7 +157,7 @@ class TestMemoryBound:
         data, ckpt, n, peaks = tmp_path / "d.bin", tmp_path / "m.ckpt", 400, []
         scored = ["--oracle"] if oracle else ["--checkpoint", str(ckpt)]
         for c in (3, 12):
-            storage.write_dataset(data, one_chunk(random_dataset(Rng(c), n, c, 32, 32, True)))
+            storage.write_dataset(data, in_chunks(random_dataset(Rng(c), n, c, 32, 32, True)))
             storage.write_checkpoint(ckpt, init_params(c, 8, Rng(1)))
             out = tmp_path / f"ev{c}"
             argv = ["evaluate", *scored, "--dataset", str(data), "--out", str(out)]

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import one_chunk, read_epoch_csv, read_reliability_csv
+from oracles import in_chunks, read_epoch_csv, read_reliability_csv
 
 from capeseg.calibration import BinTable
 from capeseg.cli import storage
@@ -21,10 +21,6 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 MUTATIONS = settings(PROPERTY, max_examples=300)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FLOAT32_RANGE = st.floats(-3e38, 3e38, allow_nan=False)
-
-
-def write_whole_dataset(path, dataset):
-    return storage.write_dataset(path, one_chunk(dataset))
 
 
 def roundtrip(write, read, value):
@@ -73,7 +69,7 @@ def small_files():
         path = Path(tmp) / "file"
         storage.write_checkpoint(path, ModelParams(2, 1, flat))
         checkpoint = path.read_bytes()
-        storage.write_dataset(path, one_chunk(dataset))
+        storage.write_dataset(path, in_chunks(dataset))
         return checkpoint, path.read_bytes()
 
 
@@ -88,7 +84,7 @@ class TestStorageRoundTrips:
     @PROPERTY
     @given(datasets())
     def test_dataset_keeps_outcomes_and_float32_values(self, ds):
-        back = roundtrip(write_whole_dataset, storage.read_dataset, ds)
+        back = roundtrip(storage.write_dataset, storage.read_dataset, in_chunks(ds))
         assert back.inputs.shape == ds.inputs.shape
         assert np.array_equal(back.inputs, as_f32(ds.inputs))
         assert np.array_equal(back.outcomes, ds.outcomes)
@@ -161,4 +157,5 @@ class TestReadersAcceptOnlyWhatTheirWritersWrite:
     @MUTATIONS
     @given(mutated(DATASET_BYTES))
     def test_dataset(self, data):
-        self.check(write_whole_dataset, storage.read_dataset, data)
+        write = lambda path, ds: storage.write_dataset(path, in_chunks(ds))  # noqa: E731
+        self.check(write, storage.read_dataset, data)
