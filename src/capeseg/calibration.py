@@ -1,11 +1,13 @@
 """Quantile binning, calibration metrics (ECE, Brier, Bernoulli KL) and the
 soft-target cross-entropy used for calibration-aware training.
 
-Binning is rank-based: one value sort and one threshold search split the
-predictions into B contiguous rank runs of near-equal size (ties split by
-position), so every bin is non-empty whenever N >= B. The loss is a mean
-over pixels taken on logits and returned with its logit gradient.
-"""
+Binning is rank-based: one value sort gives the values that open bins 1..B-1,
+and a bucket table bins every prediction against them, in B contiguous rank
+runs of near-equal size (ties split by position), so no bin is empty for
+N >= B. The table is exact: its key clip(floor(x * BUCKETS), 0, BUCKETS - 1)
+is monotone, so the values in a bucket holding no opener's key share one bin,
+and only those in the at most B-1 buckets that hold one are searched. The
+loss is a mean over pixels taken on logits, returned with its logit gradient."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 from .numerics import CHUNK, as_f64, require_finite, sigmoid
 
 KL_EPS = 1e-6  # clamp for predicted probabilities in the KL metric
+BUCKETS = 1 << 13  # bin_assignment's table over [0, 1]; a power of two, so x * BUCKETS is exact
 
 
 @dataclass
@@ -51,6 +54,23 @@ class MetricsReport:
     bin_table: BinTable
 
 
+def _search_right(opening: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.searchsorted(opening, values, "right") by the bucket table, a CHUNK at a time."""
+    def bucket(v):  # monotone in v, and always an index into the table
+        return np.clip(np.multiply(v, BUCKETS), 0, BUCKETS - 1).astype(np.intp)
+
+    found = np.empty(values.size, dtype=np.intp)  # first: the sort's freed block fits it
+    keys = bucket(opening)
+    lookup = np.searchsorted(keys, np.arange(BUCKETS))  # the opener keys below each bucket
+    lookup[keys] = -1  # the buckets whose values are searched
+    for i in range(0, values.size, CHUNK):
+        x, out = values[i : i + CHUNK], found[i : i + CHUNK]
+        np.take(lookup, bucket(x), out=out, mode="clip")  # "raise" would buffer out
+        at = np.flatnonzero(out < 0)
+        out[at] = np.searchsorted(opening, x[at], side="right")
+    return found
+
+
 def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
     """Bin index (0..B-1) per prediction, by rank with ties broken by position.
 
@@ -72,7 +92,7 @@ def bin_assignment(predictions: np.ndarray, n_bins: int) -> np.ndarray:
     ties = set(opening[ranked[openers - 1] == opening].tolist())  # np.unique loads numpy.ma
     first_rank = {value: np.searchsorted(ranked, value) for value in ties}
     del ranked  # freed before the assignment is allocated
-    assignment = np.searchsorted(opening, predictions, side="right")
+    assignment = _search_right(opening, predictions)
     for value, first in first_rank.items():
         at = np.flatnonzero(predictions == value)
         assignment[at] = np.searchsorted(openers, first + np.arange(at.size), side="right")

@@ -13,6 +13,8 @@ from oracles import (
 )
 
 from capeseg.calibration import (
+    BUCKETS,
+    _search_right,
     assign_p_emp,
     bce_loss,
     bce_mean,
@@ -24,7 +26,8 @@ from capeseg.calibration import (
     evaluate_predictions,
     kl_to_true,
 )
-from capeseg.numerics import NumericError, Rng
+from capeseg.model import PROB_CLAMP
+from capeseg.numerics import CHUNK, NumericError, Rng
 
 
 class TestBuildBins:
@@ -446,6 +449,89 @@ class TestBinAssignmentMatchesStableSort:
     def test_non_finite_predictions_rejected(self, bad):
         with pytest.raises(NumericError, match="non-finite"):
             bin_assignment([0.2, bad, 0.7], 2)
+
+
+def opening_values(values, n_bins):
+    """The values that open bins 1..B-1: the sorted values at ranks ceil(b*N/B)."""
+    n = values.size
+    return np.sort(values)[((np.arange(n_bins + 1) * n + n_bins - 1) // n_bins)[1:-1]]
+
+
+def bucket_keys(values):
+    return np.clip(np.floor(np.asarray(values) * BUCKETS), 0, BUCKETS - 1)
+
+
+TINY = 2.2250738585072014e-308  # the smallest normal float64
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, TINY, TINY / 3, -TINY / 3, PROB_CLAMP, 1.0 - PROB_CLAMP,
+           1.0, np.nextafter(1.0, 0.0), -1.0, -0.25, 1.5, 7.0, 1e300, -1e300]
+
+
+def awkward_value():
+    """Values a bucket table could get wrong: signed zeros, subnormals, the model's
+    clamps, values outside [0, 1], bucket boundaries k/BUCKETS and their neighbours."""
+    boundary = st.integers(-2, BUCKETS + 2).map(lambda k: k / BUCKETS)
+    return st.one_of(
+        st.sampled_from(AWKWARD),
+        boundary,
+        boundary.map(lambda v: np.nextafter(v, -np.inf)),
+        boundary.map(lambda v: np.nextafter(v, np.inf)),
+        st.floats(-1e-307, 1e-307),
+        st.floats(-2.0, 3.0),
+    )
+
+
+class TestBucketTableIsExact:
+    """The bucket-table search against np.searchsorted, and bin_assignment against
+    the stable-argsort reference, on inputs chosen to defeat a bucket table."""
+
+    @staticmethod
+    def check(values, n_bins):
+        values = np.asarray(values, dtype=np.float64)
+        opening = opening_values(values, n_bins)
+        expected = np.searchsorted(opening, values, side="right")
+        assert np.array_equal(_search_right(opening, values), expected)
+        got = bin_assignment(values, n_bins)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, bin_assignment_reference(values, n_bins))
+
+    @PROPERTY
+    @given(st.lists(awkward_value(), min_size=1, max_size=150), st.data())
+    def test_awkward_values(self, values, data):
+        n = len(values)
+        self.check(values, data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n))))
+
+    @PROPERTY
+    @given(st.lists(awkward_value(), max_size=60), st.lists(awkward_value(), min_size=1,
+                                                           max_size=60))
+    def test_any_sorted_opening_against_any_values(self, opening, values):
+        opening, values = np.sort(np.array(opening, dtype=np.float64)), np.array(values)
+        expected = np.searchsorted(opening, values, side="right")
+        assert np.array_equal(_search_right(opening, values), expected)
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 20, 400, "n"])
+    @pytest.mark.parametrize("buckets", [1, 2])
+    def test_mass_in_one_or_two_buckets(self, buckets, n_bins):
+        """Once each bucket holds an opener's key, no value is read off the table."""
+        n = 4 * CHUNK + 7
+        values = 1234 / BUCKETS + Rng(buckets).uniform(n) * (buckets / BUCKETS)
+        n_bins = n if n_bins == "n" else n_bins
+        if n_bins > buckets:
+            assert np.isin(bucket_keys(values), bucket_keys(opening_values(values, n_bins))).all()
+        self.check(values, n_bins)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("n_bins", [1, 7, 400, "n"])
+    def test_several_chunks_and_an_uneven_tail(self, n, n_bins):
+        rng = Rng(n)
+        values = np.where(rng.uniform(n) < 0.5, rng.uniform(n) ** 6, rng.uniform(n))
+        values[::97] = PROB_CLAMP
+        values[1::89] = 1.0 - PROB_CLAMP
+        values[2::83] = np.floor(values[2::83] * BUCKETS) / BUCKETS
+        self.check(values, n if n_bins == "n" else n_bins)
+
+    @pytest.mark.parametrize("n_bins", [1, 3, 20])
+    def test_only_the_clamps(self, n_bins):
+        self.check(np.tile([PROB_CLAMP, 1.0 - PROB_CLAMP, PROB_CLAMP], 3 * CHUNK // 2), n_bins)
 
 
 def same_float_bits(a, b):

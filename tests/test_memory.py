@@ -19,7 +19,7 @@ from oracles import (
     probabilities_one_shot,
 )
 
-from capeseg.calibration import KL_EPS, brier_score, kl_to_true
+from capeseg.calibration import BUCKETS, KL_EPS, bin_assignment, brier_score, kl_to_true
 from capeseg.cli import main, storage
 from capeseg.fieldgen import CHUNK_FIELDS, Dataset, FieldConfig, generate_chunks, generate_dataset
 from capeseg.model import PROB_CLAMP, init_params, probabilities
@@ -125,6 +125,22 @@ class TestMemoryBound:
         params = init_params(3, 8, Rng(12))
         peak = traced_peak(evaluate_arm, params, dataset, Rng(13).permutation(len(dataset)), 20)
         assert peak <= 5 * 8 * dataset.outcomes.size
+
+    @pytest.mark.parametrize("n_bins", [20, 400])
+    @pytest.mark.parametrize("spread", ["uniform", "in_two_buckets"])
+    def test_bin_assignment_holds_one_per_pixel_array_the_table_and_chunk_scratch(
+        self, spread, n_bins
+    ):
+        """The sorted copy is let go before the assignment is made, and the bucket keys
+        and the searched values are made a CHUNK at a time, even when every value is
+        searched; whole-array keys would add 8 bytes a pixel."""
+        n = 4 * CHUNK + 7
+        preds = Rng(5).uniform(n)
+        if spread == "in_two_buckets":
+            preds = 0.3 + preds * (2 / BUCKETS)
+        bin_assignment(preds, n_bins)  # the imports of a first call are not the binning's
+        peak = traced_peak(bin_assignment, preds, n_bins)
+        assert peak <= 8 * n + 8 * BUCKETS + 4 * 8 * CHUNK
 
     def test_write_dataset_holds_one_chunk_of_records(self, dataset, tmp_path):
         """Records are made a chunk at a time, and each chunk's are let go before
