@@ -12,6 +12,7 @@ file and its digest. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
@@ -28,10 +29,10 @@ from ..pipeline import (
     TrainConfig,
     check_bins,
     predict_split,
-    record_helper,
     run_experiment,
     run_fold,
     split_kfold,
+    workers,
 )
 # Not called here, but perfbench/tracing.py wraps these names in this module.
 from ..fieldgen import generate_dataset  # noqa: F401
@@ -107,10 +108,11 @@ def cmd_train(args) -> tuple[int, dict, int, list]:
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
     folds = split_kfold(len(dataset), train_cfg.folds, train_cfg.seed)
-    try:
-        with record_helper(dataset) as submit:
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    try:  # records on a second core, where there is one, while this process trains
+        with workers(1 if len(cpus) > 1 else 0, dataset=dataset) as submit:
             run = run_fold(dataset, folds, 0, train_cfg, submit)
-    except BrokenExecutor:  # the helper died; the fold is deterministic, so rerun it here
+    except BrokenExecutor:  # the worker died; the fold is deterministic, so rerun it here
         run = run_fold(dataset, folds, 0, train_cfg)
     files = [storage.write_checkpoint(path, arm.params) for path, arm in zip(arm_paths, run.arms)]
     files.append(storage.write_epoch_csv(epochs_path, [r for arm in run.arms for r in arm.records]))

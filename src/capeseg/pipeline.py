@@ -213,38 +213,49 @@ def _epoch_record(
 
 
 def run_now(fn, *args, **kwargs) -> Future:
-    """The training loop's default `submit`: fn(*args, **kwargs) now, as a done
-    future. Jobs pass the dataset as `dataset=`, so a helper can use its own."""
+    """The training loop's default `submit` (and `workers(0)`'s): fn(*args, **kwargs)
+    now, as a done future. Jobs pass `dataset=`, so a worker can use the one it holds."""
     future: Future = Future()
     future.set_result(fn(*args, **kwargs))
     return future
 
 
-_helper: dict = {}  # in the record helper: {"dataset": the dataset inherited at fork}
+_inherited: dict = {}  # in a worker process: the values `workers` started it with
 
 
-def _on_helper(name: str, *args, **kwargs):
-    return globals()[name](*args, dataset=_helper["dataset"], **kwargs)
+def _inherit(values: dict) -> None:
+    _inherited.update(values)
+
+
+def _in_worker(fn, *args, **kwargs):
+    return fn(*args, **kwargs, **_inherited)
 
 
 @contextlib.contextmanager
-def record_helper(dataset: Dataset):
-    """A `submit` that runs jobs (this module's functions, looked up by name) on one
-    helper process while this one trains. The helper is forked, so it holds the
-    `dataset` it inherited rather than receiving it. Jobs run inline with one
-    usable CPU, and without fork or `os.sched_getaffinity` (macOS, Windows).
-    Once the helper died, `submit` and the results raise `BrokenExecutor`, and
-    the caller reruns its work inline."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+def workers(n: int, **inherited):
+    """A `submit(fn, *args, **kwargs)` that runs jobs on n processes, or inline (`run_now`)
+    when n < 1. Workers start holding `inherited`, which jobs take in place of the
+    caller's keyword arguments of those names (never sent). They fork where
+    `os.sched_getaffinity` exists (else start the default way). A job goes out once a
+    worker is free, so none waits queued; a dead worker's futures raise `BrokenExecutor`."""
+    if n < 1:
         yield run_now
         return
-    pool = ProcessPoolExecutor(  # forks at the first submit, before it starts a thread
-        1, multiprocessing.get_context("fork"), _helper.update, ({"dataset": dataset},)
-    )
+    context = multiprocessing.get_context("fork" if hasattr(os, "sched_getaffinity") else None)
+    pool = ProcessPoolExecutor(n, context, _inherit, (inherited,))
+    running: list[Future] = []
 
-    def submit(fn, *args, dataset, **kwargs):
-        return pool.submit(_on_helper, fn.__name__, *args, **kwargs)
+    def submit(fn, *args, **kwargs) -> Future:
+        running[:] = [f for f in running if not f.done()]
+        if len(running) >= n:
+            wait(running, return_when=FIRST_COMPLETED)
+        kwargs = {k: v for k, v in kwargs.items() if k not in inherited}
+        try:
+            running.append(pool.submit(_in_worker, fn, *args, **kwargs))
+        except BrokenExecutor as exc:  # a worker died before this job was handed over
+            running.append(Future())
+            running[-1].set_exception(exc)
+        return running[-1]
 
     try:
         yield submit
@@ -532,23 +543,10 @@ def run_experiment(
     tasks = [
         (field_base, rho, n, train_config, ci) for ci, (rho, n) in enumerate(grid)
     ]
+    n = min(threads, len(tasks))
     # Largest cells first (Graham's LPT rule), so a big cell does not start last and run alone.
-    order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
-    workers = min(threads, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    futures: dict[int, Future] = {}
-    try:  # a cell is submitted once a worker is free, so an interrupt leaves none queued
-        for ci in order:
-            running = [f for f in futures.values() if not f.done()]
-            if len(running) >= workers:
-                wait(running, return_when=FIRST_COMPLETED)
-            try:
-                futures[ci] = (pool.submit if pool else run_now)(_run_cell, tasks[ci])
-            except BrokenExecutor as exc:  # a worker died before this cell was submitted
-                futures[ci] = Future()
-                futures[ci].set_exception(exc)
+    with workers(n if n > 1 else 0) as submit:
+        order = sorted(range(len(tasks)), key=lambda ci: -tasks[ci][2])
+        futures = {ci: submit(_run_cell, tasks[ci]) for ci in order}
         cells = [_pooled_cell(futures[ci], t) for ci, t in enumerate(tasks)]
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
     return SweepResult(cells=cells)

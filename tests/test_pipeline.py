@@ -4,12 +4,17 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from oracles import bce_continuation, sample_forward
 
 from capeseg import pipeline
+from capeseg.cli import main, storage
 from capeseg.calibration import (
     assign_p_emp,
     bce_loss,
@@ -17,7 +22,7 @@ from capeseg.calibration import (
     build_bins,
     evaluate_predictions,
 )
-from capeseg.fieldgen import FieldConfig, generate_dataset
+from capeseg.fieldgen import FieldConfig, generate_chunks, generate_dataset
 from capeseg.model import init_params, predict, sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
@@ -32,6 +37,7 @@ from capeseg.pipeline import (
     split_kfold,
     train_cape,
     train_warmup,
+    workers,
 )
 
 
@@ -342,9 +348,9 @@ class TestRunExperiment:
         futures = []
 
         class PendingFuture(Future):
-            def __init__(self, fn, task):
+            def __init__(self, fn, args):
                 super().__init__()
-                self.run = lambda: self.set_result(fn(task))
+                self.run = lambda: self.set_result(fn(*args))
 
             def result(self, timeout=None):
                 if not self.done():
@@ -352,7 +358,7 @@ class TestRunExperiment:
                 return super().result(timeout)
 
         class SyncExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 pool.workers.append(max_workers)
 
             def __enter__(self):
@@ -361,12 +367,13 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, task):
+            def submit(self, fn, *args):
+                task = args[-1]
                 pool.calls += 1
                 if pool.broken_from is not None and pool.calls >= pool.broken_from:
                     raise BrokenProcessPool("a worker died")
                 pool.submitted.append(task[1:3])
-                futures.append(PendingFuture(fn, task))
+                futures.append(PendingFuture(fn, args))
                 pool.unfinished.append(sum(not f.done() for f in futures))
                 return futures[-1]
 
@@ -448,6 +455,75 @@ class TestRunExperiment:
         assert fold.fold == 1
         assert fold.warmup.stop_epoch == len(fold.warmup.records)
         assert fold.arms[1].records[0].epoch == fold.warmup.stop_epoch + 1
+
+
+def _held(x, guard):
+    """A job: the process it ran in, x, and whether the `guard` lock it got is held."""
+    return os.getpid(), x, guard.locked()
+
+
+class TestWorkers:
+    def test_no_workers_run_jobs_inline(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", None)  # a pool would fail
+        guard = threading.Lock()
+        with workers(0, guard=guard) as submit:
+            future = submit(_held, 3, guard=guard)
+            assert future.done()
+            assert not multiprocessing.active_children()
+        assert future.result() == (os.getpid(), 3, False)
+
+    def test_a_job_takes_the_inherited_object_and_never_the_callers(self):
+        """Locks cannot be pickled, so sending either lock would fail the job."""
+        held = threading.Lock()
+        held.acquire()
+        try:
+            with workers(1, guard=held) as submit:
+                pid, x, locked = submit(_held, 3, guard=threading.Lock()).result()
+        finally:
+            held.release()
+        assert (pid != os.getpid(), x, locked) == (True, 3, True)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_job_goes_out_only_when_a_worker_is_free(self, n):
+        futures, unfinished = [], []
+        with workers(n) as submit:
+            for _ in range(3):
+                futures.append(submit(time.sleep, 0.05))
+                unfinished.append(sum(not f.done() for f in futures))
+            assert [f.result() for f in futures] == [None] * 3
+        assert max(unfinished) <= n
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers fork only here")
+    def test_train_and_sweep_fork_their_workers(self, tmp_path, monkeypatch):
+        """Forked workers inherit the parent's patched names, as sweep tests need."""
+        pools, real_pool = [], pipeline.ProcessPoolExecutor
+
+        def spy(max_workers=None, mp_context=None, *args, **kwargs):
+            pools.append((max_workers, mp_context and mp_context.get_start_method()))
+            return real_pool(max_workers, mp_context, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
+        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=3)
+        storage.write_dataset(tmp_path / "d.bin", generate_chunks(field, 18))
+        train = (
+            "lr = 0.005\nmax_epochs = 2\npatience = 1\nbatch_size = 8\nbins = 8\nfolds = 3\n"
+            "cape_epochs_override = 1\nhidden_channels = 4\nseed = 5\n"
+        )
+        (tmp_path / "train.cfg").write_text(train, encoding="utf-8")
+        (tmp_path / "sweep.cfg").write_text(
+            train + "height = 16\nwidth = 16\nlength_scale = 2.0\nrates = 0.2,0.3\nsizes = 12\n",
+            encoding="utf-8",
+        )
+        assert main([
+            "train", "--config", str(tmp_path / "train.cfg"), "--dataset", str(tmp_path / "d.bin"),
+            "--out", str(tmp_path / "train"),
+        ]) == 0
+        assert main([
+            "sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "sweep"),
+            "--threads", "2",
+        ]) == 0
+        assert pools == [(1, "fork"), (2, "fork")]
 
 
 class TestTrainConfigValidation:
