@@ -12,7 +12,6 @@ file and its digest. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..calibration import evaluate_predictions
-from ..fieldgen import FieldConfig, generate_chunks
+from ..fieldgen import CHUNK_FIELDS, Dataset, FieldConfig, generate_chunks
 from ..model import probabilities
 from ..numerics import NumericError
 from ..pipeline import (
@@ -31,6 +30,8 @@ from ..pipeline import (
     predict_split,
     run_experiment,
     run_fold,
+    second_core,
+    shared,
     split_kfold,
     workers,
 )
@@ -86,15 +87,19 @@ def _prepare_outdir(args) -> list[Path]:
 def cmd_generate(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
     (path,) = _prepare_outdir(args)
-    data = generate_chunks(configfile.build(FieldConfig, cfg), cfg["n_samples"])
+    config = configfile.build(FieldConfig, cfg)
+    shape = (config.channels, config.height, config.width)
+    spare = Dataset.empty(CHUNK_FIELDS, shape, alloc=shared)  # the chunk a worker makes
     sample_rates = []  # each sample's event rate, taken as its chunk is written
+    with workers(second_core(), into=spare) as submit:  # on a second core, where there is one
+        data = generate_chunks(config, cfg["n_samples"], submit, spare)
 
-    def chunks():
-        for chunk in data.chunks:
-            sample_rates.append(chunk.outcomes.mean(axis=(1, 2)))
-            yield chunk
+        def chunks():
+            for chunk in data.chunks:
+                sample_rates.append(chunk.outcomes.mean(axis=(1, 2)))
+                yield chunk
 
-    written = storage.write_dataset(path, replace(data, chunks=chunks()))
+        written = storage.write_dataset(path, replace(data, chunks=chunks()))
     rate = float(np.concatenate(sample_rates).mean())
     print(f"wrote {written.path} ({len(data)} samples, event rate {rate:.4f})")
     return EXIT_OK, cfg, cfg["seed"], [written]
@@ -108,9 +113,8 @@ def cmd_train(args) -> tuple[int, dict, int, list]:
     check_bins(train_cfg, len(dataset), dataset.outcomes[0].size)
 
     folds = split_kfold(len(dataset), train_cfg.folds, train_cfg.seed)
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     try:  # records on a second core, where there is one, while this process trains
-        with workers(1 if len(cpus) > 1 else 0, dataset=dataset) as submit:
+        with workers(second_core(), dataset=dataset) as submit:
             run = run_fold(dataset, folds, 0, train_cfg, submit)
     except BrokenExecutor:  # the worker died; the fold is deterministic, so rerun it here
         run = run_fold(dataset, folds, 0, train_cfg)
@@ -121,6 +125,15 @@ def cmd_train(args) -> tuple[int, dict, int, list]:
         f"warm-up stopped at epoch {warm.stop_epoch} (best epoch {warm.best_epoch}); test ECE {eces}"
     )
     return EXIT_OK, cfg, train_cfg.seed, files
+
+
+def _predict_from(params, path, start: int, preds: np.ndarray) -> None:
+    """Predict the samples of dataset file `path` from `start` on, into the tail of preds."""
+    data = storage.read_chunks(path, start)
+    at = preds.size - len(data) * data.shape[1] * data.shape[2]
+    for chunk in data.chunks:
+        ours = probabilities(predict_split(params, chunk, np.arange(len(chunk))))
+        preds[at : at + ours.size], at = ours, at + ours.size
 
 
 def cmd_evaluate(args) -> tuple[int, dict, int, list]:
@@ -141,16 +154,25 @@ def cmd_evaluate(args) -> tuple[int, dict, int, list]:
     if args.bins > outcomes.size:
         raise UsageError(f"--bins {args.bins} exceeds the {outcomes.size} pixels of {args.dataset}")
     true_p = np.empty_like(outcomes) if data.has_true_p else None
-    preds = true_p if args.oracle else np.empty_like(outcomes)
-    at = 0
-    for chunk in data.chunks:
-        rows = slice(at, at + chunk.outcomes.size)
-        outcomes[rows] = chunk.outcomes.ravel()
-        if true_p is not None:
-            true_p[rows] = chunk.true_p.ravel()
-        if not args.oracle:
-            preds[rows] = probabilities(predict_split(params, chunk, np.arange(len(chunk))))
-        at = rows.stop
+    preds = true_p if args.oracle else shared(outcomes.shape)
+    helpers = 0 if args.oracle or len(data) < 2 else second_core()
+    mine = len(data) - helpers * (len(data) // 2)  # predicted here, the rest on a second core
+    with workers(helpers, preds=preds) as submit:
+        job = helpers and submit(_predict_from, params, args.dataset, mine, preds=preds)
+        at = first = 0
+        for chunk in data.chunks:
+            rows = slice(at, at + chunk.outcomes.size)
+            outcomes[rows] = chunk.outcomes.ravel()
+            if true_p is not None:
+                true_p[rows] = chunk.true_p.ravel()
+            if not args.oracle:  # the chunk's samples before `mine`
+                ours = predict_split(params, chunk, np.arange(min(len(chunk), mine - first)))
+                preds[at : at + ours.size] = probabilities(ours)
+            at, first = rows.stop, first + len(chunk)
+        try:
+            job and job.result()
+        except BrokenExecutor:  # the worker died; make its predictions here
+            _predict_from(params, args.dataset, mine, preds)
     if args.oracle and not (true_p.min() > 0.0 and true_p.max() < 1.0):
         raise FormatError(f"{args.dataset}: --oracle needs true probabilities inside (0, 1)")
     report = evaluate_predictions(preds, outcomes, true_p, args.bins)

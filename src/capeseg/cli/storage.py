@@ -99,9 +99,9 @@ def write_dataset(path, data: DatasetStream) -> Written:
     return publish(path, _dataset_chunks(data))
 
 
-def read_chunks(path) -> DatasetStream:
-    """A dataset file as a stream of float64 chunks, once its header, its size
-    and every record are checked in one streamed pass.
+def read_chunks(path, start: int = 0) -> DatasetStream:
+    """A dataset file's samples from `start` on as a stream of float64 chunks, once
+    its header, its size and their records are checked in one streamed pass.
 
     A corrupt file is a FormatError; so is a non-binary outcome, a non-finite
     input or a true_p outside [0, 1], reported in that order of precedence,
@@ -135,9 +135,9 @@ def read_chunks(path) -> DatasetStream:
 
     def records():
         with open(path, "rb") as fh:
-            fh.seek(_HEADER.size)
-            for start in range(0, n_samples, step):
-                yield np.fromfile(fh, dtype, min(step, n_samples - start))
+            fh.seek(_HEADER.size + start * dtype.itemsize)
+            for at in range(start, n_samples, step):
+                yield np.fromfile(fh, dtype, min(step, n_samples - at))
 
     checks = {
         "non-binary outcome bytes": lambda r: r["outcomes"] <= 1,
@@ -152,13 +152,13 @@ def read_chunks(path) -> DatasetStream:
     for what, per_chunk in good.items():
         bad = np.flatnonzero(~np.concatenate(per_chunk))
         if bad.size:
-            raise FormatError(f"{path}: sample {bad[0]} has {what}")
+            raise FormatError(f"{path}: sample {start + bad[0]} has {what}")
 
     def chunks():
         for chunk in records():  # inputs, outcomes and true_p, as the dataset names them
             yield Dataset(*(chunk[name].astype(np.float64) for name in dtype.names))
 
-    return DatasetStream(n_samples, (c, h, w), has_p, chunks())
+    return DatasetStream(n_samples - start, (c, h, w), has_p, chunks())
 
 
 def read_dataset(path) -> Dataset:
@@ -392,11 +392,6 @@ def write_reliability_csv(path, table: BinTable) -> Written:
 
 def write_metrics_csv(path, report: MetricsReport) -> Written:
     table = report.bin_table
-    rows = [
-        ("ece", report.ece),
-        ("brier", report.brier),
-        ("kl_true", report.kl_true),
-        ("n_pixels", table.n_pixels),
-        ("n_bins", table.n_bins),
-    ]
+    rows = [("ece", report.ece), ("brier", report.brier), ("kl_true", report.kl_true),
+            ("n_pixels", table.n_pixels), ("n_bins", table.n_bins)]
     return _write_csv(path, METRICS_CSV_HEADER, rows)

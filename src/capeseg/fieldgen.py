@@ -12,6 +12,7 @@ are informative about the latent probability without revealing it.
 from __future__ import annotations
 
 import math
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -23,6 +24,7 @@ P_CLAMP = 1e-6  # keeps logits finite and KL terms non-degenerate
 OFFSET_LO, OFFSET_HI = -20.0, 20.0
 OFFSET_TOL = 2.5e-4  # stop tolerance on |pool rate - target|; contract is 1e-3
 CALIBRATION_FIELDS = 500  # fields pooled when tuning the offset
+OFFSET_BINS = 4096  # equal bins of the pool, which bound most bisection steps' rates
 CHUNK_FIELDS = 32  # fields smoothed per stack, which keeps the working set cache-sized
 
 # Sub-stream keys under a dataset seed.
@@ -73,6 +75,16 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    @classmethod
+    def empty(cls, n: int, shape, has_true_p: bool = True, alloc=np.empty) -> Dataset:
+        """n unfilled samples of `shape` (C, H, W), in arrays that alloc(shape) makes."""
+        c, h, w = shape
+        return cls(alloc((n, c, h, w)), alloc((n, h, w)), alloc((n, h, w)) if has_true_p else None)
+
+    def head(self, n: int) -> Dataset:  # the first n samples, as views
+        true_p = self.true_p[:n] if self.has_true_p else None
+        return Dataset(self.inputs[:n], self.outcomes[:n], true_p)
+
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.inputs.shape[1:]
@@ -85,7 +97,7 @@ class Dataset:
 @dataclass
 class DatasetStream:
     """n_samples samples of one (C, H, W) shape, made or read a chunk at a time:
-    `chunks` yields them once, in order, as Datasets."""
+    `chunks` yields them once, in order, as Datasets, each valid until the next is drawn."""
 
     n_samples: int
     shape: tuple[int, int, int]
@@ -97,9 +109,7 @@ class DatasetStream:
 
     def assemble(self) -> Dataset:
         """The samples in one Dataset, each chunk copied in and let go before the next."""
-        n, (c, h, w) = self.n_samples, self.shape
-        true_p = np.empty((n, h, w)) if self.has_true_p else None
-        ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), true_p)
+        ds = Dataset.empty(self.n_samples, self.shape, self.has_true_p)
         at = 0
         for chunk in self.chunks:
             rows = slice(at, at + len(chunk))
@@ -148,7 +158,9 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
     The mean is estimated over a fixed pool of fresh fields and is
     strictly increasing in b, so bisection over [-20, 20] converges; the
     stop tolerance is tighter than the contract so that pool sampling
-    noise does not eat the downstream event-rate budget.
+    noise does not eat the downstream event-rate budget. A step whose
+    bounds from the binned pool lie on one side of the band needs no full
+    pass; their 1e-9 margin dwarfs the full pass's rounding (below 1e-12).
     """
     rho = config.target_rate
     kernel = _gaussian_kernel(config)
@@ -157,35 +169,35 @@ def calibrate_offset(config: FieldConfig, rng: Rng) -> float:
         _smooth_fields(pool[start : start + CHUNK_FIELDS], kernel)
     pool *= config.gain
     flat, rates = pool.ravel(), np.empty(pool.size)
+    counts, edges = np.histogram(flat, OFFSET_BINS)
+    shares = counts / flat.size
 
-    def mean_rate(b: float) -> float:  # the rates a chunk at a time, then one mean over all
-        for i in range(0, flat.size, CHUNK):
+    def mean_rate(b: float, band: float) -> float:  # or a bound on it past `band`, on its side
+        at_edges = sigmoid(edges + b)  # each value lies between its bin's edges
+        low, high = shares @ at_edges[:-1] - 1e-9, shares @ at_edges[1:] + 1e-9
+        if high - rho < -band or low - rho > band:
+            return high if high < rho else low
+        for i in range(0, flat.size, CHUNK):  # the rates a chunk at a time, then one mean over all
             rates[i : i + CHUNK] = sigmoid(flat[i : i + CHUNK] + b)
         return float(np.mean(rates))
 
     lo, hi = OFFSET_LO, OFFSET_HI
-    if not mean_rate(lo) < rho < mean_rate(hi):
-        raise ValueError(
-            f"cannot bracket target rate {rho} with offsets in [{lo}, {hi}]"
-        )
+    if not mean_rate(lo, 0.0) < rho < mean_rate(hi, 0.0):
+        raise ValueError(f"cannot bracket target rate {rho} with offsets in [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        rate = mean_rate(mid)
+        rate = mean_rate(mid, OFFSET_TOL)
         if abs(rate - rho) <= OFFSET_TOL:
             return mid
-        if rate < rho:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if rate < rho else (lo, mid)
     raise ValueError(f"offset bisection failed to reach tolerance {OFFSET_TOL}")
 
 
-def _make_samples(config: FieldConfig, rngs: list[Rng], offset: float) -> Dataset:
-    """Sample j from stream rngs[j], which draws field noise, outcome uniforms,
-    then per-channel input noise. true_p is clamped away from 0 and 1 so
+def _make_samples(config: FieldConfig, rngs: list[Rng], offset: float, ds: Dataset) -> None:
+    """Fill ds with sample j from stream rngs[j], which draws field noise, outcome
+    uniforms, then per-channel input noise. true_p is clamped away from 0 and 1 so
     logits stay finite."""
     n, c, h, w = len(rngs), config.channels, config.height, config.width
-    ds = Dataset(np.empty((n, c, h, w)), np.empty((n, h, w)), np.empty((n, h, w)))
     g = np.empty((n, h, w))
     for j, rng in enumerate(rngs):
         g[j] = rng.normal((h, w))
@@ -197,38 +209,58 @@ def _make_samples(config: FieldConfig, rngs: list[Rng], offset: float) -> Datase
     np.less(ds.outcomes, ds.true_p, out=ds.outcomes)
     ds.inputs *= config.obs_noise
     ds.inputs += g[:, None]
-    return ds
 
 
 def make_sample(
     config: FieldConfig, rng: Rng, offset: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One sample as (inputs C x H x W, binary outcomes H x W, true_p H x W)."""
-    ds = _make_samples(config, [rng], offset)
+    ds = Dataset.empty(1, (config.channels, config.height, config.width))
+    _make_samples(config, [rng], offset, ds)
     return ds.inputs[0], ds.outcomes[0], ds.true_p[0]
 
 
-def generate_chunks(config: FieldConfig, n_samples: int) -> DatasetStream:
+def _make_chunk(config: FieldConfig, offset: float, ids: range, into: Dataset) -> None:
+    """Samples `ids` into the first rows of `into`, sample i from sample sub-stream i."""
+    root = Rng(config.seed)
+    _make_samples(config, [root.child(_STREAM_SAMPLE, i) for i in ids], offset, into.head(len(ids)))
+
+
+def generate_chunks(config: FieldConfig, n_samples: int, submit=None, spare=None) -> DatasetStream:
     """n_samples independent samples under one calibrated offset, made
-    CHUNK_FIELDS at a time as the stream is read.
+    CHUNK_FIELDS at a time as the stream is read. With a `submit` whose
+    worker holds `spare` (see `pipeline.workers`), a Dataset of CHUNK_FIELDS
+    samples, every second chunk is made there, into it (here if it dies).
 
     Fully determined by config.seed: the offset uses one sub-stream,
     and sample i draws from a sub-stream keyed by i, so generation order
-    (or parallelism) cannot change the result. The offset is calibrated
-    before this returns.
+    (or parallelism) cannot change the result. The offset is calibrated,
+    and the second chunk submitted, before this returns.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    root = Rng(config.seed)
-    offset = calibrate_offset(config, root.child(_STREAM_CALIBRATE))
-
-    def chunks():
-        for start in range(0, n_samples, CHUNK_FIELDS):
-            ids = range(start, min(start + CHUNK_FIELDS, n_samples))
-            yield _make_samples(config, [root.child(_STREAM_SAMPLE, i) for i in ids], offset)
-
+    offset = calibrate_offset(config, Rng(config.seed).child(_STREAM_CALIBRATE))
     shape = (config.channels, config.height, config.width)
-    return DatasetStream(n_samples, shape, True, chunks())
+    runs = [range(i, min(i + CHUNK_FIELDS, n_samples)) for i in range(0, n_samples, CHUNK_FIELDS)]
+
+    def made_there(k: int):  # the job making run k into the spare, if there is a run k
+        return submit(_make_chunk, config, offset, runs[k], into=spare) if k < len(runs) else None
+
+    def chunks(job):
+        here = Dataset.empty(len(runs[0]), shape)  # the chunk this process makes
+        for k, ids in enumerate(runs):
+            if submit is None or k % 2 == 0:
+                _make_chunk(config, offset, ids, here)
+                yield here.head(len(ids))
+                continue
+            try:
+                job.result()
+            except BrokenExecutor:  # the worker died; make the chunk here
+                _make_chunk(config, offset, ids, spare)
+            yield spare.head(len(ids))
+            job = made_there(k + 2)
+
+    return DatasetStream(n_samples, shape, True, chunks(submit and made_there(1)))
 
 
 def generate_dataset(config: FieldConfig, n_samples: int) -> Dataset:

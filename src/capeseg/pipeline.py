@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import multiprocessing
 import os
 import traceback
@@ -231,6 +232,17 @@ def _in_worker(fn, *args, **kwargs):
     return fn(*args, **kwargs, **_inherited)
 
 
+def second_core() -> int:
+    """The workers a command runs beside this process: 1 where a second usable CPU can
+    take a forked one, else 0 (one usable CPU, or no `os.sched_getaffinity`)."""
+    return int(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+
+
+def shared(shape) -> np.ndarray:
+    """A float64 array in anonymous shared memory, written by the workers forked after it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+
 @contextlib.contextmanager
 def workers(n: int, **inherited):
     """A `submit(fn, *args, **kwargs)` that runs jobs on n processes, or inline (`run_now`)
@@ -433,23 +445,12 @@ class SweepResult:
 
     def rows(self) -> list[dict]:
         """Flat per-fold rows for the sweep CSV, in grid-then-fold order."""
-        out = []
-        for cell in self.cells:
-            for f in cell.folds:
-                for arm in f.arms:
-                    out.append(
-                        {
-                            "rho": cell.target_rate,
-                            "n": cell.n_samples,
-                            "fold": f.fold,
-                            "arm": arm.name,
-                            "ece": arm.report.ece,
-                            "brier": arm.report.brier,
-                            "kl": arm.report.kl_true,
-                            "stop_epoch": f.warmup.stop_epoch,
-                        }
-                    )
-        return out
+        return [
+            {"rho": cell.target_rate, "n": cell.n_samples, "fold": f.fold, "arm": arm.name,
+             "ece": arm.report.ece, "brier": arm.report.brier, "kl": arm.report.kl_true,
+             "stop_epoch": f.warmup.stop_epoch}
+            for cell in self.cells for f in cell.folds for arm in f.arms
+        ]
 
     @property
     def failures(self) -> list[CellResult]:

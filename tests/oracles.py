@@ -402,6 +402,12 @@ def calibrate_offset_reference(config, rng):
     pool = np.stack([smooth_field_reference(config, rng) for _ in range(CALIBRATION_FIELDS)])
     scaled = config.gain * pool
     lo, hi = OFFSET_LO, OFFSET_HI
+    if not np.mean(sigmoid_reference(scaled + lo)) < config.target_rate < np.mean(
+        sigmoid_reference(scaled + hi)
+    ):
+        raise ValueError(
+            f"cannot bracket target rate {config.target_rate} with offsets in [{lo}, {hi}]"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rate = float(np.mean(sigmoid_reference(scaled + mid)))

@@ -20,10 +20,10 @@ from oracles import bce_continuation, in_chunks, read_epoch_csv, read_reliabilit
 
 import capeseg
 import capeseg.cli as cli_module
-from capeseg import pipeline
+from capeseg import fieldgen, pipeline
 from capeseg.cli import build_parser, main
 from capeseg.cli import configfile, storage, svg
-from capeseg.fieldgen import Dataset, FieldConfig, generate_chunks, generate_dataset
+from capeseg.fieldgen import CHUNK_FIELDS, Dataset, FieldConfig, generate_chunks, generate_dataset
 from capeseg.model import ModelParams, init_params
 from capeseg.numerics import NumericError, Rng
 from capeseg.pipeline import (
@@ -824,6 +824,128 @@ class TestRecordHelper:
         code, out, _ = self.run_train(dataset_dir, tmp_path, monkeypatch, capsys, 1, "inline")
         assert (code, calls) == (3, [1, 2])
         assert not out.exists()
+
+
+GEN_TINY = dict(height=8, width=8, channels=2, length_scale=1.0, target_rate=0.3, seed=4)
+CPUS = (1, 2, "bare")  # usable CPUs, or "bare": no os.sched_getaffinity
+
+
+class TestSecondCore:
+    """`generate` makes every second chunk, and `evaluate --checkpoint` predicts the
+    second half of the samples, on a forked worker when two CPUs are usable. Their
+    outputs and stdout are those of one usable CPU, and of a platform without
+    `os.sched_getaffinity`, where both run inline."""
+
+    def run(self, monkeypatch, capsys, cpus, argv):
+        with monkeypatch.context() as m:
+            if cpus == "bare":
+                m.delattr(pipeline.os, "sched_getaffinity")
+            else:
+                m.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            code = main([*argv, "--force"])
+        return code, capsys.readouterr().out
+
+    def jobs_by_process(self, monkeypatch, record, die=False):
+        """Log the pid of every chunk and every prediction job to `record`; with `die`,
+        a worker that is handed one exits on the spot."""
+        parent = os.getpid()
+
+        def logged(module, name):
+            real = getattr(module, name)
+
+            @functools.wraps(real)
+            def job(*args, **kwargs):
+                with open(record, "a", encoding="utf-8") as fh:
+                    fh.write(f"{name} {os.getpid() != parent}\n")
+                if die and os.getpid() != parent:
+                    os._exit(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, job)
+
+        logged(fieldgen, "_make_chunk")
+        logged(cli_module, "_predict_from")
+
+    def outputs(self, monkeypatch, capsys, tmp_path, cpus, n):
+        """Exit codes, stdout and output bytes of `generate` then `evaluate` of n samples."""
+        cfg = write_config(tmp_path / "gen.cfg", **GEN_TINY, n_samples=n)
+        ckpt = tmp_path / "m.ckpt"
+        storage.write_checkpoint(ckpt, init_params(2, 4, Rng(3)))
+        data, scores = tmp_path / "data", tmp_path / "eval"
+        generate = ["generate", "--config", cfg, "--out", str(data)]
+        generated = self.run(monkeypatch, capsys, cpus, generate)
+        evaluated = self.run(monkeypatch, capsys, cpus, [
+            "evaluate", "--checkpoint", str(ckpt), "--dataset", str(data / "dataset.bin"),
+            "--out", str(scores),
+        ])
+        files = [data / "dataset.bin", scores / "metrics.csv", scores / "reliability.csv"]
+        return generated, evaluated, [f.read_bytes() for f in files]
+
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK_FIELDS - 1, CHUNK_FIELDS, CHUNK_FIELDS + 1, 2 * CHUNK_FIELDS + 1]
+    )
+    def test_outputs_are_byte_identical(self, tmp_path, monkeypatch, capsys, n):
+        record = tmp_path / "jobs.txt"
+        self.jobs_by_process(monkeypatch, record)
+        runs = []
+        for cpus in CPUS:
+            record.write_text("")
+            runs.append(self.outputs(monkeypatch, capsys, tmp_path, cpus, n))
+            jobs = record.read_text().splitlines()
+            forked = {line.split()[0] for line in jobs if line.endswith("True")}
+            expected = {"_make_chunk"} if n > CHUNK_FIELDS else set()
+            expected |= {"_predict_from"} if n > 1 else set()
+            assert forked == (expected if cpus == 2 else set()), cpus
+        assert runs[0][0][0] == runs[0][1][0] == 0
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_a_file_without_true_p_scores_the_same(self, tmp_path, monkeypatch, capsys):
+        n = 2 * CHUNK_FIELDS + 1
+        full = generate_dataset(FieldConfig(**GEN_TINY), n)
+        data = tmp_path / "d.bin"
+        storage.write_dataset(data, in_chunks(Dataset(full.inputs, full.outcomes), [n]))
+        ckpt = tmp_path / "m.ckpt"
+        storage.write_checkpoint(ckpt, init_params(2, 4, Rng(3)))
+        runs = []
+        for cpus in CPUS:
+            out = tmp_path / "eval"
+            code, stdout = self.run(monkeypatch, capsys, cpus, [
+                "evaluate", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out),
+            ])
+            runs.append((code, stdout, (out / "metrics.csv").read_bytes(),
+                         (out / "reliability.csv").read_bytes()))
+        assert runs[0][0] == 0 and "kl=n/a" in runs[0][1]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_a_dead_worker_gives_the_inline_bytes(self, tmp_path, monkeypatch, capsys):
+        """The chunks and predictions of a worker that died are made here."""
+        n = 3 * CHUNK_FIELDS + 1
+        inline = self.outputs(monkeypatch, capsys, tmp_path, 1, n)
+        record = tmp_path / "jobs.txt"
+        self.jobs_by_process(monkeypatch, record, die=True)
+        assert self.outputs(monkeypatch, capsys, tmp_path, 2, n) == inline
+        jobs = set(record.read_text().splitlines())
+        assert jobs == {f"{name} {forked}" for name in ("_make_chunk", "_predict_from")
+                        for forked in (True, False)}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads open files from /proc")
+    def test_the_worker_holds_no_output_temporary(self, tmp_path, monkeypatch, capsys):
+        """It forks before `publish` opens dataset.bin's temporary."""
+        record, parent, real = tmp_path / "fds.txt", os.getpid(), fieldgen._make_chunk
+
+        @functools.wraps(real)
+        def job(*args, **kwargs):
+            if os.getpid() != parent:
+                fds = os.listdir("/proc/self/fd")
+                with open(record, "a", encoding="utf-8") as fh:
+                    fh.writelines(os.path.realpath(f"/proc/self/fd/{fd}") + "\n" for fd in fds)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fieldgen, "_make_chunk", job)
+        generated, _, _ = self.outputs(monkeypatch, capsys, tmp_path, 2, 3 * CHUNK_FIELDS)
+        held = record.read_text().splitlines()
+        assert generated[0] == 0 and held
+        assert not [path for path in held if path.endswith(".tmp")]
 
 
 class TestEvaluate:

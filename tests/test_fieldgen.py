@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     calibrate_offset_reference,
     generate_dataset_reference,
@@ -8,8 +10,11 @@ from oracles import (
     standardize_per_field,
 )
 
+from capeseg import fieldgen
 from capeseg.fieldgen import (
+    CALIBRATION_FIELDS,
     CHUNK_FIELDS,
+    OFFSET_BINS,
     FieldConfig,
     _gaussian_kernel,
     _smooth_fields,
@@ -92,6 +97,52 @@ class TestCalibrateOffset:
         ds = generate_dataset(cfg, 250)
         rate = float(ds.outcomes.mean())
         assert lo <= rate <= hi
+
+
+@st.composite
+def calibration_configs(draw):
+    """Fields of 4 to 48 pixels a side, any length scale whose kernel fits them,
+    gains 0.5 to 6 and target rates 0.002 to 0.998."""
+    height, width = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+    reach = (min(height, width) - 1) // 2  # ceil(3 * length_scale) may not exceed it
+    return FieldConfig(
+        height=height, width=width, length_scale=draw(st.floats(0.05, (reach - 0.01) / 3)),
+        gain=draw(st.floats(0.5, 6.0)), target_rate=draw(st.floats(0.002, 0.998)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestBinnedBisection:
+    """Most bisection steps are decided from the binned pool's bounds on its rate;
+    the steps left take the full pass, and every decision is the full pass's."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(calibration_configs())
+    @example(FieldConfig(gain=200.0, target_rate=0.001, seed=4))  # cannot be bracketed
+    def test_offset_is_the_full_pass_bisections(self, cfg):
+        try:
+            expected = calibrate_offset_reference(cfg, Rng(cfg.seed).child(0))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                calibrate_offset(cfg, Rng(cfg.seed).child(0))
+            assert str(got.value) == str(exc)
+            return
+        assert calibrate_offset(cfg, Rng(cfg.seed).child(0)) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_data1m_config_takes_at_most_two_full_passes(self, monkeypatch, seed):
+        """The full pass feeds the pool to `sigmoid`; the bounds feed it the bin edges."""
+        sizes, real_sigmoid = [], fieldgen.sigmoid
+
+        def sigmoid(x, *args):
+            sizes.append(x.size)
+            return real_sigmoid(x, *args)
+
+        monkeypatch.setattr(fieldgen, "sigmoid", sigmoid)
+        cfg = FieldConfig(length_scale=4.0, gain=2.0, target_rate=0.14, obs_noise=1.0, seed=seed)
+        calibrate_offset(cfg, Rng(seed).child(0))
+        pool_values = sum(n for n in sizes if n != OFFSET_BINS + 1)
+        assert 0 < pool_values <= 2 * CALIBRATION_FIELDS * 32 * 32
 
 
 class TestMakeSample:

@@ -14,7 +14,7 @@ import pytest
 from oracles import bce_continuation, sample_forward
 
 from capeseg import pipeline
-from capeseg.cli import main, storage
+from capeseg.cli import main
 from capeseg.calibration import (
     assign_p_emp,
     bce_loss,
@@ -22,7 +22,7 @@ from capeseg.calibration import (
     build_bins,
     evaluate_predictions,
 )
-from capeseg.fieldgen import FieldConfig, generate_chunks, generate_dataset
+from capeseg.fieldgen import FieldConfig, generate_dataset
 from capeseg.model import init_params, predict, sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
@@ -494,8 +494,9 @@ class TestWorkers:
         assert max(unfinished) <= n
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers fork only here")
-    def test_train_and_sweep_fork_their_workers(self, tmp_path, monkeypatch):
-        """Forked workers inherit the parent's patched names, as sweep tests need."""
+    def test_every_command_forks_its_workers(self, tmp_path, monkeypatch):
+        """Forked workers inherit the parent's patched names, as sweep tests need.
+        `evaluate --oracle` predicts nothing, so it makes no pool."""
         pools, real_pool = [], pipeline.ProcessPoolExecutor
 
         def spy(max_workers=None, mp_context=None, *args, **kwargs):
@@ -504,8 +505,11 @@ class TestWorkers:
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", spy)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
-        field = FieldConfig(height=16, width=16, length_scale=2.0, target_rate=0.2, seed=3)
-        storage.write_dataset(tmp_path / "d.bin", generate_chunks(field, 18))
+        (tmp_path / "gen.cfg").write_text(
+            "height = 16\nwidth = 16\nlength_scale = 2.0\ntarget_rate = 0.2\nn_samples = 40\n"
+            "seed = 3\n", encoding="utf-8",
+        )
+        assert main(["generate", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path)]) == 0
         train = (
             "lr = 0.005\nmax_epochs = 2\npatience = 1\nbatch_size = 8\nbins = 8\nfolds = 3\n"
             "cape_epochs_override = 1\nhidden_channels = 4\nseed = 5\n"
@@ -515,15 +519,19 @@ class TestWorkers:
             train + "height = 16\nwidth = 16\nlength_scale = 2.0\nrates = 0.2,0.3\nsizes = 12\n",
             encoding="utf-8",
         )
+        data = str(tmp_path / "dataset.bin")
         assert main([
-            "train", "--config", str(tmp_path / "train.cfg"), "--dataset", str(tmp_path / "d.bin"),
+            "train", "--config", str(tmp_path / "train.cfg"), "--dataset", data,
             "--out", str(tmp_path / "train"),
         ]) == 0
+        ckpt = str(tmp_path / "train" / "cape_arm.ckpt")
+        for name, scored in (("ckpt", ["--checkpoint", ckpt]), ("oracle", ["--oracle"])):
+            assert main(["evaluate", *scored, "--dataset", data, "--out", str(tmp_path / name)]) == 0
         assert main([
             "sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "sweep"),
             "--threads", "2",
         ]) == 0
-        assert pools == [(1, "fork"), (2, "fork")]
+        assert pools == [(1, "fork")] * 3 + [(2, "fork")]
 
 
 class TestTrainConfigValidation:
