@@ -191,7 +191,7 @@ def cmd_evaluate(args) -> tuple[int, dict, int, list]:
 def cmd_sweep(args) -> tuple[int, dict, int, list]:
     cfg = _load_config(args)
     csv_path, ece_path, kl_path, failures_path = _prepare_outdir(args)
-    field_cfg = configfile.build(FieldConfig, {**cfg, "target_rate": 0.5})
+    field_cfg = configfile.build(FieldConfig, cfg)  # each cell sets its rate
     train_cfg = configfile.build(TrainConfig, cfg)
 
     result = run_experiment(field_cfg, cfg["rates"], cfg["sizes"], train_cfg, args.threads)

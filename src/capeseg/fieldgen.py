@@ -50,12 +50,7 @@ class FieldConfig:
             raise ValueError(f"target_rate must be in (0, 1), got {self.target_rate}")
         if self.length_scale <= 0.0:
             raise ValueError("length_scale must be positive")
-        taps = 2 * math.ceil(3.0 * self.length_scale) + 1  # the size of _gaussian_kernel
-        if taps > min(self.height, self.width):
-            raise ValueError(
-                f"smoothing kernel ({taps} px at length_scale="
-                f"{self.length_scale}) exceeds the {self.height}x{self.width} field"
-            )
+        _gaussian_kernel(self)  # raises if its taps are wider than the field
         if self.gain <= 0.0:
             raise ValueError("gain must be positive")
         if self.obs_noise < 0.0:
@@ -122,8 +117,13 @@ class DatasetStream:
 
 
 def _gaussian_kernel(config: FieldConfig) -> np.ndarray:
-    """Normalized taps truncated at 3 length scales; FieldConfig checks that they fit the field."""
+    """Normalized taps truncated at 3 length scales, refused unbuilt when wider than the field."""
     radius = math.ceil(3.0 * config.length_scale)
+    if 2 * radius + 1 > min(config.height, config.width):
+        raise ValueError(
+            f"smoothing kernel ({2 * radius + 1} px at length_scale="
+            f"{config.length_scale}) exceeds the {config.height}x{config.width} field"
+        )
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     w = np.exp(-0.5 * (offsets / config.length_scale) ** 2)
     return w / w.sum()

@@ -63,7 +63,6 @@ class TrainConfig:
     lr: float = 1e-4
     max_epochs: int = 50
     patience: int = 15
-    min_delta: float = 0.0
     batch_size: int = 16
     bins: int = 20
     cal_weight: float = 0.5  # weight on the calibration loss term
@@ -90,8 +89,6 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
-        if self.min_delta < 0.0:
-            raise ValueError("min_delta must be >= 0")
 
 
 @dataclass
@@ -106,18 +103,17 @@ class EpochRecord:
 
 @dataclass
 class EarlyStopper:
-    """Tracks the best validation loss; stops after `patience` epochs without
-    an improvement greater than `min_delta`."""
+    """Tracks the best validation loss: an epoch improves when its loss is below
+    the best so far, and training stops after `patience` epochs without one."""
 
     patience: int
-    min_delta: float = 0.0
     best: float = math.inf
     best_epoch: int = 0
     bad_epochs: int = 0
 
     def update(self, epoch: int, val_loss: float) -> tuple[bool, bool]:
         """Returns (improved, should_stop)."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best:
             self.best = val_loss
             self.best_epoch = epoch
             self.bad_epochs = 0
@@ -325,7 +321,7 @@ def _train(
     `run_now`), judged once the next epoch has trained, or before that epoch
     trains when the record could stop training (its stopper one bad epoch
     short of `patience`). Returns (params, records): with a `stopper`, the
-    params of its best record; without one, the last epoch's params.
+    params of its first lowest-loss record; without one, the last epoch's.
     """
     cape = phase == CAPE_PHASE
     stream = _STREAM_CONTINUE_BATCHES if cape else _STREAM_WARMUP_BATCHES
@@ -385,7 +381,7 @@ def train_warmup(
     """
     rng = Rng(config.seed).child(_STREAM_INIT)
     params = init_params(dataset.shape[0], config.hidden_channels, rng)
-    stopper = EarlyStopper(patience=config.patience, min_delta=config.min_delta)
+    stopper = EarlyStopper(patience=config.patience)
     best, records = _train(
         params, dataset, train_idx, val_idx, config, WARMUP_PHASE,
         range(1, config.max_epochs + 1), submit, stopper,

@@ -352,6 +352,56 @@ class TestDefectPrecedenceAcrossChunks:
         assert not out.exists()
 
 
+class TestReadChunksFrom:
+    """`read_chunks(path, start)`, the tail a second core predicts: the whole
+    read's samples from `start` on, over a file of several float64 chunks."""
+
+    @staticmethod
+    def write(tmp_path, has_true_p):
+        n = storage.RECORD_CHUNK // storage._record_dtype(1, 8, 8, has_true_p).itemsize + 3
+        rng = Rng(9)
+        true_p = rng.uniform((n, 8, 8)) if has_true_p else None
+        dataset = Dataset(rng.normal((n, 1, 8, 8)), rng.uniform((n, 8, 8)) < 0.3, true_p)
+        return storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset)).path
+
+    @staticmethod
+    def starts(path):
+        """Sample indices from 1 to the last, each side of the first chunk boundary."""
+        whole = storage.read_chunks(path)
+        step = len(next(iter(whole.chunks)))
+        return [1, step - 1, step, step + 7, len(whole) - 1]
+
+    @pytest.mark.parametrize("has_true_p", [True, False], ids=["true_p", "no-true_p"])
+    def test_tail_is_the_whole_read_from_start_on(self, tmp_path, has_true_p):
+        path = self.write(tmp_path, has_true_p)
+        whole = storage.read_dataset(path)
+        names = ["inputs", "outcomes"] + ["true_p"] * has_true_p
+        for start in self.starts(path):
+            tail = storage.read_chunks(path, start)
+            assert len(tail) == len(whole) - start
+            assert (tail.shape, tail.has_true_p) == (whole.shape, has_true_p)
+            got = {name: [] for name in names}
+            for chunk in tail.chunks:
+                assert (chunk.true_p is not None) == has_true_p
+                for name in names:
+                    got[name].append(getattr(chunk, name).tobytes())
+            for name in names:
+                assert b"".join(got[name]) == getattr(whole, name)[start:].tobytes(), (start, name)
+
+    @pytest.mark.parametrize(
+        "field, value, what",
+        [("outcomes", 2, "non-binary outcome bytes"), ("inputs", np.inf, "non-finite inputs"),
+         ("true_p", 1.5, r"true_p outside \[0, 1\]")],
+    )
+    def test_defect_past_start_is_named_by_its_absolute_index(self, tmp_path, field, value, what):
+        path = self.write(tmp_path, True)
+        for start in self.starts(path)[:-1]:
+            bad = start + (len(storage.read_chunks(path, start)) - 1) // 2
+            poked = poke_dataset(path, tmp_path / f"poked{start}.bin", field, value, sample=bad)
+            with pytest.raises(storage.FormatError, match=f"sample {bad} has {what}"):
+                storage.read_chunks(poked, start)
+
+
 class TestCheckpointRoundTrip:
     def test_exact_roundtrip(self, tmp_path):
         params = init_params(3, 8, Rng(2))
@@ -1608,8 +1658,9 @@ class TestExitCodes:
             ("cape_epochs_override", 0, "cape_epochs_override and hidden_channels must be >= 1"),
             ("cape_epochs", 6, "unknown config key(s): cape_epochs"),
             ("lambda", 2, "error: lambda must be in [0, 1]"),
+            ("min_delta", 0.0, "unknown config key(s): min_delta"),
         ],
-        ids=["zero-cape-epochs", "old-budget-key", "lambda-out-of-range"],
+        ids=["zero-cape-epochs", "old-budget-key", "lambda-out-of-range", "removed-min-delta"],
     )
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_cape_epoch_count_fails_before_training(
@@ -1617,7 +1668,8 @@ class TestExitCodes:
     ):
         """A CaPE phase of 0 epochs would make the cape arm the bce arm, and an
         old config's epoch budget would now mean a different count. A bad value
-        is named by the key the file spells, not by the field it sets."""
+        is named by the key the file spells, not by the field it sets. Early
+        stopping's one knob is `patience`: `min_delta`, even at 0, is unknown."""
         def no_training(*args):
             raise AssertionError("training started")
 

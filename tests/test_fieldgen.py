@@ -234,6 +234,7 @@ class TestFieldConfigValidation:
             {"target_rate": 0.5, "height": 0},
             {"target_rate": 0.5, "seed": -1},
             {"target_rate": 0.5, "length_scale": 6.0},  # 37 taps on the 32x32 default field
+            {"target_rate": 0.5, "length_scale": 1e12},  # refused before its 6e12 taps are made
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -116,14 +116,6 @@ class TestEarlyStopper:
             assert improved and not stop
         assert stopper.best_epoch == 29
 
-    def test_min_delta_counts_small_gains_as_no_improvement(self):
-        stopper = EarlyStopper(patience=2, min_delta=0.1)
-        stopper.update(1, 1.0)
-        improved, stop = stopper.update(2, 0.95)  # gain below min_delta
-        assert not improved and not stop
-        _, stop = stopper.update(3, 0.91)
-        assert stop
-
 
 class TestTrainWarmup:
     def test_best_val_loss_is_minimum_of_records(self, small_dataset):
@@ -548,7 +540,6 @@ class TestTrainConfigValidation:
             {"patience": -3},
             {"cape_epochs": 0},
             {"seed": -1},
-            {"min_delta": -0.1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
