@@ -109,7 +109,7 @@ def build_bins(
     statistic that closes it, and no second sort is needed.
     """
     predictions = as_f64(predictions).ravel()
-    outcomes = as_f64(outcomes).ravel()
+    outcomes = np.ravel(outcomes)
     assignment = np.asarray(assignment).ravel()
     if not predictions.size == outcomes.size == assignment.size:
         raise ValueError(
@@ -123,7 +123,10 @@ def build_bins(
     counts = np.bincount(assignment)
     n_bins = counts.size
     prob_pred = np.bincount(assignment, weights=predictions) / counts
-    prob_true = np.bincount(assignment, weights=outcomes) / counts
+    events = np.zeros(n_bins)  # summed a CHUNK at a time, exactly: the outcomes are 0s and 1s
+    for i in range(0, outcomes.size, CHUNK):
+        events += np.bincount(assignment[i : i + CHUNK], outcomes[i : i + CHUNK], n_bins)
+    prob_true = events / counts
 
     edges = np.zeros(n_bins + 1)
     np.maximum.at(edges[1:], assignment, predictions)
@@ -150,7 +153,7 @@ def ece(table: BinTable) -> float:
 def brier_score(predictions: np.ndarray, outcomes: np.ndarray) -> float:
     """Mean squared difference between predictions and binary outcomes."""
     predictions = as_f64(predictions).ravel()
-    outcomes = as_f64(outcomes).ravel()
+    outcomes = np.ravel(outcomes)
     if predictions.size != outcomes.size:
         raise ValueError("predictions and outcomes differ in length")
     squares = np.subtract(predictions, outcomes)
@@ -166,7 +169,7 @@ def kl_to_true(predictions: np.ndarray, true_p: Optional[np.ndarray]) -> float:
     if true_p is None:
         raise ValueError("true probabilities unavailable; KL cannot be computed")
     predictions = as_f64(predictions).ravel()
-    true_p = as_f64(true_p).ravel()
+    true_p = np.ravel(true_p)
     if predictions.size != true_p.size:
         raise ValueError("predictions and true probabilities differ in length")
     terms = np.empty(predictions.size)  # filled a chunk at a time, then reduced whole
@@ -175,7 +178,8 @@ def kl_to_true(predictions: np.ndarray, true_p: Optional[np.ndarray]) -> float:
         for i in range(0, terms.size, CHUNK):
             s = slice(i, i + CHUNK)
             f = np.clip(predictions[s], KL_EPS, 1.0 - KL_EPS)
-            p, q = true_p[s], 1.0 - true_p[s]
+            p = as_f64(true_p[s])  # widened first: 1 - p of a float32 p would round
+            q = 1.0 - p
             terms[s] = 0.0 + np.where(p > 0.0, p * np.log(p / f), 0.0)
             terms[s] += np.where(p < 1.0, q * np.log(q / (1.0 - f)), 0.0)
     return float(np.mean(terms))
@@ -224,7 +228,7 @@ def evaluate_predictions(
 ) -> MetricsReport:
     """Full metrics for a flat prediction set, building a fresh BinTable."""
     predictions = as_f64(predictions).ravel()
-    outcomes = as_f64(outcomes).ravel()
+    outcomes = np.ravel(outcomes)
     table = build_bins(predictions, outcomes, bin_assignment(predictions, n_bins))
     kl = kl_to_true(predictions, true_p) if true_p is not None else None
     return MetricsReport(

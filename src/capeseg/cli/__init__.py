@@ -149,11 +149,12 @@ def cmd_evaluate(args) -> tuple[int, dict, int, list]:
                 f"dataset has {data.shape[0]}"
             )
 
-    # The per-pixel arrays, filled a chunk at a time; the oracle scores true_p itself.
-    outcomes = np.empty(len(data) * data.shape[1] * data.shape[2])
+    # The per-pixel arrays in the file's dtypes, filled a chunk at a time.
+    outcomes = np.empty(len(data) * data.shape[1] * data.shape[2], np.uint8)
     if args.bins > outcomes.size:
         raise UsageError(f"--bins {args.bins} exceeds the {outcomes.size} pixels of {args.dataset}")
-    true_p = np.empty_like(outcomes) if data.has_true_p else None
+    p_dtype = np.float64 if args.oracle else np.float32  # --oracle scores true_p itself
+    true_p = np.empty(outcomes.size, p_dtype) if data.has_true_p else None
     preds = true_p if args.oracle else shared(outcomes.shape)
     helpers = 0 if args.oracle or len(data) < 2 else second_core()
     mine = len(data) - helpers * (len(data) // 2)  # predicted here, the rest on a second core

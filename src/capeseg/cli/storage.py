@@ -36,7 +36,7 @@ from ..pipeline import CAPE_PHASE, WARMUP_PHASE, EpochRecord
 DATASET_MAGIC = b"CAPESEG1"
 DATASET_VERSION = 1
 FLAG_TRUE_P = 1
-RECORD_CHUNK = 1 << 20  # `read_chunks` yields float64 chunks of about half this many bytes
+RECORD_CHUNK = 1 << 20  # `read_chunks`' chunks would fill half of it at 8 bytes a value
 
 CHECKPOINT_MAGIC = b"CAPECKP1"
 CHECKPOINT_VERSION = 1
@@ -100,8 +100,9 @@ def write_dataset(path, data: DatasetStream) -> Written:
 
 
 def read_chunks(path, start: int = 0) -> DatasetStream:
-    """A dataset file's samples from `start` on as a stream of float64 chunks, once
-    its header, its size and their records are checked in one streamed pass.
+    """A dataset file's samples from `start` on as a stream of chunks in the file's
+    dtypes, once its header, its size and their records are checked in one streamed
+    pass. A `start` outside the file's samples is a ValueError.
 
     A corrupt file is a FormatError; so is a non-binary outcome, a non-finite
     input or a true_p outside [0, 1], reported in that order of precedence,
@@ -130,7 +131,9 @@ def read_chunks(path, start: int = 0) -> DatasetStream:
         raise FormatError(
             f"{path}: expected {expected} bytes for {n_samples} samples, found {size}"
         )
-    # Samples per float64 chunk of half a RECORD_CHUNK: a reader holds one while the next is read.
+    if not 0 <= start < n_samples:
+        raise ValueError(f"start {start} is outside the {n_samples} samples of {path}")
+    # Samples per chunk: as many as half a RECORD_CHUNK holds at 8 bytes a value.
     step = max(1, RECORD_CHUNK // (16 * (c + 1 + has_p) * h * w))
 
     def records():
@@ -156,7 +159,7 @@ def read_chunks(path, start: int = 0) -> DatasetStream:
 
     def chunks():
         for chunk in records():  # inputs, outcomes and true_p, as the dataset names them
-            yield Dataset(*(chunk[name].astype(np.float64) for name in dtype.names))
+            yield Dataset(*(chunk[name] for name in dtype.names))
 
     return DatasetStream(n_samples - start, (c, h, w), has_p, chunks())
 

@@ -61,10 +61,10 @@ class FieldConfig:
 
 @dataclass
 class Dataset:
-    """N samples as stacked float64 arrays."""
+    """N samples as stacked arrays: float64 when made, in the file's dtypes when read."""
 
     inputs: np.ndarray  # N x C x H x W
-    outcomes: np.ndarray  # N x H x W, values in {0.0, 1.0}
+    outcomes: np.ndarray  # N x H x W, values in {0, 1}
     true_p: Optional[np.ndarray] = None  # N x H x W in (0, 1), None when withheld
 
     def __len__(self) -> int:
@@ -103,16 +103,18 @@ class DatasetStream:
         return self.n_samples
 
     def assemble(self) -> Dataset:
-        """The samples in one Dataset, each chunk copied in and let go before the next."""
-        ds = Dataset.empty(self.n_samples, self.shape, self.has_true_p)
-        at = 0
+        """The samples in one Dataset of the chunks' dtypes, each chunk let go before the next."""
+        ds, at = None, 0
         for chunk in self.chunks:
-            rows = slice(at, at + len(chunk))
-            ds.inputs[rows], ds.outcomes[rows] = chunk.inputs, chunk.outcomes
-            if self.has_true_p:
-                ds.true_p[rows] = chunk.true_p
-            at = rows.stop
-            del chunk
+            parts = (chunk.inputs, chunk.outcomes, chunk.true_p)
+            if ds is None:
+                ds = Dataset(*(a if a is None else np.empty((len(self), *a.shape[1:]), a.dtype)
+                               for a in parts))
+            for whole, part in zip((ds.inputs, ds.outcomes, ds.true_p), parts):
+                if part is not None:
+                    whole[at : at + len(chunk)] = part
+            at += len(chunk)
+            del chunk, parts
         return ds
 
 

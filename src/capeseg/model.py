@@ -107,11 +107,11 @@ def forward(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, Forwar
     """Logit maps (N x H x W) of N samples (N x C x H x W) plus the backward cache,
     run as one tall image; params, inputs and logits are checked finite.
 
-    The samples are written once into conv1's padded grid, each followed by p zero rows,
-    the padding each neighbour sees alone. conv1's output grid is conv2's input: relu'd in
-    place, gap rows re-zeroed, every logit keeps the bits of its sample run alone.
+    The samples (float32 when read from a file) are widened as they are written once into
+    conv1's float64 padded grid, each followed by p zero rows, the padding each neighbour
+    sees alone. conv1's output grid is conv2's input: relu'd in place, gap rows re-zeroed,
+    every logit keeps the bits of its sample run alone.
     """
-    inputs = as_f64(inputs)
     require_finite("model parameters", params.flat)
     if inputs.ndim != 4 or inputs.shape[1] != params.in_channels:
         raise ValueError(

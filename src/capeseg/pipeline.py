@@ -328,7 +328,7 @@ def _train(
     shuffle_rng = Rng(config.seed).child(stream)
     adam = AdamState.init(params.flat.size, lr=config.lr)
     train_idx = np.asarray(train_idx)
-    p_emp = np.zeros_like(dataset.outcomes) if cape else dataset.outcomes  # rows refilled below
+    p_emp = np.zeros(dataset.outcomes.shape) if cape else dataset.outcomes  # float64 targets
     cal_weight = config.cal_weight if cape else 0.0
     best = params
     records: list[EpochRecord] = []

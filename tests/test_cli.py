@@ -253,6 +253,9 @@ class TestDatasetRoundTrip:
         assert np.array_equal(ds.outcomes, back.outcomes)
         assert np.array_equal(back.inputs, ds.inputs.astype(np.float32).astype(np.float64))
         assert np.array_equal(back.true_p, ds.true_p.astype(np.float32).astype(np.float64))
+        assert (back.inputs.dtype, back.outcomes.dtype, back.true_p.dtype) == (
+            np.float32, np.uint8, np.float32
+        )
 
     def test_header_echoes_shape(self, tmp_path):
         cfg = FieldConfig(height=8, width=10, channels=2, length_scale=1.0, target_rate=0.3, seed=5)
@@ -354,7 +357,7 @@ class TestDefectPrecedenceAcrossChunks:
 
 class TestReadChunksFrom:
     """`read_chunks(path, start)`, the tail a second core predicts: the whole
-    read's samples from `start` on, over a file of several float64 chunks."""
+    read's samples from `start` on, over a file of several chunks."""
 
     @staticmethod
     def write(tmp_path, has_true_p):
@@ -387,6 +390,14 @@ class TestReadChunksFrom:
                     got[name].append(getattr(chunk, name).tobytes())
             for name in names:
                 assert b"".join(got[name]) == getattr(whole, name)[start:].tobytes(), (start, name)
+
+    @pytest.mark.parametrize("past", [0, 1, None], ids=["n", "n+1", "-1"])
+    def test_start_outside_the_samples_names_both_numbers(self, tmp_path, past):
+        path = self.write(tmp_path, True)
+        n = len(storage.read_chunks(path))
+        start = -1 if past is None else n + past
+        with pytest.raises(ValueError, match=f"start {start} is outside the {n} samples of "):
+            storage.read_chunks(path, start)
 
     @pytest.mark.parametrize(
         "field, value, what",

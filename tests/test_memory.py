@@ -19,7 +19,15 @@ from oracles import (
     probabilities_one_shot,
 )
 
-from capeseg.calibration import BUCKETS, KL_EPS, bin_assignment, brier_score, kl_to_true
+from capeseg.calibration import (
+    BUCKETS,
+    KL_EPS,
+    bin_assignment,
+    brier_score,
+    build_bins,
+    evaluate_predictions,
+    kl_to_true,
+)
 from capeseg.cli import main, storage
 from capeseg.fieldgen import CHUNK_FIELDS, Dataset, FieldConfig, generate_chunks, generate_dataset
 from capeseg.model import PROB_CLAMP, init_params, probabilities
@@ -40,6 +48,10 @@ def predictions_at_the_clamps(rng: Rng, n: int) -> np.ndarray:
     preds[::5] = KL_EPS * rng.uniform(preds[::5].size)
     preds[1::5] = 1.0 - KL_EPS * rng.uniform(preds[1::5].size)
     return preds
+
+
+def same_table(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(vars(a).values(), vars(b).values()))
 
 
 def random_dataset(rng: Rng, n: int, c: int, h: int, w: int, with_true_p: bool) -> Dataset:
@@ -83,6 +95,27 @@ class TestChunkedKernelsKeepTheirBytes:
         rng = Rng(n)
         preds, outcomes = predictions_at_the_clamps(rng, n), (rng.uniform(n) < 0.3) * 1.0
         assert same_bytes(brier_score(preds, outcomes), brier_score_one_shot(preds, outcomes))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_file_dtypes_score_as_their_float64_widening(self, n):
+        """uint8 outcomes and float32 true_p, as a dataset file holds them, against
+        the same values widened to float64: every kernel keeps every byte."""
+        rng = Rng(n)
+        preds, outcomes = predictions_at_the_clamps(rng, n), rng.uniform(n) < 0.3
+        outcomes, true_p = outcomes.astype(np.uint8), rng.uniform(n).astype(np.float32)
+        true_p[::3], true_p[1::7] = 0.0, 1.0
+        wide_outcomes, wide_p = outcomes.astype(np.float64), true_p.astype(np.float64)
+        n_bins = min(n, 20)
+        assignment = bin_assignment(preds, n_bins)
+        tables = [build_bins(preds, o, assignment) for o in (outcomes, wide_outcomes)]
+        assert same_table(*tables)
+        assert same_bytes(brier_score(preds, outcomes), brier_score(preds, wide_outcomes))
+        assert same_bytes(kl_to_true(preds, true_p), kl_to_true(preds, wide_p))
+        narrow = evaluate_predictions(preds, outcomes, true_p, n_bins)
+        wide = evaluate_predictions(preds, wide_outcomes, wide_p, n_bins)
+        assert same_table(narrow.bin_table, wide.bin_table)
+        scores = [[r.ece, r.brier, r.kl_true] for r in (narrow, wide)]
+        assert same_bytes(*scores)
 
 
 class TestDatasetChunks:
@@ -161,8 +194,10 @@ class TestMemoryBound:
         assert peak <= one_stack + 64 * 1024
 
     def test_read_dataset_holds_the_dataset_and_about_two_chunks(self, dataset, tmp_path):
+        """The dataset is held at the file's precision, in its records' bytes (3.5 MB
+        here), where float64 arrays would take 8.2 MB."""
         storage.write_dataset(tmp_path / "d.bin", in_chunks(dataset))
-        held = sum(a.nbytes for a in (dataset.inputs, dataset.outcomes, dataset.true_p))
+        held = len(dataset) * storage._record_dtype(*dataset.shape, True).itemsize
         peak = traced_peak(storage.read_dataset, tmp_path / "d.bin")
         assert peak <= held + 2 * storage.RECORD_CHUNK
 
@@ -180,6 +215,21 @@ class TestMemoryBound:
             peaks.append(traced_peak(main, argv))
             assert (out / "metrics.csv").exists()
         assert peaks[1] - peaks[0] < 9 * 8 * n * 32 * 32 / 8
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_evaluate_holds_outcomes_and_true_p_at_the_file_s_precision(self, tmp_path, oracle):
+        """400 samples of 32x32. Per pixel, evaluate holds 1 byte of outcome and 4 of
+        true_p (8 for the oracle, whose predictions they are) and, while it scores, one
+        float64 scratch array and one boolean mask; 1 MiB covers a chunk's and a stack's
+        scratch. A float64 outcomes array would add 7 bytes a pixel, a float64 true_p 4."""
+        data, ckpt, n = tmp_path / "d.bin", tmp_path / "m.ckpt", 400
+        storage.write_dataset(data, in_chunks(random_dataset(Rng(4), n, 3, 32, 32, True)))
+        storage.write_checkpoint(ckpt, init_params(3, 8, Rng(1)))
+        scored = ["--oracle"] if oracle else ["--checkpoint", str(ckpt)]
+        argv = ["evaluate", *scored, "--dataset", str(data), "--out"]
+        main([*argv, str(tmp_path / "first")])  # the imports of a first call are not its peak
+        peak = traced_peak(main, [*argv, str(tmp_path / "ev")])
+        assert peak <= n * 32 * 32 * (1 + (8 if oracle else 4) + 8 + 1) + 2**20
 
     def test_generate_dataset_holds_the_dataset_and_the_making_of_one_stack(self):
         """Each stack of CHUNK_FIELDS samples is copied into the dataset and let go

@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 import pytest
-from oracles import bce_continuation, sample_forward
+from oracles import bce_continuation, in_chunks, sample_forward
 
 from capeseg import pipeline
-from capeseg.cli import main
+from capeseg.cli import main, storage
 from capeseg.calibration import (
     assign_p_emp,
     bce_loss,
@@ -22,7 +22,7 @@ from capeseg.calibration import (
     build_bins,
     evaluate_predictions,
 )
-from capeseg.fieldgen import FieldConfig, generate_dataset
+from capeseg.fieldgen import Dataset, FieldConfig, generate_dataset
 from capeseg.model import init_params, predict, sigmoid
 from capeseg.numerics import Rng
 from capeseg.pipeline import (
@@ -447,6 +447,27 @@ class TestRunExperiment:
         assert fold.fold == 1
         assert fold.warmup.stop_epoch == len(fold.warmup.records)
         assert fold.arms[1].records[0].epoch == fold.warmup.stop_epoch + 1
+
+    def test_run_fold_on_a_read_dataset_keeps_the_bits_of_its_float64_widening(
+        self, small_dataset, tmp_path
+    ):
+        """The file's float32 inputs, uint8 outcomes and float32 true_p train and score
+        as their float64 widening: each kernel widens a stack or a CHUNK exactly. The
+        CaPE targets stay float64 beside uint8 outcomes, which would round them to 0."""
+        path = storage.write_dataset(tmp_path / "d.bin", in_chunks(small_dataset)).path
+        read = storage.read_dataset(path)
+        wide = Dataset(*(a.astype(np.float64) for a in (read.inputs, read.outcomes, read.true_p)))
+        folds = split_kfold(len(read), 3, seed=10)
+        cfg = small_config(max_epochs=3, patience=1, cape_epochs=2)
+        got, want = (run_fold(ds, folds, 1, cfg) for ds in (read, wide))
+        for a, b in zip(got.arms, want.arms):
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
+            assert a.records == b.records
+            assert (a.report.ece, a.report.brier, a.report.kl_true) == (
+                b.report.ece, b.report.brier, b.report.kl_true
+            )
+            for x, y in zip(vars(a.report.bin_table).values(), vars(b.report.bin_table).values()):
+                assert x.tobytes() == y.tobytes()
 
 
 def _held(x, guard):
